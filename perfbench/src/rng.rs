@@ -1,0 +1,40 @@
+//! The benchmark's own input generator. Inputs are drawn here, not with
+//! the program's samplers, so a change to the program cannot change the
+//! inputs a seed stands for. The exception is `serve`, which, like the
+//! CLI, hands the program a seed for its own arrival sampler.
+
+/// SplitMix64: tiny, seedable, and identical on every platform.
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[lo, hi)`.
+    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.unit()
+    }
+
+    /// Uniform in `lo..=hi`.
+    pub fn int(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next_u64() % (hi - lo + 1) as u64) as usize
+    }
+
+    pub fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.int(0, items.len() - 1)]
+    }
+}
