@@ -22,7 +22,8 @@ use std::sync::{Arc, Mutex};
 use meshslice_gemm::{Dataflow, DistributedGemm, GemmError, GemmProblem, MeshSlice};
 use meshslice_mesh::{ChipId, MeshPlane, MeshShape, MeshView, Torus2d, MAX_AXES};
 use meshslice_sim::{
-    ClusterProfile, Duration, Engine, PodProfile, Program, RunScratch, SimConfig, SimReport,
+    ClusterProfile, Duration, Engine, LoweredProgram, PodProfile, Program, RunScratch, SimConfig,
+    SimReport,
 };
 use meshslice_telemetry::{TuneCandidate, TuneLog};
 use meshslice_tensor::slice::SliceSpec;
@@ -595,6 +596,12 @@ impl Autotuner {
     /// ranked by simulated block time; ties keep the first plane in
     /// enumeration order, so the result is deterministic.
     ///
+    /// Congruent planes share work: the analytic tuning and the block's
+    /// scheduled, lowered programs are built once per logical mesh shape,
+    /// and the block is simulated once per distinct projected profile on
+    /// that shape (every clean plane projects to the same ideal profile).
+    /// The plan is bit-for-bit the one tuning each plane afresh gives.
+    ///
     /// On an ideal pod every congruent plane prices identically and the
     /// winner is simply the best plane *shape* (e.g. the 4×4 planes of a
     /// 4×4×2 pod beat the 4×2 ones for square GeMMs).
@@ -606,6 +613,12 @@ impl Autotuner {
         setup: TrainingSetup,
         pod: &PodProfile,
     ) -> Option<PodTunePlan> {
+        // Work congruent planes share: the analytic plan and lowered block
+        // per logical mesh shape (`None` if infeasible), and the block
+        // makespan per (mesh shape, projected profile).
+        type Tuned = (Duration, Vec<LayerPlan>, LoweredBlock);
+        let mut tuned: Vec<(MeshShape, Option<Tuned>)> = Vec::new();
+        let mut makespans: Vec<(MeshShape, ClusterProfile, Duration)> = Vec::new();
         let mut best: Option<PodTunePlan> = None;
         let mut scratch = RunScratch::new();
         for plane in MeshView::full(pod.shape()).planes() {
@@ -613,79 +626,51 @@ impl Autotuner {
                 continue;
             };
             let mesh_shape = assign.torus.shape();
-            let Some((analytic, layers)) = self.estimate_on_mesh(model, setup, mesh_shape) else {
+            let k = match tuned.iter().position(|(m, _)| *m == mesh_shape) {
+                Some(k) => k,
+                None => {
+                    let work = self.estimate_on_mesh(model, setup, mesh_shape).and_then(
+                        |(analytic, layers)| {
+                            let passes = layers.iter().flat_map(|l| l.passes);
+                            let passes = passes.map(|p| (p.problem, p.slice_count));
+                            let cfg = self.cost.config();
+                            let block = self.lower_block(mesh_shape, passes, cfg, None)?;
+                            Some((analytic, layers, block))
+                        },
+                    );
+                    tuned.push((mesh_shape, work));
+                    tuned.len() - 1
+                }
+            };
+            let Some((analytic, layers, block)) = &tuned[k].1 else {
                 continue;
             };
-            let Some(simulated) =
-                self.simulate_layers_under(&layers, mesh_shape, &assign.profile, &mut scratch)
-            else {
-                continue;
-            };
-            let candidate = PodTunePlan {
-                plane,
-                mesh_shape,
-                physical_chips: assign.physical,
-                layers,
-                estimated_block_time: analytic,
-                simulated_block_time: simulated,
+            let seen = makespans
+                .iter()
+                .find(|(m, p, _)| *m == mesh_shape && *p == assign.profile);
+            let simulated = match seen {
+                Some(&(_, _, t)) => t,
+                None => {
+                    let t = block.run(Some(&assign.profile), &mut scratch).makespan();
+                    makespans.push((mesh_shape, assign.profile, t));
+                    t
+                }
             };
             if best
                 .as_ref()
-                .map(|b| candidate.simulated_block_time < b.simulated_block_time)
-                .unwrap_or(true)
+                .is_none_or(|b| simulated < b.simulated_block_time)
             {
-                best = Some(candidate);
+                best = Some(PodTunePlan {
+                    plane,
+                    mesh_shape,
+                    physical_chips: assign.physical,
+                    layers: layers.clone(),
+                    estimated_block_time: *analytic,
+                    simulated_block_time: simulated,
+                });
             }
         }
         best
-    }
-
-    /// Simulates one FC block from already tuned per-layer plans under a
-    /// fault profile, serially merged — the plane-scoring primitive of
-    /// [`tune_pod`](Self::tune_pod). Distinct pass specs are scheduled,
-    /// lowered, and simulated once (mirrored layers repeat them).
-    fn simulate_layers_under(
-        &self,
-        layers: &[LayerPlan],
-        mesh_shape: MeshShape,
-        profile: &ClusterProfile,
-        scratch: &mut RunScratch,
-    ) -> Option<Duration> {
-        let base = self.cost.config();
-        let mut legal_memo: Vec<(GemmProblem, Vec<usize>)> = Vec::new();
-        let mut specs: Vec<(GemmProblem, usize, usize)> = Vec::new();
-        for layer in layers {
-            for pass in &layer.passes {
-                let legal = match legal_memo.iter().find(|(p, _)| *p == pass.problem) {
-                    Some((_, l)) => l.clone(),
-                    None => {
-                        let l = self.legal_slice_counts(mesh_shape, pass.problem);
-                        legal_memo.push((pass.problem, l.clone()));
-                        l
-                    }
-                };
-                let block = if legal.contains(&pass.slice_count) {
-                    self.block
-                } else {
-                    1
-                };
-                specs.push((pass.problem, pass.slice_count, block));
-            }
-        }
-        let slot_of = dedup_slots(&specs);
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), base.clone()).with_faults(profile.clone());
-        let mut distinct: Vec<SimReport> = Vec::new();
-        for (i, &(problem, s, block)) in specs.iter().enumerate() {
-            if slot_of[i] == distinct.len() {
-                let program = MeshSlice::new(s, block)
-                    .schedule(&mesh, problem, base.elem_bytes)
-                    .ok()?;
-                distinct.push(engine.run_with_scratch(&program, scratch));
-            }
-        }
-        let reports: Vec<SimReport> = slot_of.iter().map(|&k| distinct[k].clone()).collect();
-        Some(SimReport::merge_serial(&reports).makespan())
     }
 
     /// Phase 2 on a fixed mesh, with full cost-model attribution: every
@@ -852,77 +837,84 @@ impl Autotuner {
         cache: Option<&ScheduleCache>,
         scratch: &mut RunScratch,
     ) -> Option<SimReport> {
-        let specs = self.block_pass_specs(model, setup, mesh_shape, requested_s)?;
-        // Simulate each distinct spec once (see `eval_robust_candidate`).
-        let slot_of = dedup_slots(&specs);
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), cfg.clone());
-        let mut distinct = Vec::new();
-        for (i, &(problem, actual, block)) in specs.iter().enumerate() {
-            if slot_of[i] < distinct.len() {
-                continue;
-            }
-            let report = match cache {
-                Some(c) => {
-                    let program = c
-                        .schedule(&mesh, problem, actual, block, cfg.elem_bytes)
-                        .ok()?;
-                    engine.run_with_scratch(&program, scratch)
-                }
-                None => {
-                    let program = MeshSlice::new(actual, block)
-                        .schedule(&mesh, problem, cfg.elem_bytes)
-                        .ok()?;
-                    engine.run_with_scratch(&program, scratch)
-                }
-            };
-            distinct.push(report);
-        }
-        let reports: Vec<SimReport> = slot_of.iter().map(|&k| distinct[k].clone()).collect();
-        Some(SimReport::merge_serial(&reports))
+        let passes = Self::block_passes(model, setup, requested_s);
+        let block = self.lower_block(mesh_shape, passes, cfg, cache)?;
+        Some(block.run(None, scratch))
     }
 
-    /// The twelve (problem, clamped slice count, block) tuples of one FC
-    /// block at a requested slice count — the specs both
-    /// [`simulate_block`](Self::simulate_block) and the robust tuner
-    /// schedule from. `None` if any pass does not divide over the mesh.
-    fn block_pass_specs(
-        &self,
+    /// The twelve `(problem, requested slice count)` passes of one FC
+    /// block at a uniform requested slice count.
+    fn block_passes(
         model: &LlmConfig,
         setup: TrainingSetup,
-        mesh_shape: MeshShape,
         requested_s: usize,
-    ) -> Option<Vec<(GemmProblem, usize, usize)>> {
-        let mut specs = Vec::with_capacity(12);
+    ) -> impl Iterator<Item = (GemmProblem, usize)> {
+        Self::layer_problems(model, setup, None)
+            .into_iter()
+            .flat_map(move |(_, _, problems)| problems.map(|p| (p, requested_s)))
+    }
+
+    /// Builds the [`LoweredBlock`] of one FC block's `(problem, requested
+    /// slice count)` passes on a mesh under `cfg`. Each requested count is
+    /// clamped to the largest legal one not above it (else 1), at block
+    /// size 1 where that count is not legal; tuned counts are legal or 1,
+    /// so they pass through unchanged. An optional [`ScheduleCache`]
+    /// shares program construction across calls. `None` if a pass does
+    /// not divide over the mesh or fails to schedule.
+    fn lower_block(
+        &self,
+        mesh_shape: MeshShape,
+        passes: impl IntoIterator<Item = (GemmProblem, usize)>,
+        cfg: &SimConfig,
+        cache: Option<&ScheduleCache>,
+    ) -> Option<LoweredBlock> {
+        let mut specs: Vec<(GemmProblem, usize, usize)> = Vec::with_capacity(12);
         // Mirrored layers repeat problems: compute each distinct problem's
         // legal slice counts once per mesh, not once per layer pass.
         let mut legal_memo: Vec<(GemmProblem, Vec<usize>)> = Vec::new();
-        for (_, _, problems) in Self::layer_problems(model, setup, None) {
-            for problem in problems {
-                problem.check_divisible(mesh_shape).ok()?;
-                let idx = match legal_memo.iter().position(|(p, _)| *p == problem) {
-                    Some(idx) => idx,
-                    None => {
-                        legal_memo.push((problem, self.legal_slice_counts(mesh_shape, problem)));
-                        legal_memo.len() - 1
-                    }
+        for (problem, requested_s) in passes {
+            problem.check_divisible(mesh_shape).ok()?;
+            let idx = match legal_memo.iter().position(|(p, _)| *p == problem) {
+                Some(idx) => idx,
+                None => {
+                    legal_memo.push((problem, self.legal_slice_counts(mesh_shape, problem)));
+                    legal_memo.len() - 1
+                }
+            };
+            let legal = &legal_memo[idx].1;
+            let actual = legal
+                .iter()
+                .copied()
+                .filter(|&x| x <= requested_s)
+                .max()
+                .unwrap_or(1);
+            let block = if legal.contains(&actual) {
+                self.block
+            } else {
+                1
+            };
+            specs.push((problem, actual, block));
+        }
+        let slot_of = dedup_slots(&specs);
+        let mesh = Torus2d::from_shape(mesh_shape);
+        let engine = Engine::new(mesh.clone(), cfg.clone());
+        let mut lowered = Vec::new();
+        for (i, &(problem, s, block)) in specs.iter().enumerate() {
+            if slot_of[i] == lowered.len() {
+                let program = match cache {
+                    Some(c) => c.schedule(&mesh, problem, s, block, cfg.elem_bytes),
+                    None => MeshSlice::new(s, block)
+                        .schedule(&mesh, problem, cfg.elem_bytes)
+                        .map(Arc::new),
                 };
-                let legal = &legal_memo[idx].1;
-                let actual = legal
-                    .iter()
-                    .copied()
-                    .filter(|&x| x <= requested_s)
-                    .max()
-                    .unwrap_or(1);
-                let block = if legal.contains(&actual) {
-                    self.block
-                } else {
-                    1
-                };
-                specs.push((problem, actual, block));
+                lowered.push(engine.lower_program(&*program.ok()?));
             }
         }
-        Some(specs)
+        Some(LoweredBlock {
+            engine,
+            lowered,
+            slot_of,
+        })
     }
 
     /// Robustness-aware phase 2: scores every (mesh shape, slice count)
@@ -1007,11 +999,10 @@ impl Autotuner {
     /// `(nominal, per-draw)` makespans — the building block of
     /// [`tune_robust`](Self::tune_robust) and of sweep experiments.
     ///
-    /// The block's programs are scheduled and lowered **once** per
-    /// distinct pass spec (lowering does not depend on
-    /// [`SimConfig::faults`], and mirrored layers repeat specs), then the
-    /// lowered graphs are replayed per draw with run state recycled
-    /// through `scratch`. Makespans are bit-for-bit those of calling
+    /// The block is scheduled and lowered once per distinct pass spec and
+    /// replayed per draw with run state recycled through `scratch`
+    /// (lowering does not depend on [`SimConfig::faults`]). Makespans are
+    /// bit-for-bit those of calling
     /// [`simulate_block`](Self::simulate_block) once per draw. `None` if
     /// the block is infeasible on the mesh.
     pub fn simulate_block_draws(
@@ -1023,43 +1014,12 @@ impl Autotuner {
         profiles: &[ClusterProfile],
         scratch: &mut RunScratch,
     ) -> Option<(Duration, Vec<Duration>)> {
-        let base = self.cost.config();
-        let specs = self.block_pass_specs(model, setup, mesh_shape, s)?;
-        // A block's pass list repeats specs (mirrored layers produce the
-        // same problems): schedule, lower, and simulate each *distinct*
-        // spec once and fan its report out — identical programs under an
-        // identical config produce identical reports.
-        let slot_of = dedup_slots(&specs);
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), base.clone());
-        let mut lowered = Vec::new();
-        for (i, &(problem, actual, block)) in specs.iter().enumerate() {
-            if slot_of[i] == lowered.len() {
-                let program = MeshSlice::new(actual, block)
-                    .schedule(&mesh, problem, base.elem_bytes)
-                    .ok()?;
-                lowered.push(engine.lower_program(&program));
-            }
-        }
-        let merge = |distinct: &[SimReport]| {
-            let reports: Vec<SimReport> = slot_of.iter().map(|&k| distinct[k].clone()).collect();
-            SimReport::merge_serial(&reports).makespan()
-        };
-        let nominal_reports: Vec<SimReport> = lowered
+        let passes = Self::block_passes(model, setup, s);
+        let block = self.lower_block(mesh_shape, passes, self.cost.config(), None)?;
+        let nominal = block.run(None, scratch).makespan();
+        let per_draw = profiles
             .iter()
-            .map(|l| engine.run_lowered_with_scratch(l, scratch))
-            .collect();
-        let nominal = merge(&nominal_reports);
-        let per_draw: Vec<Duration> = profiles
-            .iter()
-            .map(|p| {
-                let faulted = engine.with_faults(p.clone());
-                let reports: Vec<SimReport> = lowered
-                    .iter()
-                    .map(|l| faulted.run_lowered_with_scratch(l, scratch))
-                    .collect();
-                merge(&reports)
-            })
+            .map(|p| block.run(Some(p), scratch).makespan())
             .collect();
         Some((nominal, per_draw))
     }
@@ -1170,6 +1130,38 @@ impl RobustPlan {
     /// The winning candidate.
     pub fn best(&self) -> &RobustCandidate {
         &self.candidates[0]
+    }
+}
+
+/// One FC block's pass list on one mesh with each *distinct* pass spec
+/// scheduled and lowered once: mirrored layers repeat specs, and lowering
+/// does not depend on [`SimConfig::faults`], so the same lowered graphs
+/// price the block under any number of fault profiles. Identical programs
+/// under an identical config produce identical reports, so each distinct
+/// report is fanned out to every pass that repeats it.
+struct LoweredBlock {
+    /// Engine on the block's mesh under the block's config.
+    engine: Engine,
+    /// The lowered program of each distinct spec, in first-appearance order.
+    lowered: Vec<LoweredProgram>,
+    /// `slot_of[i]` indexes `lowered` for the block's `i`-th pass.
+    slot_of: Vec<usize>,
+}
+
+impl LoweredBlock {
+    /// Runs each distinct program under `faults` (the block config's own
+    /// profile if `None`), recycling run state through `scratch`, and
+    /// merges the full pass list serially.
+    fn run(&self, faults: Option<&ClusterProfile>, scratch: &mut RunScratch) -> SimReport {
+        let faulted = faults.map(|p| self.engine.with_faults(p.clone()));
+        let engine = faulted.as_ref().unwrap_or(&self.engine);
+        let distinct: Vec<SimReport> = self
+            .lowered
+            .iter()
+            .map(|l| engine.run_lowered_with_scratch(l, scratch))
+            .collect();
+        let reports: Vec<SimReport> = self.slot_of.iter().map(|&k| distinct[k].clone()).collect();
+        SimReport::merge_serial(&reports)
     }
 }
 
@@ -1291,17 +1283,25 @@ mod tests {
             "winner {} should avoid the straggler",
             plan.plane
         );
-        // The clean plane simulates like the fault-free analytic world:
-        // strictly faster than any plane through the straggler.
+        // The clean plane simulates strictly faster than any plane through
+        // the straggler.
         let through: Vec<_> = MeshView::full(shape)
             .planes()
             .into_iter()
             .filter(|p| p.view.chips().contains(&meshslice_mesh::ChipId(0)))
             .collect();
         assert!(!through.is_empty());
+        let cfg = tuner.cost_model().config();
         for p in through {
             let assign = pod.project(&p.view).unwrap();
-            assert!(!assign.profile.is_ideal());
+            let mesh = assign.torus.shape();
+            let (_, layers) = tuner.estimate_on_mesh(&model, setup, mesh).unwrap();
+            let passes = layers
+                .iter()
+                .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)));
+            let block = tuner.lower_block(mesh, passes, cfg, None).unwrap();
+            let t = block.run(Some(&assign.profile), &mut RunScratch::new());
+            assert!(t.makespan() > plan.simulated_block_time, "plane {}", p);
         }
     }
 
