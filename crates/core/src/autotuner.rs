@@ -41,9 +41,9 @@ type ScheduleKey = (GemmShape, Dataflow, MeshShape, usize, usize, usize);
 ///
 /// Scheduling is a pure function of
 /// `(problem shape, dataflow, mesh, S, block, elem_bytes)`, so sweeps that
-/// revisit the same candidate — the straggler-sensitivity grid re-runs one
-/// (mesh, S) block per severity, figure harnesses revisit configurations —
-/// can share one cache and schedule each program exactly once. Cache hits
+/// revisit the same candidate — the serving tuner prices every batch
+/// bucket of every (mesh, S) layout — can share one cache and schedule
+/// each program exactly once. Cache hits
 /// return the identical [`Program`] a fresh schedule would build, so
 /// results are unchanged bit-for-bit.
 ///
@@ -334,6 +334,29 @@ impl Autotuner {
             .collect()
     }
 
+    /// The MeshSlice instance a requested slice count runs as on a mesh —
+    /// the one owner of the clamp-and-block rule every simulation path
+    /// shares: `S` is the largest legal count not above `requested_s`
+    /// (else 1, the collective fallback), at the autotuner's block size
+    /// where that `S` is legal and at block 1 otherwise. Tuned counts are
+    /// legal or 1, so they pass through unchanged.
+    pub fn meshslice_for(
+        &self,
+        mesh: MeshShape,
+        problem: GemmProblem,
+        requested_s: usize,
+    ) -> MeshSlice {
+        let legal = self.legal_slice_counts(mesh, problem);
+        let s = legal
+            .iter()
+            .copied()
+            .filter(|&s| s <= requested_s)
+            .max()
+            .unwrap_or(1);
+        let block = if legal.contains(&s) { self.block } else { 1 };
+        MeshSlice::new(s, block)
+    }
+
     /// Tunes the slice count of one problem on one mesh; returns
     /// `(S, estimated time)`.
     ///
@@ -346,26 +369,8 @@ impl Autotuner {
         problem: GemmProblem,
         elem_bytes: usize,
     ) -> (usize, Duration) {
-        self.best_slice_count_from(
-            &self.legal_slice_counts(mesh, problem),
-            mesh,
-            problem,
-            elem_bytes,
-        )
-    }
-
-    /// [`best_slice_count`](Self::best_slice_count) over an already
-    /// computed legal-slice-count list, so callers that need the list for
-    /// other purposes don't recompute it.
-    fn best_slice_count_from(
-        &self,
-        legal: &[usize],
-        mesh: MeshShape,
-        problem: GemmProblem,
-        elem_bytes: usize,
-    ) -> (usize, Duration) {
         let mut best = (1, self.cost.meshslice_time(mesh, problem, 1, elem_bytes));
-        for &s in legal {
+        for s in self.legal_slice_counts(mesh, problem) {
             let t = self.cost.meshslice_time(mesh, problem, s, elem_bytes);
             if t < best.1 {
                 best = (s, t);
@@ -414,36 +419,15 @@ impl Autotuner {
         chips: usize,
         hbm_capacity: u64,
     ) -> TunePlan {
-        let plan = self.tune(model, setup, chips);
-        let fits = |mesh: meshslice_mesh::MeshShape| {
-            crate::memory::training_footprint(model, setup, mesh, 8).total() <= hbm_capacity
-        };
-        if fits(plan.mesh_shape) {
-            return plan;
-        }
-        // Re-search with the constraint: evaluate each candidate and keep
-        // the fastest feasible one.
-        let mut best: Option<TunePlan> = None;
-        for mesh in Self::candidate_meshes(chips) {
-            if !fits(mesh) {
-                continue;
-            }
-            if let Some((t, layers)) = self.estimate_on_mesh(model, setup, mesh) {
-                let candidate = TunePlan {
-                    mesh_shape: mesh,
-                    layers,
-                    estimated_block_time: t,
-                };
-                if best
-                    .as_ref()
-                    .map(|b| candidate.estimated_block_time < b.estimated_block_time)
-                    .unwrap_or(true)
-                {
-                    best = Some(candidate);
-                }
-            }
-        }
-        best.expect("no mesh shape fits the per-chip memory budget")
+        let layer_problems = Self::layer_problems(model, setup, None);
+        Self::candidate_meshes(chips)
+            .into_iter()
+            .filter(|&mesh| {
+                crate::memory::training_footprint(model, setup, mesh, 8).total() <= hbm_capacity
+            })
+            .filter_map(|mesh| self.plan_on_mesh(&layer_problems, mesh))
+            .min_by_key(|plan| plan.estimated_block_time)
+            .expect("no mesh shape fits the per-chip memory budget")
     }
 
     /// Like [`tune`](Self::tune), but forcing one Table-1 row for every
@@ -493,64 +477,12 @@ impl Autotuner {
         chips: usize,
         force: Option<Stationary>,
     ) -> TunePlan {
-        let eb = self.cost.config().elem_bytes;
         let layer_problems = Self::layer_problems(model, setup, force);
-        let mut best: Option<TunePlan> = None;
-        for mesh in Self::candidate_meshes(chips) {
-            let mut layers = Vec::new();
-            let mut total = Duration::ZERO;
-            let mut feasible = true;
-            // Mirrored layers repeat problems: tune each distinct problem's
-            // slice count once per mesh, not once per layer pass.
-            let mut best_memo: Vec<(GemmProblem, (usize, Duration))> = Vec::new();
-            for (layer, stationary, problems) in &layer_problems {
-                let mut passes = Vec::new();
-                for (pass, problem) in Pass::ALL.into_iter().zip(*problems) {
-                    if problem.check_divisible(mesh).is_err() {
-                        feasible = false;
-                        break;
-                    }
-                    let (s, t) = match best_memo.iter().find(|(p, _)| *p == problem) {
-                        Some(&(_, hit)) => hit,
-                        None => {
-                            let computed = self.best_slice_count(mesh, problem, eb);
-                            best_memo.push((problem, computed));
-                            computed
-                        }
-                    };
-                    total += t;
-                    passes.push(PassPlan {
-                        pass,
-                        problem,
-                        slice_count: s,
-                    });
-                }
-                if !feasible {
-                    break;
-                }
-                layers.push(LayerPlan {
-                    layer: *layer,
-                    stationary: *stationary,
-                    passes: [passes[0], passes[1], passes[2]],
-                });
-            }
-            if !feasible {
-                continue;
-            }
-            let plan = TunePlan {
-                mesh_shape: mesh,
-                layers,
-                estimated_block_time: total,
-            };
-            if best
-                .as_ref()
-                .map(|b| plan.estimated_block_time < b.estimated_block_time)
-                .unwrap_or(true)
-            {
-                best = Some(plan);
-            }
-        }
-        best.expect("no feasible mesh shape for this model and chip count")
+        Self::candidate_meshes(chips)
+            .into_iter()
+            .filter_map(|mesh| self.plan_on_mesh(&layer_problems, mesh))
+            .min_by_key(|plan| plan.estimated_block_time)
+            .expect("no feasible mesh shape for this model and chip count")
     }
 
     /// Estimates the FC block time of a [`TunePlan`] on a *different* mesh
@@ -561,16 +493,36 @@ impl Autotuner {
         setup: TrainingSetup,
         mesh: MeshShape,
     ) -> Option<(Duration, Vec<LayerPlan>)> {
+        let plan = self.plan_on_mesh(&Self::layer_problems(model, setup, None), mesh)?;
+        Some((plan.estimated_block_time, plan.layers))
+    }
+
+    /// The per-mesh analytic evaluator behind every search: tunes each
+    /// pass's slice count on `mesh` and sums the estimated block time.
+    /// `None` if any pass does not divide over the mesh.
+    fn plan_on_mesh(
+        &self,
+        layer_problems: &[(FcLayer, Stationary, [GemmProblem; 3])],
+        mesh: MeshShape,
+    ) -> Option<TunePlan> {
         let eb = self.cost.config().elem_bytes;
         let mut total = Duration::ZERO;
         let mut layers = Vec::new();
-        for (layer, stationary, problems) in Self::layer_problems(model, setup, None) {
+        // Mirrored layers repeat problems: tune each distinct problem's
+        // slice count once per mesh, not once per layer pass.
+        let mut best_memo: Vec<(GemmProblem, (usize, Duration))> = Vec::new();
+        for &(layer, stationary, problems) in layer_problems {
             let mut passes = Vec::new();
             for (pass, problem) in Pass::ALL.into_iter().zip(problems) {
-                if problem.check_divisible(mesh).is_err() {
-                    return None;
-                }
-                let (s, t) = self.best_slice_count(mesh, problem, eb);
+                problem.check_divisible(mesh).ok()?;
+                let (s, t) = match best_memo.iter().find(|(p, _)| *p == problem) {
+                    Some(&(_, hit)) => hit,
+                    None => {
+                        let computed = self.best_slice_count(mesh, problem, eb);
+                        best_memo.push((problem, computed));
+                        computed
+                    }
+                };
                 total += t;
                 passes.push(PassPlan {
                     pass,
@@ -584,7 +536,11 @@ impl Autotuner {
                 passes: [passes[0], passes[1], passes[2]],
             });
         }
-        Some((total, layers))
+        Some(TunePlan {
+            mesh_shape: mesh,
+            layers,
+            estimated_block_time: total,
+        })
     }
 
     /// Tunes MeshSlice onto an N-D pod: enumerates every 2D plane of the
@@ -631,10 +587,8 @@ impl Autotuner {
                 None => {
                     let work = self.estimate_on_mesh(model, setup, mesh_shape).and_then(
                         |(analytic, layers)| {
-                            let passes = layers.iter().flat_map(|l| l.passes);
-                            let passes = passes.map(|p| (p.problem, p.slice_count));
-                            let cfg = self.cost.config();
-                            let block = self.lower_block(mesh_shape, passes, cfg, None)?;
+                            let passes = plan_passes(&layers);
+                            let block = self.lower_block(mesh_shape, passes, self.cost.config())?;
                             Some((analytic, layers, block))
                         },
                     );
@@ -702,67 +656,51 @@ impl Autotuner {
         threads: usize,
     ) -> Option<(Vec<LayerPlan>, TuneLog)> {
         let eb = self.cost.config().elem_bytes;
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), self.cost.config().clone());
-        // Stage 1 (cheap, serial): pick each pass's slice count and
-        // enumerate every logged candidate, computing the legal slice
-        // counts once per pass.
-        let mut layers = Vec::new();
-        let mut cands: Vec<(String, GemmProblem, usize, usize, bool)> = Vec::new();
-        for (layer, stationary, problems) in Self::layer_problems(model, setup, None) {
-            let mut passes = Vec::new();
-            for (pass, problem) in Pass::ALL.into_iter().zip(problems) {
-                problem.check_divisible(mesh_shape).ok()?;
-                let legal = self.legal_slice_counts(mesh_shape, problem);
-                let (chosen_s, _) = self.best_slice_count_from(&legal, mesh_shape, problem, eb);
-                let mut candidates = legal.clone();
+        let (_, layers) = self.estimate_on_mesh(model, setup, mesh_shape)?;
+        // Stage 1 (cheap, serial): enumerate every logged candidate — each
+        // pass's legal slice counts plus the S = 1 fallback.
+        let mut cands: Vec<(String, GemmProblem, usize, bool)> = Vec::new();
+        for layer in &layers {
+            for plan in &layer.passes {
+                let mut candidates = self.legal_slice_counts(mesh_shape, plan.problem);
                 if !candidates.contains(&1) {
                     candidates.insert(0, 1);
                 }
                 for s in candidates {
-                    let block = if legal.contains(&s) { self.block } else { 1 };
                     cands.push((
-                        format!("{}/{}", layer.name, pass),
-                        problem,
+                        format!("{}/{}", layer.layer.name, plan.pass),
+                        plan.problem,
                         s,
-                        block,
-                        s == chosen_s,
+                        s == plan.slice_count,
                     ));
                 }
-                passes.push(PassPlan {
-                    pass,
-                    problem,
-                    slice_count: chosen_s,
-                });
             }
-            layers.push(LayerPlan {
-                layer,
-                stationary,
-                passes: [passes[0], passes[1], passes[2]],
-            });
         }
-        // Stage 2: simulate every *distinct* (problem, S, block) once —
-        // mirrored layers log the same simulations under different labels.
-        // The distinct runs are independent, so they fan out across the
-        // worker pool (one scratch per worker); results come back in
-        // candidate order and are fanned back out to every duplicate.
-        let triples: Vec<(GemmProblem, usize, usize)> = cands
+        // Stage 2: simulate every *distinct* (problem, S) once — mirrored
+        // layers log the same simulations under different labels. The
+        // distinct runs are independent, so they fan out across the worker
+        // pool (one scratch per worker); results come back in candidate
+        // order and are fanned back out to every duplicate.
+        let pairs: Vec<(GemmProblem, usize)> = cands
             .iter()
-            .map(|&(_, problem, s, block, _)| (problem, s, block))
+            .map(|&(_, problem, s, _)| (problem, s))
             .collect();
-        let slot_of = dedup_slots(&triples);
-        let mut distinct: Vec<(GemmProblem, usize, usize)> = Vec::new();
-        for (i, &t) in triples.iter().enumerate() {
+        let slot_of = dedup_slots(&pairs);
+        let mut distinct: Vec<(GemmProblem, usize)> = Vec::new();
+        for (i, &t) in pairs.iter().enumerate() {
             if slot_of[i] == distinct.len() {
                 distinct.push(t);
             }
         }
+        let mesh = Torus2d::from_shape(mesh_shape);
+        let engine = Engine::new(mesh.clone(), self.cost.config().clone());
         let distinct_sims = par::parallel_map_with(
             threads,
             &distinct,
             RunScratch::new,
-            |scratch, &(problem, s, block)| {
-                let program = MeshSlice::new(s, block).schedule(&mesh, problem, eb).ok()?;
+            |scratch, &(problem, s)| {
+                let algo = self.meshslice_for(mesh_shape, problem, s);
+                let program = algo.schedule(&mesh, problem, eb).ok()?;
                 Some(engine.run_with_scratch(&program, scratch))
             },
         );
@@ -770,7 +708,7 @@ impl Autotuner {
             slot_of.iter().map(|&k| distinct_sims[k].clone()).collect();
         // Stage 3: assemble the log in candidate order.
         let mut log = TuneLog::default();
-        for ((label, problem, s, _, chosen), sim) in cands.into_iter().zip(sims) {
+        for ((label, problem, s, chosen), sim) in cands.into_iter().zip(sims) {
             let report = sim?;
             log.push(TuneCandidate {
                 mesh_rows: mesh_shape.rows(),
@@ -810,36 +748,25 @@ impl Autotuner {
         requested_s: usize,
         cfg: &SimConfig,
     ) -> Option<SimReport> {
-        self.simulate_block_with(
-            model,
-            setup,
-            mesh_shape,
-            requested_s,
-            cfg,
-            None,
-            &mut RunScratch::new(),
-        )
+        let passes = Self::block_passes(model, setup, requested_s);
+        let block = self.lower_block(mesh_shape, passes, cfg)?;
+        Some(block.run(None, &mut RunScratch::new()))
     }
 
-    /// [`simulate_block`](Self::simulate_block) for sweep hot loops: one
-    /// engine serves all twelve passes, run state comes from the caller's
-    /// reusable scratch, and an optional [`ScheduleCache`] deduplicates
-    /// program construction across revisited candidates. Reports are
-    /// bit-for-bit those of [`simulate_block`](Self::simulate_block).
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_block_with(
+    /// Simulates the twelve FC GeMMs of tuned layer plans on a mesh under
+    /// `cfg`, each pass scheduled at its tuned slice count (see
+    /// [`meshslice_for`](Self::meshslice_for)) and the reports serially
+    /// merged — bit-for-bit the per-pass `Engine::run` + `merge_serial`
+    /// loop. `None` if a pass does not divide over the mesh or fails to
+    /// schedule.
+    pub fn simulate_plan(
         &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
         mesh_shape: MeshShape,
-        requested_s: usize,
+        layers: &[LayerPlan],
         cfg: &SimConfig,
-        cache: Option<&ScheduleCache>,
-        scratch: &mut RunScratch,
     ) -> Option<SimReport> {
-        let passes = Self::block_passes(model, setup, requested_s);
-        let block = self.lower_block(mesh_shape, passes, cfg, cache)?;
-        Some(block.run(None, scratch))
+        let block = self.lower_block(mesh_shape, plan_passes(layers), cfg)?;
+        Some(block.run(None, &mut RunScratch::new()))
     }
 
     /// The twelve `(problem, requested slice count)` passes of one FC
@@ -855,59 +782,29 @@ impl Autotuner {
     }
 
     /// Builds the [`LoweredBlock`] of one FC block's `(problem, requested
-    /// slice count)` passes on a mesh under `cfg`. Each requested count is
-    /// clamped to the largest legal one not above it (else 1), at block
-    /// size 1 where that count is not legal; tuned counts are legal or 1,
-    /// so they pass through unchanged. An optional [`ScheduleCache`]
-    /// shares program construction across calls. `None` if a pass does
-    /// not divide over the mesh or fails to schedule.
+    /// slice count)` passes on a mesh under `cfg`, each pass scheduled as
+    /// [`meshslice_for`](Self::meshslice_for) maps its request. `None` if a
+    /// pass does not divide over the mesh or fails to schedule.
     fn lower_block(
         &self,
         mesh_shape: MeshShape,
         passes: impl IntoIterator<Item = (GemmProblem, usize)>,
         cfg: &SimConfig,
-        cache: Option<&ScheduleCache>,
     ) -> Option<LoweredBlock> {
-        let mut specs: Vec<(GemmProblem, usize, usize)> = Vec::with_capacity(12);
-        // Mirrored layers repeat problems: compute each distinct problem's
-        // legal slice counts once per mesh, not once per layer pass.
-        let mut legal_memo: Vec<(GemmProblem, Vec<usize>)> = Vec::new();
+        let mut specs: Vec<(GemmProblem, MeshSlice)> = Vec::with_capacity(12);
         for (problem, requested_s) in passes {
             problem.check_divisible(mesh_shape).ok()?;
-            let idx = match legal_memo.iter().position(|(p, _)| *p == problem) {
-                Some(idx) => idx,
-                None => {
-                    legal_memo.push((problem, self.legal_slice_counts(mesh_shape, problem)));
-                    legal_memo.len() - 1
-                }
-            };
-            let legal = &legal_memo[idx].1;
-            let actual = legal
-                .iter()
-                .copied()
-                .filter(|&x| x <= requested_s)
-                .max()
-                .unwrap_or(1);
-            let block = if legal.contains(&actual) {
-                self.block
-            } else {
-                1
-            };
-            specs.push((problem, actual, block));
+            let algo = self.meshslice_for(mesh_shape, problem, requested_s);
+            specs.push((problem, algo));
         }
         let slot_of = dedup_slots(&specs);
         let mesh = Torus2d::from_shape(mesh_shape);
         let engine = Engine::new(mesh.clone(), cfg.clone());
         let mut lowered = Vec::new();
-        for (i, &(problem, s, block)) in specs.iter().enumerate() {
+        for (i, &(problem, algo)) in specs.iter().enumerate() {
             if slot_of[i] == lowered.len() {
-                let program = match cache {
-                    Some(c) => c.schedule(&mesh, problem, s, block, cfg.elem_bytes),
-                    None => MeshSlice::new(s, block)
-                        .schedule(&mesh, problem, cfg.elem_bytes)
-                        .map(Arc::new),
-                };
-                lowered.push(engine.lower_program(&*program.ok()?));
+                let program = algo.schedule(&mesh, problem, cfg.elem_bytes).ok()?;
+                lowered.push(engine.lower_program(&program));
             }
         }
         Some(LoweredBlock {
@@ -1015,7 +912,7 @@ impl Autotuner {
         scratch: &mut RunScratch,
     ) -> Option<(Duration, Vec<Duration>)> {
         let passes = Self::block_passes(model, setup, s);
-        let block = self.lower_block(mesh_shape, passes, self.cost.config(), None)?;
+        let block = self.lower_block(mesh_shape, passes, self.cost.config())?;
         let nominal = block.run(None, scratch).makespan();
         let per_draw = profiles
             .iter()
@@ -1165,6 +1062,13 @@ impl LoweredBlock {
     }
 }
 
+/// The `(problem, tuned slice count)` passes of layer plans, in order.
+fn plan_passes(layers: &[LayerPlan]) -> impl Iterator<Item = (GemmProblem, usize)> + '_ {
+    layers
+        .iter()
+        .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)))
+}
+
 /// Maps each element to the position of its first occurrence within the
 /// list of *distinct* elements (in first-appearance order): `slot_of[i]`
 /// indexes a deduplicated side list. Quadratic, for short spec lists.
@@ -1296,10 +1200,7 @@ mod tests {
             let assign = pod.project(&p.view).unwrap();
             let mesh = assign.torus.shape();
             let (_, layers) = tuner.estimate_on_mesh(&model, setup, mesh).unwrap();
-            let passes = layers
-                .iter()
-                .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)));
-            let block = tuner.lower_block(mesh, passes, cfg, None).unwrap();
+            let block = tuner.lower_block(mesh, plan_passes(&layers), cfg).unwrap();
             let t = block.run(Some(&assign.profile), &mut RunScratch::new());
             assert!(t.makespan() > plan.simulated_block_time, "plane {}", p);
         }

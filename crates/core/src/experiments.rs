@@ -5,7 +5,7 @@
 //! them in printable harnesses. `DESIGN.md` maps every paper figure/table
 //! to its driver, and `EXPERIMENTS.md` records paper-vs-measured values.
 
-use meshslice_gemm::{Dataflow, DistributedGemm, GemmProblem, MeshSlice};
+use meshslice_gemm::{Dataflow, DistributedGemm, GemmProblem};
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{Duration, Engine, RunScratch, SimConfig, SimReport};
 use meshslice_tensor::GemmShape;
@@ -138,10 +138,9 @@ pub fn matrix_shapes(model: &LlmConfig, chips: usize, cfg: &SimConfig) -> Vec<Ma
             let utilization = Algorithm::TWO_D
                 .into_iter()
                 .map(|algo| {
-                    (
-                        algo,
-                        single_gemm_utilization(&tuner, shape, chips, algo, cfg),
-                    )
+                    let problem = GemmProblem::new(shape, Dataflow::Os);
+                    let report = simulate_tuned_gemm(&tuner, problem, chips, algo, cfg);
+                    (algo, report.map(|r| r.flop_utilization()))
                 })
                 .collect();
             MatrixShapePoint { shape, utilization }
@@ -149,51 +148,42 @@ pub fn matrix_shapes(model: &LlmConfig, chips: usize, cfg: &SimConfig) -> Vec<Ma
         .collect()
 }
 
-/// Simulates one GeMM with an algorithm at its tuned mesh/parameters;
-/// OS dataflow with the largest matrix stationary via shape orientation.
-fn single_gemm_utilization(
+/// Simulates one GeMM with an algorithm on its analytically best mesh,
+/// with the baselines' iteration counts derived from the tuned MeshSlice
+/// slice count. `None` if the algorithm cannot run the problem.
+fn simulate_tuned_gemm(
     tuner: &Autotuner,
-    shape: GemmShape,
+    problem: GemmProblem,
     chips: usize,
     algorithm: Algorithm,
     cfg: &SimConfig,
-) -> Option<f64> {
+) -> Option<SimReport> {
     let cm = tuner.cost_model();
     let eb = cfg.elem_bytes;
-    let problem = GemmProblem::new(shape, Dataflow::Os);
     let meshes: Vec<MeshShape> = match algorithm {
         Algorithm::Cannon => vec![MeshShape::square(chips)?],
         _ => Autotuner::candidate_meshes(chips),
     };
-    let mut best: Option<(Duration, MeshShape, usize)> = None;
-    for mesh in meshes {
-        if problem.check_divisible(mesh).is_err() {
-            continue;
-        }
-        let (s, _) = tuner.best_slice_count(mesh, problem, eb);
-        let t = match algorithm {
-            Algorithm::MeshSlice => cm.meshslice_time(mesh, problem, s, eb),
-            Algorithm::Collective => cm.collective_algo_time(mesh, problem, eb),
-            Algorithm::Wang => cm.wang_time(mesh, problem, s, eb),
-            Algorithm::Summa => cm.summa_time(mesh, problem, mesh.rows().max(mesh.cols()), eb),
-            Algorithm::Cannon => cm.cannon_time(mesh, problem, eb)?,
-            _ => return None,
-        };
-        if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
-            best = Some((t, mesh, s));
-        }
-    }
-    let (_, mesh_shape, s) = best?;
+    let (mesh_shape, s) = meshes
+        .into_iter()
+        .filter(|&mesh| problem.check_divisible(mesh).is_ok())
+        .filter_map(|mesh| {
+            let (s, _) = tuner.best_slice_count(mesh, problem, eb);
+            let t = match algorithm {
+                Algorithm::MeshSlice => cm.meshslice_time(mesh, problem, s, eb),
+                Algorithm::Collective => cm.collective_algo_time(mesh, problem, eb),
+                Algorithm::Wang => cm.wang_time(mesh, problem, s, eb),
+                Algorithm::Summa => cm.summa_time(mesh, problem, mesh.rows().max(mesh.cols()), eb),
+                Algorithm::Cannon => cm.cannon_time(mesh, problem, eb)?,
+                Algorithm::OneDimTp | Algorithm::Fsdp => return None,
+            };
+            Some((t, mesh, s))
+        })
+        .min_by_key(|&(t, _, _)| t)
+        .map(|(_, mesh, s)| (mesh, s))?;
     let mesh = Torus2d::from_shape(mesh_shape);
     let algo: Box<dyn DistributedGemm> = match algorithm {
-        Algorithm::MeshSlice => Box::new(MeshSlice::new(
-            s,
-            if tuner.legal_slice_counts(mesh_shape, problem).contains(&s) {
-                tuner.block()
-            } else {
-                1
-            },
-        )),
+        Algorithm::MeshSlice => Box::new(tuner.meshslice_for(mesh_shape, problem, s)),
         Algorithm::Collective => Box::new(meshslice_gemm::Collective),
         Algorithm::Wang => Box::new(meshslice_gemm::Wang::new().with_unroll(s)),
         Algorithm::Summa => {
@@ -201,11 +191,10 @@ fn single_gemm_utilization(
             Box::new(meshslice_gemm::Summa::new(panels))
         }
         Algorithm::Cannon => Box::new(meshslice_gemm::Cannon),
-        _ => return None,
+        Algorithm::OneDimTp | Algorithm::Fsdp => return None,
     };
     let program = algo.schedule(&mesh, problem, eb).ok()?;
-    let report = Engine::new(mesh, cfg.clone()).run(&program);
-    Some(report.flop_utilization())
+    Some(Engine::new(mesh, cfg.clone()).run(&program))
 }
 
 /// Table 2: FC utilization without (all-Y-stationary) and with the
@@ -232,26 +221,10 @@ pub fn dataflow_ablation(model: &LlmConfig, chips: usize, cfg: &SimConfig) -> Da
     let setup = TrainingSetup::weak_scaling(chips);
     let tuner = Autotuner::new(cfg.clone());
     let run = |plan: &crate::autotuner::TunePlan| -> f64 {
-        let mesh = Torus2d::from_shape(plan.mesh_shape);
-        let mut reports = Vec::new();
-        for layer in &plan.layers {
-            for pass in &layer.passes {
-                let block = if tuner
-                    .legal_slice_counts(plan.mesh_shape, pass.problem)
-                    .contains(&pass.slice_count)
-                {
-                    tuner.block()
-                } else {
-                    1
-                };
-                let algo = MeshSlice::new(pass.slice_count, block);
-                let program = algo
-                    .schedule(&mesh, pass.problem, cfg.elem_bytes)
-                    .expect("tuned plan must be schedulable");
-                reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&program));
-            }
-        }
-        SimReport::merge_serial(&reports).flop_utilization()
+        tuner
+            .simulate_plan(plan.mesh_shape, &plan.layers, cfg)
+            .expect("tuned plan must be schedulable")
+            .flop_utilization()
     };
     let optimized_plan = tuner.tune(model, setup, chips);
     let forced_plan = tuner.tune_forced(model, setup, chips, Stationary::Y);
@@ -290,27 +263,9 @@ pub fn mesh_shape_sweep(model: &LlmConfig, chips: usize, cfg: &SimConfig) -> Vec
                 };
             };
             let estimated = Some(ideal.as_secs() / est.as_secs());
-            let mesh = Torus2d::from_shape(mesh_shape);
-            let mut reports = Vec::new();
-            let mut ok = true;
-            for layer in &layers {
-                for pass in &layer.passes {
-                    let block = if tuner
-                        .legal_slice_counts(mesh_shape, pass.problem)
-                        .contains(&pass.slice_count)
-                    {
-                        tuner.block()
-                    } else {
-                        1
-                    };
-                    let algo = MeshSlice::new(pass.slice_count, block);
-                    match algo.schedule(&mesh, pass.problem, cfg.elem_bytes) {
-                        Ok(p) => reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&p)),
-                        Err(_) => ok = false,
-                    }
-                }
-            }
-            let simulated = ok.then(|| SimReport::merge_serial(&reports).flop_utilization());
+            let simulated = tuner
+                .simulate_plan(mesh_shape, &layers, cfg)
+                .map(|r| r.flop_utilization());
             MeshShapePoint {
                 mesh: mesh_shape,
                 estimated,
@@ -355,12 +310,10 @@ pub fn slice_count_sweep(
     let setup = TrainingSetup::weak_scaling(chips);
     let tuner = Autotuner::new(cfg.clone());
     let ideal = ideal_block_time(model, setup, chips, cfg);
-    let mesh = Torus2d::from_shape(mesh_shape);
     s_values
         .iter()
         .map(|&s| {
             let mut est_total = Duration::ZERO;
-            let mut reports = Vec::new();
             for layer in model.fc_layers() {
                 let stationary = crate::autotuner::choose_stationary(
                     setup.tokens(),
@@ -373,30 +326,22 @@ pub fn slice_count_sweep(
                     layer.input_dim,
                     layer.output_dim,
                 ) {
-                    let legal = tuner.legal_slice_counts(mesh_shape, problem);
-                    let actual = legal.iter().copied().filter(|&x| x <= s).max().unwrap_or(1);
+                    let actual = tuner.meshslice_for(mesh_shape, problem, s).slice_count();
                     est_total += tuner.cost_model().meshslice_time(
                         mesh_shape,
                         problem,
                         actual,
                         cfg.elem_bytes,
                     );
-                    let block = if legal.contains(&actual) {
-                        tuner.block()
-                    } else {
-                        1
-                    };
-                    let algo = MeshSlice::new(actual, block);
-                    let program = algo
-                        .schedule(&mesh, problem, cfg.elem_bytes)
-                        .expect("legal slice count must schedule");
-                    reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&program));
                 }
             }
+            let report = tuner
+                .simulate_block(model, setup, mesh_shape, s, cfg)
+                .expect("legal slice count must schedule");
             SliceCountPoint {
                 requested_s: s,
                 estimated: ideal.as_secs() / est_total.as_secs(),
-                simulated: SimReport::merge_serial(&reports).flop_utilization(),
+                simulated: report.flop_utilization(),
             }
         })
         .collect()
@@ -483,15 +428,7 @@ pub fn comm_model_validation(models: &[LlmConfig], cfg: &SimConfig) -> Vec<CommM
                         cfg.elem_bytes,
                     )
                     .as_secs();
-                let block = if tuner
-                    .legal_slice_counts(plan.mesh_shape, pass.problem)
-                    .contains(&pass.slice_count)
-                {
-                    tuner.block()
-                } else {
-                    1
-                };
-                let algo = MeshSlice::new(pass.slice_count, block);
+                let algo = tuner.meshslice_for(plan.mesh_shape, pass.problem, pass.slice_count);
                 let program = algo
                     .schedule(&mesh, pass.problem, cfg.elem_bytes)
                     .expect("tuned plan must schedule");
@@ -551,8 +488,8 @@ pub fn inference_study(
                 let mut ok = true;
                 for g in gemms {
                     let problem = GemmProblem::new(g.shape, Dataflow::Rs);
-                    match phase_latency(&tuner, problem, chips, algo, cfg) {
-                        Some(t) => total += t,
+                    match simulate_tuned_gemm(&tuner, problem, chips, algo, cfg) {
+                        Some(r) => total += r.makespan().as_secs(),
                         None => {
                             ok = false;
                             break;
@@ -571,56 +508,6 @@ pub fn inference_study(
             block_latency: phase(&model.decode_gemms(batch)),
         })
         .collect()
-}
-
-fn phase_latency(
-    tuner: &Autotuner,
-    problem: GemmProblem,
-    chips: usize,
-    algorithm: Algorithm,
-    cfg: &SimConfig,
-) -> Option<f64> {
-    let cm = tuner.cost_model();
-    let eb = cfg.elem_bytes;
-    let mut best: Option<(f64, MeshShape, usize)> = None;
-    for mesh in Autotuner::candidate_meshes(chips) {
-        if problem.check_divisible(mesh).is_err() {
-            continue;
-        }
-        let (s, _) = tuner.best_slice_count(mesh, problem, eb);
-        let t = match algorithm {
-            Algorithm::MeshSlice => cm.meshslice_time(mesh, problem, s, eb),
-            Algorithm::Collective => cm.collective_algo_time(mesh, problem, eb),
-            Algorithm::Wang => cm.wang_time(mesh, problem, s, eb),
-            _ => return None,
-        }
-        .as_secs();
-        if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
-            best = Some((t, mesh, s));
-        }
-    }
-    let (_, mesh_shape, s) = best?;
-    let mesh = Torus2d::from_shape(mesh_shape);
-    let algo: Box<dyn DistributedGemm> = match algorithm {
-        Algorithm::MeshSlice => Box::new(MeshSlice::new(
-            s,
-            if tuner.legal_slice_counts(mesh_shape, problem).contains(&s) {
-                tuner.block()
-            } else {
-                1
-            },
-        )),
-        Algorithm::Collective => Box::new(meshslice_gemm::Collective),
-        Algorithm::Wang => Box::new(meshslice_gemm::Wang::new().with_unroll(s)),
-        _ => return None,
-    };
-    let program = algo.schedule(&mesh, problem, eb).ok()?;
-    Some(
-        Engine::new(mesh, cfg.clone())
-            .run(&program)
-            .makespan()
-            .as_secs(),
-    )
 }
 
 /// One point of the §6 extension study: MeshSlice on a *logical* mesh

@@ -12,8 +12,7 @@
 use std::fmt;
 
 use meshslice_gemm::{
-    Cannon, Collective, Dataflow, DistributedGemm, Fsdp, GemmProblem, MeshSlice, OneDimTp, Summa,
-    Wang,
+    Cannon, Collective, Dataflow, DistributedGemm, Fsdp, GemmProblem, OneDimTp, Summa, Wang,
 };
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{Duration, Engine, SimConfig, SimReport};
@@ -122,14 +121,11 @@ pub fn simulate_fc_step(
     match algorithm {
         Algorithm::MeshSlice => {
             let plan = tuner.tune(model, setup, chips);
-            let mesh = Torus2d::from_shape(plan.mesh_shape);
-            let reports = run_plan(&mesh, cfg, &plan.layers, |problem, s| {
-                Box::new(MeshSlice::new(
-                    s,
-                    block_for(s, &tuner, plan.mesh_shape, problem),
-                ))
-            })?;
-            Some(result(algorithm, plan.mesh_shape, reports))
+            Some(FcStepResult {
+                algorithm,
+                mesh_shape: plan.mesh_shape,
+                report: tuner.simulate_plan(plan.mesh_shape, &plan.layers, cfg)?,
+            })
         }
         Algorithm::Collective => {
             let (mesh_shape, layers) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, _| {
@@ -217,8 +213,7 @@ pub fn simulate_fused_block(
     let mut prev2: Vec<meshslice_sim::OpId> = Vec::new();
     for layer in &plan.layers {
         for pass in &layer.passes {
-            let block = block_for(pass.slice_count, &tuner, plan.mesh_shape, pass.problem);
-            let algo = MeshSlice::new(pass.slice_count, block);
+            let algo = tuner.meshslice_for(plan.mesh_shape, pass.problem, pass.slice_count);
             let gemms = algo
                 .schedule_chained(&mut b, pass.problem, cfg.elem_bytes, &prev, &prev2)
                 .ok()?;
@@ -301,37 +296,20 @@ fn tune_mesh(
     estimate: impl Fn(&CostModel, MeshShape, GemmProblem, usize) -> Option<Duration>,
 ) -> Option<(MeshShape, Vec<LayerPlan>)> {
     let cm = tuner.cost_model();
-    let eb = cm.config().elem_bytes;
-    let mut best: Option<(Duration, MeshShape, Vec<LayerPlan>)> = None;
-    for mesh in Autotuner::candidate_meshes(chips) {
-        let Some((_, layers)) = tuner.estimate_on_mesh(model, setup, mesh) else {
-            continue;
-        };
-        let mut total = Duration::ZERO;
-        let mut ok = true;
-        for layer in &layers {
-            for pass in &layer.passes {
-                let s = tuner.best_slice_count(mesh, pass.problem, eb).0;
-                match estimate(cm, mesh, pass.problem, s) {
-                    Some(t) => total += t,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                break;
-            }
-        }
-        if !ok {
-            continue;
-        }
-        if best.as_ref().map(|(t, _, _)| total < *t).unwrap_or(true) {
-            best = Some((total, mesh, layers));
-        }
-    }
-    best.map(|(_, mesh, layers)| (mesh, layers))
+    Autotuner::candidate_meshes(chips)
+        .into_iter()
+        .filter_map(|mesh| {
+            let (_, layers) = tuner.estimate_on_mesh(model, setup, mesh)?;
+            let total = layers
+                .iter()
+                .flat_map(|l| l.passes)
+                .try_fold(Duration::ZERO, |total, pass| {
+                    Some(total + estimate(cm, mesh, pass.problem, pass.slice_count)?)
+                })?;
+            Some((total, mesh, layers))
+        })
+        .min_by_key(|&(total, _, _)| total)
+        .map(|(_, mesh, layers)| (mesh, layers))
 }
 
 /// SUMMA's panel count: the smallest multiple of `lcm(Pr, Pc)` that is at
@@ -406,24 +384,6 @@ fn one_d_parameters(
             (k / chips * n * elem_bytes) as u64,
             GemmShape::new(m / chips, n, k / chips),
         ),
-    }
-}
-
-/// The MeshSlice block size for a problem: the TPU block (8) when the
-/// sliced extents allow it, otherwise 1 (pure vector slicing).
-fn block_for(
-    slice_count: usize,
-    tuner: &Autotuner,
-    mesh: MeshShape,
-    problem: GemmProblem,
-) -> usize {
-    if tuner
-        .legal_slice_counts(mesh, problem)
-        .contains(&slice_count)
-    {
-        tuner.block()
-    } else {
-        1
     }
 }
 

@@ -268,23 +268,12 @@ pub fn build_replica_costs_with(
                 if problem.check_divisible(mesh).is_err() {
                     continue 'bucket;
                 }
-                let legal = tuner.legal_slice_counts(mesh, problem);
-                let actual = legal
-                    .iter()
-                    .copied()
-                    .filter(|&s| s <= requested_s)
-                    .max()
-                    .unwrap_or(1);
-                let block = if legal.contains(&actual) {
-                    tuner.block()
-                } else {
-                    1
+                let algo = tuner.meshslice_for(mesh, problem, requested_s);
+                let (s, block) = (algo.slice_count(), algo.block());
+                let program = match schedules.schedule(&torus, problem, s, block, cfg.elem_bytes) {
+                    Ok(p) => p,
+                    Err(_) => continue 'bucket,
                 };
-                let program =
-                    match schedules.schedule(&torus, problem, actual, block, cfg.elem_bytes) {
-                        Ok(p) => p,
-                        Err(_) => continue 'bucket,
-                    };
                 // Lower once, replay under both fault profiles.
                 let lowered = nominal.lower_program(&program);
                 let gemm_nominal = nominal

@@ -418,7 +418,7 @@ fn serving_grid(
     total_chips: usize,
     replicas: Option<usize>,
 ) -> Result<Vec<(MeshShape, usize, usize, usize)>, String> {
-    let mut replica_counts: Vec<usize> = match replicas {
+    let replica_counts: Vec<usize> = match replicas {
         Some(r) => {
             if r == 0 || !total_chips.is_multiple_of(r) {
                 return Err(format!(
@@ -432,10 +432,6 @@ fn serving_grid(
             .filter(|&r| total_chips.is_multiple_of(r))
             .collect(),
     };
-    // Belt and braces: duplicate counts would only duplicate work
-    // (the enumeration above cannot repeat, but a pinned future
-    // variant might).
-    replica_counts.dedup();
 
     let mut grid: Vec<(MeshShape, usize, usize, usize)> = Vec::new();
     for &r in &replica_counts {

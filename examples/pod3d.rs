@@ -10,7 +10,7 @@
 
 use meshslice::autotuner::Autotuner;
 use meshslice::llm::{LlmConfig, TrainingSetup};
-use meshslice::{DistributedGemm, Engine, MeshSlice, SimConfig};
+use meshslice::{DistributedGemm, Engine, SimConfig};
 use meshslice_mesh::{AxisName, ChipId, MeshShape, MeshView};
 use meshslice_sim::PodProfile;
 
@@ -65,7 +65,7 @@ fn main() {
     let assignment = pod.project(&plan.plane.view).expect("plane is rank 2");
     let pass = &plan.layers[0].passes[0];
     let cfg = tuner.cost_model().config();
-    let algo = MeshSlice::new(pass.slice_count, tuner.block());
+    let algo = tuner.meshslice_for(plan.mesh_shape, pass.problem, pass.slice_count);
     let program = algo
         .schedule(&assignment.torus, pass.problem, cfg.elem_bytes)
         .expect("tuned pass divides the plane");
