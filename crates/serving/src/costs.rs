@@ -457,6 +457,30 @@ impl CostTableCache {
         (self.schedules.hits(), self.schedules.builds())
     }
 
+    /// One fresh table build of `(model, mesh, S, cap)` under this
+    /// cache's config, profile and shared [`ScheduleCache`].
+    fn build(
+        &self,
+        model: &LlmConfig,
+        mesh: MeshShape,
+        requested_s: usize,
+        cap: usize,
+        scratch: &mut RunScratch,
+    ) -> Option<Arc<ReplicaCosts>> {
+        build_replica_costs_with(
+            model,
+            mesh,
+            requested_s,
+            cap,
+            &self.cfg,
+            self.profile,
+            &self.tuner,
+            &self.schedules,
+            scratch,
+        )
+        .map(Arc::new)
+    }
+
     /// Builds every table the `(mesh, S, max_batch)` triples of a grid
     /// will need, in parallel over `threads` workers with one
     /// [`RunScratch`] per worker. Triples collapsing to the same cached
@@ -485,20 +509,7 @@ impl CostTableCache {
             threads,
             &todo,
             RunScratch::new,
-            |scratch, &(mesh, s, cap)| {
-                build_replica_costs_with(
-                    model,
-                    mesh,
-                    s,
-                    cap,
-                    &self.cfg,
-                    self.profile,
-                    &self.tuner,
-                    &self.schedules,
-                    scratch,
-                )
-                .map(Arc::new)
-            },
+            |scratch, &(mesh, s, cap)| self.build(model, mesh, s, cap, scratch),
         );
         let fresh = built.len();
         let mut tables = self.tables.lock().expect("cost table cache poisoned");
@@ -537,19 +548,7 @@ impl CostTableCache {
             None => {
                 // Build outside the lock; a duplicate build under a
                 // race yields the identical table.
-                let mut scratch = RunScratch::new();
-                let table = build_replica_costs_with(
-                    model,
-                    mesh,
-                    requested_s,
-                    cap,
-                    &self.cfg,
-                    self.profile,
-                    &self.tuner,
-                    &self.schedules,
-                    &mut scratch,
-                )
-                .map(Arc::new);
+                let table = self.build(model, mesh, requested_s, cap, &mut RunScratch::new());
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 self.tables
                     .lock()

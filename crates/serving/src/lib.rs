@@ -22,15 +22,18 @@
 //!   replica: iteration-level batch join/leave, KV-cache admission
 //!   control and LIFO preemption against the HBM budget, and
 //!   checkpointed-replica failover through an injected [`ChipDeath`].
-//! - [`ServingTuning`] grafts `tune_serving` onto the core
-//!   [`Autotuner`](meshslice::autotuner::Autotuner): pick mesh shape ×
-//!   slice count × replica count × batch policy to maximize
-//!   goodput-per-chip under a TTFT p99 SLO. The default [`TuneMode::Fast`]
-//!   path dedups table builds through a [`CostTableCache`], shares one
+//! - [`ServingTuning`] grafts two tuners onto the core
+//!   [`Autotuner`](meshslice::autotuner::Autotuner):
+//!   `tune_serving_mode` picks mesh shape × slice count × replica count
+//!   × batch policy to maximize goodput-per-chip under a TTFT p99 SLO,
+//!   and `tune_serving_resilient` ranks the same grid by tail goodput
+//!   across seeded chaos draws. The default [`TuneMode::Fast`] path
+//!   dedups table builds through a [`CostTableCache`], shares one
 //!   `Arc`'d arrival trace across candidates, and collapses grid entries
 //!   with identical tables — bit-for-bit the exhaustive result; a
 //!   [`TuneMode::Screened`] stage adds successive halving on a prefix
-//!   trace.
+//!   trace. Both tuners run that one screened-search pipeline and differ
+//!   only in the final scorer.
 //! - [`simulate_fleet_traced`] runs the same loop while recording every
 //!   request lifecycle event into a
 //!   [`ServingTrace`](meshslice_telemetry::ServingTrace) for JSONL /

@@ -39,6 +39,16 @@
 //! candidate is scored on a short prefix trace first, and only
 //! SLO-attaining candidates plus a deterministic top-K graduate to the
 //! full trace.
+//!
+//! # One pipeline, two scorers
+//!
+//! [`ServingTuning::tune_serving_mode`] and
+//! [`ServingTuning::tune_serving_resilient`] run the same stages:
+//! validate → grid → warm the nominal-only cache → draw the shared
+//! trace → dedup into eval units → screen on a prefix → score the
+//! survivors → expand member slice counts → rank. They differ only in
+//! the final scorer: one nominal full-trace simulation per unit, or one
+//! simulation per chaos draw on fully-priced tables.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -46,7 +56,7 @@ use std::sync::Arc;
 use meshslice::autotuner::Autotuner;
 use meshslice::llm::LlmConfig;
 use meshslice::par;
-use meshslice::MeshShape;
+use meshslice::{MeshShape, SimConfig};
 
 use crate::arrival::{ArrivalSpec, Request};
 use crate::chaos::{ChaosSpec, RouterPolicy, ShedPolicy};
@@ -266,8 +276,9 @@ pub struct ResilientServingCandidate {
     pub max_batch: usize,
     /// Goodput of the worst chaos draw, tokens per chip per second.
     pub worst_goodput: f64,
-    /// Goodput met or beaten by 95% of draws (nearest rank; equals the
-    /// worst draw when fewer than 20 draws ran).
+    /// Goodput met or beaten by 95% of draws: nearest rank ⌈0.05·n⌉
+    /// counting from the worst of `n` draws, so it equals the worst
+    /// draw whenever at most 20 draws ran.
     pub p95_goodput: f64,
     /// Mean goodput across draws.
     pub mean_goodput: f64,
@@ -346,43 +357,6 @@ fn tables_equivalent(a: &ReplicaCosts, b: &ReplicaCosts) -> bool {
         && a.degraded_priced == b.degraded_priced
 }
 
-/// Scores one [`EvalUnit`] on the first `n_req` requests of the shared
-/// trace under nominal (chaos-free) serving.
-#[allow(clippy::too_many_arguments)]
-fn sim_unit_nominal(
-    unit: &EvalUnit,
-    model: &LlmConfig,
-    arrivals: &ArrivalSpec,
-    slo_p99_ttft_ms: f64,
-    seed: u64,
-    trace: &Arc<[Request]>,
-    cfg: &meshslice::SimConfig,
-    n_req: usize,
-) -> Option<ServingCandidate> {
-    let spec = ServingSpec {
-        slice_count: unit.costs.slice_count,
-        max_batch: unit.max_batch,
-        arrivals: arrivals.clone(),
-        num_requests: n_req,
-        seed,
-        slo_p99_ttft_ms,
-        shared_costs: Some(unit.costs.clone()),
-        shared_trace: Some(trace.clone()),
-        ..ServingSpec::new(model.clone(), unit.mesh, unit.replicas, arrivals.qps)
-    };
-    let report = simulate_fleet(&spec, cfg).ok()?;
-    Some(ServingCandidate {
-        mesh: unit.mesh,
-        slice_count: unit.costs.slice_count,
-        replicas: unit.replicas,
-        max_batch: unit.max_batch,
-        slo_attained: report.slo_attained,
-        p99_ttft_ms: report.ttft.p99 * 1e3,
-        goodput_tokens_per_chip_s: report.goodput_tokens_per_chip_s,
-        completion: report.completed as f64 / report.offered as f64,
-    })
-}
-
 /// Groups feasible grid entries `(mesh, S, replicas, max_batch, costs)`
 /// into [`EvalUnit`]s, preserving grid order (deterministic).
 fn dedup_eval_units(
@@ -408,6 +382,22 @@ fn dedup_eval_units(
         }
     }
     units
+}
+
+/// One candidate per member slice count of every scored unit, in unit
+/// order, each tagged with its unit's index; a unit that could not
+/// serve (`None`) drops out.
+fn expand<'u, T: Copy + 'u>(
+    units: &'u [&EvalUnit],
+    scores: Vec<Option<T>>,
+    with_s: fn(T, usize) -> T,
+) -> impl Iterator<Item = (T, usize)> + 'u {
+    units
+        .iter()
+        .zip(scores)
+        .enumerate()
+        .filter_map(|(u, (unit, score))| Some((u, unit, score?)))
+        .flat_map(move |(u, unit, score)| unit.member_s.iter().map(move |&s| (with_s(score, s), u)))
 }
 
 /// Enumerates the full tuning grid `(mesh, S, replicas, max_batch)`:
@@ -446,85 +436,204 @@ fn serving_grid(
     Ok(grid)
 }
 
+/// The inputs every stage of one serving tune shares.
+struct Search<'a> {
+    model: &'a LlmConfig,
+    total_chips: usize,
+    arrivals: &'a ArrivalSpec,
+    slo_p99_ttft_ms: f64,
+    num_requests: usize,
+    seed: u64,
+    cfg: &'a SimConfig,
+    threads: usize,
+}
+
+impl Search<'_> {
+    /// Validates the inputs — chips, threads, arrivals, then the
+    /// resilience spec if any — and enumerates the grid.
+    fn grid(
+        &self,
+        replicas: Option<usize>,
+        resilience: Option<&ResilienceSpec>,
+    ) -> Result<Vec<(MeshShape, usize, usize, usize)>, String> {
+        if self.total_chips == 0 {
+            return Err("serving fleet needs at least one chip".into());
+        }
+        if self.threads == 0 {
+            return Err("serving tuner needs at least one worker thread (threads >= 1)".into());
+        }
+        self.arrivals.validate()?;
+        if let Some(resilience) = resilience {
+            resilience.validate()?;
+        }
+        serving_grid(self.total_chips, replicas)
+    }
+
+    fn no_layout(&self) -> String {
+        format!(
+            "{} cannot be served on any layout of {} chips",
+            self.model.name, self.total_chips
+        )
+    }
+
+    /// The nominal fleet spec of one layout on the first `n_req`
+    /// requests of the tune's trace.
+    fn spec(
+        &self,
+        mesh: MeshShape,
+        slice_count: usize,
+        replicas: usize,
+        max_batch: usize,
+        n_req: usize,
+    ) -> ServingSpec {
+        ServingSpec {
+            slice_count,
+            max_batch,
+            arrivals: self.arrivals.clone(),
+            num_requests: n_req,
+            seed: self.seed,
+            slo_p99_ttft_ms: self.slo_p99_ttft_ms,
+            ..ServingSpec::new(self.model.clone(), mesh, replicas, self.arrivals.qps)
+        }
+    }
+
+    /// [`spec`](Self::spec) for one eval unit, reading its shared
+    /// tables and the shared trace.
+    fn unit_spec(&self, unit: &EvalUnit, trace: &Arc<[Request]>, n_req: usize) -> ServingSpec {
+        ServingSpec {
+            shared_costs: Some(unit.costs.clone()),
+            shared_trace: Some(trace.clone()),
+            ..self.spec(
+                unit.mesh,
+                unit.costs.slice_count,
+                unit.replicas,
+                unit.max_batch,
+                n_req,
+            )
+        }
+    }
+
+    /// Simulates `spec` and scores it as a nominal candidate, or `None`
+    /// when the layout cannot serve.
+    fn score(&self, spec: &ServingSpec) -> Option<ServingCandidate> {
+        let report = simulate_fleet(spec, self.cfg).ok()?;
+        Some(ServingCandidate {
+            mesh: spec.mesh,
+            slice_count: spec.slice_count,
+            replicas: spec.replicas,
+            max_batch: spec.max_batch,
+            slo_attained: report.slo_attained,
+            p99_ttft_ms: report.ttft.p99 * 1e3,
+            goodput_tokens_per_chip_s: report.goodput_tokens_per_chip_s,
+            completion: report.completed as f64 / report.offered as f64,
+        })
+    }
+
+    /// Warms one nominal-only [`CostTableCache`] with the grid, draws
+    /// the shared trace and dedups the feasible entries into
+    /// [`EvalUnit`]s: one table build per `(mesh, S, cap class)`, one
+    /// trace draw, one simulation per distinct table set.
+    fn eval_units(
+        &self,
+        grid: &[(MeshShape, usize, usize, usize)],
+    ) -> Result<(Vec<EvalUnit>, Arc<[Request]>), String> {
+        let cache = CostTableCache::new(self.cfg.clone(), CostProfile::NominalOnly);
+        let warm_keys: Vec<(MeshShape, usize, usize)> =
+            grid.iter().map(|&(m, s, _r, b)| (m, s, b)).collect();
+        cache.warm(self.model, &warm_keys, self.threads);
+        let trace: Arc<[Request]> = Arc::from(self.arrivals.generate(self.num_requests, self.seed));
+
+        let entries: Vec<(MeshShape, usize, usize, usize, Arc<ReplicaCosts>)> = grid
+            .iter()
+            .filter_map(|&(mesh, s, r, max_batch)| {
+                cache
+                    .replica_costs(self.model, mesh, s, max_batch)
+                    .map(|costs| (mesh, s, r, max_batch, costs))
+            })
+            .collect();
+        if entries.is_empty() {
+            return Err(self.no_layout());
+        }
+        Ok((dedup_eval_units(entries), trace))
+    }
+
+    /// Successive halving: scores every unit on the policy's trace
+    /// prefix and keeps the units behind an SLO-attaining candidate or a
+    /// top-`promote_top_k` one. Returns the survivors (grid order) and
+    /// the number of grid entries dropped; a prefix as long as the trace
+    /// screens nothing.
+    fn screen<'u>(
+        &self,
+        units: &'u [EvalUnit],
+        trace: &Arc<[Request]>,
+        policy: ScreenPolicy,
+    ) -> (Vec<&'u EvalUnit>, usize) {
+        let all: Vec<&EvalUnit> = units.iter().collect();
+        if policy.prefix_requests >= self.num_requests {
+            return (all, 0);
+        }
+        let prefix_scores = par::parallel_map_threads(self.threads, &all, |unit| {
+            self.score(&self.unit_spec(unit, trace, policy.prefix_requests))
+        });
+        let mut screened: Vec<(ServingCandidate, usize)> =
+            expand(&all, prefix_scores, |c, s| ServingCandidate {
+                slice_count: s,
+                ..c
+            })
+            .collect();
+        screened.sort_by(|a, b| rank_candidates(&a.0, &b.0));
+        let mut promote = vec![false; units.len()];
+        for (i, (c, u)) in screened.iter().enumerate() {
+            if c.slo_attained || i < policy.promote_top_k {
+                promote[*u] = true;
+            }
+        }
+        let dropped = screened.iter().filter(|(_, u)| !promote[*u]).count();
+        let promoted = all
+            .into_iter()
+            .zip(promote)
+            .filter_map(|(unit, p)| p.then_some(unit))
+            .collect();
+        (promoted, dropped)
+    }
+
+    /// Sorts the candidates by `rank`, or errors when none could serve.
+    fn ranked<T>(
+        &self,
+        candidates: impl IntoIterator<Item = T>,
+        rank: fn(&T, &T) -> Ordering,
+    ) -> Result<Vec<T>, String> {
+        let mut candidates: Vec<T> = candidates.into_iter().collect();
+        if candidates.is_empty() {
+            return Err(self.no_layout());
+        }
+        candidates.sort_by(rank);
+        Ok(candidates)
+    }
+}
+
 /// Serving-specific tuning, grafted onto [`Autotuner`] the same way
 /// `meshslice-recovery` grafts `tune_robust` — the core crate stays free
 /// of serving concerns.
 pub trait ServingTuning {
     /// Tunes a serving fleet of `total_chips` for `model` under
     /// `arrivals`, targeting a TTFT p99 of `slo_p99_ttft_ms`, scoring
-    /// each candidate on a `num_requests`-long trace drawn from `seed`.
+    /// each candidate on a `num_requests`-long trace drawn from `seed`
+    /// under `mode`.
     ///
     /// Sweeps replica counts dividing the chip pool, the candidate mesh
     /// shapes of each per-replica pool, [`CANDIDATE_SLICE_COUNTS`], and
     /// [`CANDIDATE_MAX_BATCH`]. A `replicas` of `Some(r)` pins the
-    /// replica count (e.g. the CLI's `--replicas`). Runs the
-    /// [`TuneMode::Fast`] cached path, serially.
+    /// replica count (e.g. the CLI's `--replicas`). Table warming and
+    /// candidate evaluation fan out over `threads` workers; the ranking
+    /// is bit-for-bit identical at any thread count.
     ///
     /// # Errors
     ///
-    /// Errors when no candidate can serve the model at all (weights too
-    /// large for every layout).
-    #[allow(clippy::too_many_arguments)]
-    fn tune_serving(
-        &self,
-        model: &LlmConfig,
-        total_chips: usize,
-        replicas: Option<usize>,
-        arrivals: &ArrivalSpec,
-        slo_p99_ttft_ms: f64,
-        num_requests: usize,
-        seed: u64,
-    ) -> Result<ServingPlan, String> {
-        self.tune_serving_threads(
-            model,
-            total_chips,
-            replicas,
-            arrivals,
-            slo_p99_ttft_ms,
-            num_requests,
-            seed,
-            1,
-        )
-    }
-
-    /// [`tune_serving`](Self::tune_serving) with table warming and
-    /// candidate evaluation fanned out over `threads` workers. The
-    /// ranking is bit-for-bit identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`tune_serving`](Self::tune_serving), plus `threads == 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn tune_serving_threads(
-        &self,
-        model: &LlmConfig,
-        total_chips: usize,
-        replicas: Option<usize>,
-        arrivals: &ArrivalSpec,
-        slo_p99_ttft_ms: f64,
-        num_requests: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<ServingPlan, String> {
-        self.tune_serving_mode(
-            model,
-            total_chips,
-            replicas,
-            arrivals,
-            slo_p99_ttft_ms,
-            num_requests,
-            seed,
-            TuneMode::Fast,
-            threads,
-        )
-    }
-
-    /// Tunes under an explicit [`TuneMode`].
-    ///
-    /// # Errors
-    ///
-    /// As [`tune_serving`](Self::tune_serving), plus `threads == 0` and
-    /// invalid [`ScreenPolicy`] knobs.
+    /// Errors on zero chips or `threads == 0`, invalid `arrivals`, a
+    /// pinned replica count not dividing the pool, when no candidate
+    /// can serve the model at all (weights too large for every layout),
+    /// and on invalid [`ScreenPolicy`] knobs.
     #[allow(clippy::too_many_arguments)]
     fn tune_serving_mode(
         &self,
@@ -542,56 +651,25 @@ pub trait ServingTuning {
     /// Tunes a serving fleet for goodput *under chaos*: every surviving
     /// candidate serves the same trace across the `resilience.draws`
     /// seeded chaos schedules and is ranked by tail goodput (p95, then
-    /// mean, then the worst draw).
+    /// mean, then the worst draw), over `threads` workers with a
+    /// thread-count-invariant ranking.
     ///
-    /// Composes the PR-8 fast path with chaos-aware promotion: the grid
-    /// is first screened on a nominal prefix trace with nominal-only
-    /// shared cost tables (chaos never enters the screen), promoting
-    /// SLO-attaining candidates plus a doubled top-K — the nominal
-    /// ranking is only a proxy for the chaos ranking, so the screen
-    /// keeps twice the usual margin. Survivors are then scored with
-    /// fully-priced shared tables (chaos needs the degraded columns),
-    /// one simulation per `(candidate, draw)` fanned out together.
+    /// Shares the nominal screen of
+    /// [`tune_serving_mode`](Self::tune_serving_mode): the grid is first
+    /// screened on a nominal prefix trace with nominal-only shared cost
+    /// tables (chaos never enters the screen), promoting SLO-attaining
+    /// candidates plus a doubled top-K — the nominal ranking is only a
+    /// proxy for the chaos ranking, so the screen keeps twice the usual
+    /// margin. Survivors are then scored with fully-priced shared tables
+    /// (chaos needs the degraded columns), one simulation per
+    /// `(candidate, draw)` fanned out together.
     ///
     /// # Errors
     ///
-    /// As [`tune_serving`](Self::tune_serving), plus an invalid
-    /// `resilience` spec.
+    /// As [`tune_serving_mode`](Self::tune_serving_mode), plus an
+    /// invalid `resilience` spec.
     #[allow(clippy::too_many_arguments)]
     fn tune_serving_resilient(
-        &self,
-        model: &LlmConfig,
-        total_chips: usize,
-        replicas: Option<usize>,
-        arrivals: &ArrivalSpec,
-        slo_p99_ttft_ms: f64,
-        num_requests: usize,
-        seed: u64,
-        resilience: &ResilienceSpec,
-    ) -> Result<ResilientServingPlan, String> {
-        self.tune_serving_resilient_threads(
-            model,
-            total_chips,
-            replicas,
-            arrivals,
-            slo_p99_ttft_ms,
-            num_requests,
-            seed,
-            resilience,
-            1,
-        )
-    }
-
-    /// [`tune_serving_resilient`](Self::tune_serving_resilient) fanned
-    /// out over `threads` workers; the ranking is bit-for-bit identical
-    /// at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`tune_serving_resilient`](Self::tune_serving_resilient),
-    /// plus `threads == 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn tune_serving_resilient_threads(
         &self,
         model: &LlmConfig,
         total_chips: usize,
@@ -619,181 +697,54 @@ impl ServingTuning for Autotuner {
         mode: TuneMode,
         threads: usize,
     ) -> Result<ServingPlan, String> {
-        assert!(total_chips > 0, "serving fleet needs at least one chip");
-        if threads == 0 {
-            return Err("serving tuner needs at least one worker thread (threads >= 1)".into());
-        }
-        arrivals.validate()?;
-        let grid = serving_grid(total_chips, replicas)?;
-
-        let cfg = self.cost_model().config();
-        let no_layout = || {
-            format!(
-                "{} cannot be served on any layout of {total_chips} chips",
-                model.name
-            )
+        let search = Search {
+            model,
+            total_chips,
+            arrivals,
+            slo_p99_ttft_ms,
+            num_requests,
+            seed,
+            cfg: self.cost_model().config(),
+            threads,
         };
+        let grid = search.grid(replicas, None)?;
 
         if mode == TuneMode::Exhaustive {
             // The PR-6 reference path: per-candidate table build and
             // trace draw inside `simulate_fleet`.
             let evaluated =
                 par::parallel_map_threads(threads, &grid, |&(mesh, s, r, max_batch)| {
-                    let spec = ServingSpec {
-                        slice_count: s,
-                        max_batch,
-                        arrivals: arrivals.clone(),
-                        num_requests,
-                        seed,
-                        slo_p99_ttft_ms,
-                        ..ServingSpec::new(model.clone(), mesh, r, arrivals.qps)
-                    };
-                    let report = simulate_fleet(&spec, cfg).ok()?;
-                    Some(ServingCandidate {
-                        mesh,
-                        slice_count: s,
-                        replicas: r,
-                        max_batch,
-                        slo_attained: report.slo_attained,
-                        p99_ttft_ms: report.ttft.p99 * 1e3,
-                        goodput_tokens_per_chip_s: report.goodput_tokens_per_chip_s,
-                        completion: report.completed as f64 / report.offered as f64,
-                    })
+                    search.score(&search.spec(mesh, s, r, max_batch, num_requests))
                 });
-            let mut candidates: Vec<ServingCandidate> = evaluated.into_iter().flatten().collect();
-            if candidates.is_empty() {
-                return Err(no_layout());
-            }
-            candidates.sort_by(rank_candidates);
             return Ok(ServingPlan {
-                candidates,
+                candidates: search.ranked(evaluated.into_iter().flatten(), rank_candidates)?,
                 screened_out: 0,
             });
         }
 
-        // The fast path: one table build per (mesh, S, cap class), one
-        // trace draw, one simulation per distinct table set.
-        let cache = CostTableCache::new(cfg.clone(), CostProfile::NominalOnly);
-        let warm_keys: Vec<(MeshShape, usize, usize)> =
-            grid.iter().map(|&(m, s, _r, b)| (m, s, b)).collect();
-        cache.warm(model, &warm_keys, threads);
-        let trace: Arc<[Request]> = Arc::from(arrivals.generate(num_requests, seed));
-
-        let entries: Vec<(MeshShape, usize, usize, usize, Arc<ReplicaCosts>)> = grid
-            .iter()
-            .filter_map(|&(mesh, s, r, max_batch)| {
-                cache
-                    .replica_costs(model, mesh, s, max_batch)
-                    .map(|costs| (mesh, s, r, max_batch, costs))
-            })
-            .collect();
-        if entries.is_empty() {
-            return Err(no_layout());
-        }
-        let units = dedup_eval_units(entries);
-
-        // Scores one unit on the first `n_req` requests of the shared
-        // trace; expanded to one candidate per member slice count.
-        let sim_unit = |unit: &EvalUnit, n_req: usize| -> Option<ServingCandidate> {
-            let spec = ServingSpec {
-                slice_count: unit.costs.slice_count,
-                max_batch: unit.max_batch,
-                arrivals: arrivals.clone(),
-                num_requests: n_req,
-                seed,
-                slo_p99_ttft_ms,
-                shared_costs: Some(unit.costs.clone()),
-                shared_trace: Some(trace.clone()),
-                ..ServingSpec::new(model.clone(), unit.mesh, unit.replicas, arrivals.qps)
-            };
-            let report = simulate_fleet(&spec, cfg).ok()?;
-            Some(ServingCandidate {
-                mesh: unit.mesh,
-                slice_count: unit.costs.slice_count,
-                replicas: unit.replicas,
-                max_batch: unit.max_batch,
-                slo_attained: report.slo_attained,
-                p99_ttft_ms: report.ttft.p99 * 1e3,
-                goodput_tokens_per_chip_s: report.goodput_tokens_per_chip_s,
-                completion: report.completed as f64 / report.offered as f64,
-            })
-        };
-        let expand = |units: &[EvalUnit], scores: Vec<Option<ServingCandidate>>| {
-            let mut out: Vec<(ServingCandidate, usize)> = Vec::new();
-            for (u, (unit, score)) in units.iter().zip(scores).enumerate() {
-                let Some(score) = score else { continue };
-                for &s in &unit.member_s {
-                    out.push((
-                        ServingCandidate {
-                            slice_count: s,
-                            ..score
-                        },
-                        u,
-                    ));
-                }
-            }
-            out
-        };
-
-        let (final_units, screened_out): (Vec<&EvalUnit>, usize) = match mode {
-            TuneMode::Screened(policy) if policy.prefix_requests < num_requests => {
-                policy.validate()?;
-                let prefix_scores = par::parallel_map_threads(threads, &units, |unit| {
-                    sim_unit(unit, policy.prefix_requests)
-                });
-                let mut screened = expand(&units, prefix_scores);
-                screened.sort_by(|a, b| rank_candidates(&a.0, &b.0));
-                let mut promote = vec![false; units.len()];
-                for (i, (c, u)) in screened.iter().enumerate() {
-                    if c.slo_attained || i < policy.promote_top_k {
-                        promote[*u] = true;
-                    }
-                }
-                let dropped = screened.iter().filter(|(_, u)| !promote[*u]).count();
-                let promoted = units
-                    .iter()
-                    .zip(&promote)
-                    .filter_map(|(unit, &p)| p.then_some(unit))
-                    .collect();
-                (promoted, dropped)
-            }
+        let (units, trace) = search.eval_units(&grid)?;
+        let (survivors, screened_out) = match mode {
             TuneMode::Screened(policy) => {
                 policy.validate()?;
-                (units.iter().collect(), 0)
+                search.screen(&units, &trace, policy)
             }
             _ => (units.iter().collect(), 0),
         };
-
-        let full_scores =
-            par::parallel_map_threads(threads, &final_units, |unit| sim_unit(unit, num_requests));
-        let mut candidates: Vec<ServingCandidate> = final_units
-            .iter()
-            .zip(full_scores)
-            .flat_map(|(unit, score)| {
-                let mut out = Vec::new();
-                if let Some(score) = score {
-                    for &s in &unit.member_s {
-                        out.push(ServingCandidate {
-                            slice_count: s,
-                            ..score
-                        });
-                    }
-                }
-                out
-            })
-            .collect();
-        if candidates.is_empty() {
-            return Err(no_layout());
-        }
-        candidates.sort_by(rank_candidates);
+        let scores = par::parallel_map_threads(threads, &survivors, |unit| {
+            search.score(&search.unit_spec(unit, &trace, num_requests))
+        });
+        let expanded = expand(&survivors, scores, |c, s| ServingCandidate {
+            slice_count: s,
+            ..c
+        });
         Ok(ServingPlan {
-            candidates,
+            candidates: search.ranked(expanded.map(|(c, _)| c), rank_candidates)?,
             screened_out,
         })
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn tune_serving_resilient_threads(
+    fn tune_serving_resilient(
         &self,
         model: &LlmConfig,
         total_chips: usize,
@@ -805,110 +756,41 @@ impl ServingTuning for Autotuner {
         resilience: &ResilienceSpec,
         threads: usize,
     ) -> Result<ResilientServingPlan, String> {
-        assert!(total_chips > 0, "serving fleet needs at least one chip");
-        if threads == 0 {
-            return Err("serving tuner needs at least one worker thread (threads >= 1)".into());
-        }
-        arrivals.validate()?;
-        resilience.validate()?;
-        let grid = serving_grid(total_chips, replicas)?;
-        let cfg = self.cost_model().config();
-        let no_layout = || {
-            format!(
-                "{} cannot be served on any layout of {total_chips} chips",
-                model.name
-            )
+        let search = Search {
+            model,
+            total_chips,
+            arrivals,
+            slo_p99_ttft_ms,
+            num_requests,
+            seed,
+            cfg: self.cost_model().config(),
+            threads,
         };
+        let grid = search.grid(replicas, Some(resilience))?;
 
-        // Stage 1: nominal screening with nominal-only shared tables —
-        // the degraded columns are never read before promotion, so the
-        // screen rides the cheap PR-8 cache.
-        let screen_cache = CostTableCache::new(cfg.clone(), CostProfile::NominalOnly);
-        let warm_keys: Vec<(MeshShape, usize, usize)> =
-            grid.iter().map(|&(m, s, _r, b)| (m, s, b)).collect();
-        screen_cache.warm(model, &warm_keys, threads);
-        let trace: Arc<[Request]> = Arc::from(arrivals.generate(num_requests, seed));
-
-        let entries: Vec<(MeshShape, usize, usize, usize, Arc<ReplicaCosts>)> = grid
-            .iter()
-            .filter_map(|&(mesh, s, r, max_batch)| {
-                screen_cache
-                    .replica_costs(model, mesh, s, max_batch)
-                    .map(|costs| (mesh, s, r, max_batch, costs))
-            })
-            .collect();
-        if entries.is_empty() {
-            return Err(no_layout());
-        }
-        let units = dedup_eval_units(entries);
-
-        // Chaos-aware promotion: the nominal prefix ranking is only a
-        // proxy for the chaos ranking, so keep twice the usual top-K
-        // margin alongside every SLO-attaining candidate.
-        let policy = {
-            let auto = ScreenPolicy::auto(num_requests);
-            ScreenPolicy {
-                promote_top_k: auto.promote_top_k * 2,
-                ..auto
-            }
+        // Stage 1: the nominal screen, promoting twice the usual top-K
+        // alongside every SLO-attaining candidate — the nominal prefix
+        // ranking is only a proxy for the chaos ranking.
+        let (units, trace) = search.eval_units(&grid)?;
+        let auto = ScreenPolicy::auto(num_requests);
+        let policy = ScreenPolicy {
+            promote_top_k: auto.promote_top_k * 2,
+            ..auto
         };
-        let (survivors, screened_out): (Vec<&EvalUnit>, usize) =
-            if policy.prefix_requests < num_requests {
-                let prefix_scores = par::parallel_map_threads(threads, &units, |unit| {
-                    sim_unit_nominal(
-                        unit,
-                        model,
-                        arrivals,
-                        slo_p99_ttft_ms,
-                        seed,
-                        &trace,
-                        cfg,
-                        policy.prefix_requests,
-                    )
-                });
-                let mut screened: Vec<(ServingCandidate, usize)> = Vec::new();
-                for (u, (unit, score)) in units.iter().zip(prefix_scores).enumerate() {
-                    let Some(score) = score else { continue };
-                    for &s in &unit.member_s {
-                        screened.push((
-                            ServingCandidate {
-                                slice_count: s,
-                                ..score
-                            },
-                            u,
-                        ));
-                    }
-                }
-                screened.sort_by(|a, b| rank_candidates(&a.0, &b.0));
-                let mut promote = vec![false; units.len()];
-                for (i, (c, u)) in screened.iter().enumerate() {
-                    if c.slo_attained || i < policy.promote_top_k {
-                        promote[*u] = true;
-                    }
-                }
-                let dropped = screened.iter().filter(|(_, u)| !promote[*u]).count();
-                let promoted = units
-                    .iter()
-                    .zip(&promote)
-                    .filter_map(|(unit, &p)| p.then_some(unit))
-                    .collect();
-                (promoted, dropped)
-            } else {
-                (units.iter().collect(), 0)
-            };
+        let (survivors, screened_out) = search.screen(&units, &trace, policy);
 
         // Stage 2: score every survivor across the chaos draws with
         // fully-priced shared tables (the draws hit the degraded
         // columns), every (candidate, draw) pair fanned out together.
-        let full_cache = CostTableCache::new(cfg.clone(), CostProfile::Full);
+        let full_cache = CostTableCache::new(search.cfg.clone(), CostProfile::Full);
         let full_keys: Vec<(MeshShape, usize, usize)> = survivors
             .iter()
             .map(|u| (u.mesh, u.costs.slice_count, u.max_batch))
             .collect();
         full_cache.warm(model, &full_keys, threads);
-        let full_costs: Vec<Option<Arc<ReplicaCosts>>> = survivors
+        let full_costs: Vec<Option<Arc<ReplicaCosts>>> = full_keys
             .iter()
-            .map(|u| full_cache.replica_costs(model, u.mesh, u.costs.slice_count, u.max_batch))
+            .map(|&(mesh, s, max_batch)| full_cache.replica_costs(model, mesh, s, max_batch))
             .collect();
 
         let draws = resilience.draws;
@@ -916,67 +798,53 @@ impl ServingTuning for Autotuner {
             .flat_map(|u| (0..draws as u64).map(move |k| (u, k)))
             .collect();
         let scores = par::parallel_map_threads(threads, &jobs, |&(u, k)| {
-            let unit = survivors[u];
-            let costs = full_costs[u].clone()?;
-            let chaos = ChaosSpec {
-                seed: resilience.chaos.seed.wrapping_add(k),
-                ..resilience.chaos
-            };
             let spec = ServingSpec {
-                slice_count: unit.costs.slice_count,
-                max_batch: unit.max_batch,
-                arrivals: arrivals.clone(),
-                num_requests,
-                seed,
-                slo_p99_ttft_ms,
-                shared_costs: Some(costs),
-                shared_trace: Some(trace.clone()),
-                chaos: Some(chaos),
+                shared_costs: Some(full_costs[u].clone()?),
+                chaos: Some(ChaosSpec {
+                    seed: resilience.chaos.seed.wrapping_add(k),
+                    ..resilience.chaos
+                }),
                 router: resilience.router,
                 shed: resilience.shed,
-                ..ServingSpec::new(model.clone(), unit.mesh, unit.replicas, arrivals.qps)
+                ..search.unit_spec(survivors[u], &trace, num_requests)
             };
-            let report = simulate_fleet(&spec, cfg).ok()?;
+            let report = simulate_fleet(&spec, search.cfg).ok()?;
             Some((report.goodput_tokens_per_chip_s, report.slo_attainment))
         });
 
-        let mut candidates: Vec<ResilientServingCandidate> = Vec::new();
-        for (u, unit) in survivors.iter().enumerate() {
-            let drawn: Vec<(f64, f64)> = scores[u * draws..(u + 1) * draws]
-                .iter()
-                .copied()
-                .flatten()
-                .collect();
-            // A layout any draw could not serve is out entirely.
-            if drawn.len() < draws {
-                continue;
-            }
-            let mut goodputs: Vec<f64> = drawn.iter().map(|&(g, _)| g).collect();
-            goodputs.sort_by(f64::total_cmp);
-            let base = ResilientServingCandidate {
-                mesh: unit.mesh,
-                slice_count: unit.costs.slice_count,
-                replicas: unit.replicas,
-                max_batch: unit.max_batch,
-                worst_goodput: goodputs[0],
-                p95_goodput: percentile_from_worst(&goodputs, 0.05),
-                mean_goodput: goodputs.iter().sum::<f64>() / draws as f64,
-                worst_slo_attainment: drawn.iter().map(|&(_, a)| a).fold(f64::INFINITY, f64::min),
-                mean_slo_attainment: drawn.iter().map(|&(_, a)| a).sum::<f64>() / draws as f64,
-            };
-            for &s in &unit.member_s {
-                candidates.push(ResilientServingCandidate {
-                    slice_count: s,
-                    ..base
-                });
-            }
-        }
-        if candidates.is_empty() {
-            return Err(no_layout());
-        }
-        candidates.sort_by(rank_resilient_candidates);
+        let scored: Vec<Option<ResilientServingCandidate>> = survivors
+            .iter()
+            .enumerate()
+            .map(|(u, unit)| {
+                // A layout any draw could not serve is out entirely.
+                let drawn: Vec<(f64, f64)> = scores[u * draws..(u + 1) * draws]
+                    .iter()
+                    .copied()
+                    .collect::<Option<_>>()?;
+                let mut goodputs: Vec<f64> = drawn.iter().map(|&(g, _)| g).collect();
+                goodputs.sort_by(f64::total_cmp);
+                Some(ResilientServingCandidate {
+                    mesh: unit.mesh,
+                    slice_count: unit.costs.slice_count,
+                    replicas: unit.replicas,
+                    max_batch: unit.max_batch,
+                    worst_goodput: goodputs[0],
+                    p95_goodput: percentile_from_worst(&goodputs, 0.05),
+                    mean_goodput: goodputs.iter().sum::<f64>() / draws as f64,
+                    worst_slo_attainment: drawn
+                        .iter()
+                        .map(|&(_, a)| a)
+                        .fold(f64::INFINITY, f64::min),
+                    mean_slo_attainment: drawn.iter().map(|&(_, a)| a).sum::<f64>() / draws as f64,
+                })
+            })
+            .collect();
+        let expanded = expand(&survivors, scored, |c, s| ResilientServingCandidate {
+            slice_count: s,
+            ..c
+        });
         Ok(ResilientServingPlan {
-            candidates,
+            candidates: search.ranked(expanded.map(|(c, _)| c), rank_resilient_candidates)?,
             screened_out,
             draws,
         })
@@ -1000,7 +868,17 @@ mod tests {
     #[test]
     fn tune_ranks_slo_attaining_layouts_first() {
         let plan = tuner()
-            .tune_serving(&tiny(), 8, None, &ArrivalSpec::poisson(20.0), 500.0, 60, 3)
+            .tune_serving_mode(
+                &tiny(),
+                8,
+                None,
+                &ArrivalSpec::poisson(20.0),
+                500.0,
+                60,
+                3,
+                TuneMode::Fast,
+                1,
+            )
             .expect("tiny model must have feasible layouts");
         assert!(!plan.candidates.is_empty());
         let first_miss = plan.candidates.iter().position(|c| !c.slo_attained);
@@ -1025,10 +903,10 @@ mod tests {
         let t = tuner();
         let arr = ArrivalSpec::poisson(20.0);
         let serial = t
-            .tune_serving(&tiny(), 8, None, &arr, 500.0, 40, 3)
+            .tune_serving_mode(&tiny(), 8, None, &arr, 500.0, 40, 3, TuneMode::Fast, 1)
             .expect("feasible");
         let parallel = t
-            .tune_serving_threads(&tiny(), 8, None, &arr, 500.0, 40, 3, 4)
+            .tune_serving_mode(&tiny(), 8, None, &arr, 500.0, 40, 3, TuneMode::Fast, 4)
             .expect("feasible");
         assert_eq!(serial.candidates, parallel.candidates);
     }
@@ -1051,7 +929,7 @@ mod tests {
             )
             .expect("feasible");
         let fast = t
-            .tune_serving_threads(&tiny(), 8, None, &arr, 500.0, 40, 3, 2)
+            .tune_serving_mode(&tiny(), 8, None, &arr, 500.0, 40, 3, TuneMode::Fast, 2)
             .expect("feasible");
         assert_eq!(exhaustive.candidates, fast.candidates);
         assert_eq!(fast.screened_out, 0);
@@ -1102,20 +980,39 @@ mod tests {
 
     #[test]
     fn zero_threads_is_a_usage_error() {
-        let err = tuner()
-            .tune_serving_mode(
-                &tiny(),
-                8,
-                None,
-                &ArrivalSpec::poisson(5.0),
-                500.0,
-                10,
-                0,
-                TuneMode::Fast,
-                0,
-            )
-            .unwrap_err();
-        assert!(err.contains("threads >= 1"), "{err}");
+        use meshslice_faults::FailureSpec;
+        let resilience = ResilienceSpec::new(ChaosSpec::new(FailureSpec::none(), 0));
+        for (chips, threads, expected) in [(8, 0, "threads >= 1"), (0, 1, "at least one chip")] {
+            let arr = ArrivalSpec::poisson(5.0);
+            let err = tuner()
+                .tune_serving_mode(
+                    &tiny(),
+                    chips,
+                    None,
+                    &arr,
+                    500.0,
+                    10,
+                    0,
+                    TuneMode::Fast,
+                    threads,
+                )
+                .unwrap_err();
+            assert!(err.contains(expected), "{err}");
+            let err = tuner()
+                .tune_serving_resilient(
+                    &tiny(),
+                    chips,
+                    None,
+                    &arr,
+                    500.0,
+                    10,
+                    0,
+                    &resilience,
+                    threads,
+                )
+                .unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
     }
 
     #[test]
@@ -1184,7 +1081,7 @@ mod tests {
     #[test]
     fn pinned_replicas_are_respected() {
         let plan = tuner()
-            .tune_serving(
+            .tune_serving_mode(
                 &tiny(),
                 8,
                 Some(2),
@@ -1192,18 +1089,22 @@ mod tests {
                 500.0,
                 40,
                 3,
+                TuneMode::Fast,
+                1,
             )
             .expect("feasible");
         assert!(plan.candidates.iter().all(|c| c.replicas == 2));
         assert!(tuner()
-            .tune_serving(
+            .tune_serving_mode(
                 &tiny(),
                 8,
                 Some(3),
                 &ArrivalSpec::poisson(10.0),
                 500.0,
                 40,
-                3
+                3,
+                TuneMode::Fast,
+                1,
             )
             .is_err());
     }
@@ -1220,7 +1121,7 @@ mod tests {
             .with_router(RouterPolicy::for_slo(0.5))
             .with_shed(ShedPolicy::for_queue_depth(64));
         let serial = t
-            .tune_serving_resilient(&tiny(), 8, None, &arr, 500.0, 40, 3, &resilience)
+            .tune_serving_resilient(&tiny(), 8, None, &arr, 500.0, 40, 3, &resilience, 1)
             .expect("feasible");
         assert_eq!(serial.draws, 3);
         assert!(!serial.candidates.is_empty());
@@ -1236,17 +1137,7 @@ mod tests {
         }
         for threads in [2, 8] {
             let parallel = t
-                .tune_serving_resilient_threads(
-                    &tiny(),
-                    8,
-                    None,
-                    &arr,
-                    500.0,
-                    40,
-                    3,
-                    &resilience,
-                    threads,
-                )
+                .tune_serving_resilient(&tiny(), 8, None, &arr, 500.0, 40, 3, &resilience, threads)
                 .expect("feasible");
             assert_eq!(serial.candidates, parallel.candidates);
             assert_eq!(serial.screened_out, parallel.screened_out);
@@ -1262,10 +1153,10 @@ mod tests {
         // nominal run and the p95 ranking collapses onto plain goodput.
         let resilience = ResilienceSpec::new(ChaosSpec::new(FailureSpec::none(), 11)).with_draws(2);
         let resilient = t
-            .tune_serving_resilient(&tiny(), 8, None, &arr, 500.0, 40, 3, &resilience)
+            .tune_serving_resilient(&tiny(), 8, None, &arr, 500.0, 40, 3, &resilience, 1)
             .expect("feasible");
         let nominal = t
-            .tune_serving(&tiny(), 8, None, &arr, 500.0, 40, 3)
+            .tune_serving_mode(&tiny(), 8, None, &arr, 500.0, 40, 3, TuneMode::Fast, 1)
             .expect("feasible");
         let best = resilient.best();
         // The nominal tuner ranks SLO-attainment before goodput, so
@@ -1299,6 +1190,7 @@ mod tests {
                 10,
                 0,
                 &ResilienceSpec::new(ChaosSpec::new(FailureSpec::none(), 0)).with_draws(0),
+                1,
             )
             .unwrap_err();
         assert!(err.contains("at least one chaos draw"), "{err}");
@@ -1311,17 +1203,19 @@ mod tests {
         assert_eq!(percentile_from_worst(&v, 0.5), 3.0);
         assert_eq!(percentile_from_worst(&v, 1.0), 5.0);
         assert_eq!(percentile_from_worst(&[7.0], 0.05), 7.0);
-        // 20 draws: p95-from-worst is exactly the worst draw's
-        // successor boundary (nearest rank 1).
+        // Nearest rank ⌈0.05·n⌉ is 1 — the worst draw — for every
+        // n ≤ 20, and 2 — the second-worst draw — from n = 21.
         let twenty: Vec<f64> = (0..20).map(f64::from).collect();
         assert_eq!(percentile_from_worst(&twenty, 0.05), 0.0);
+        let twenty_one: Vec<f64> = (0..21).map(f64::from).collect();
+        assert_eq!(percentile_from_worst(&twenty_one, 0.05), 1.0);
     }
 
     #[test]
     fn unservable_models_error_out() {
         // Megatron-NLG weights (~1 TB) cannot fit 4 TPUv4 chips.
         let err = tuner()
-            .tune_serving(
+            .tune_serving_mode(
                 &LlmConfig::megatron_nlg(),
                 4,
                 None,
@@ -1329,6 +1223,8 @@ mod tests {
                 500.0,
                 10,
                 0,
+                TuneMode::Fast,
+                1,
             )
             .unwrap_err();
         assert!(err.contains("cannot be served"), "{err}");

@@ -4,8 +4,9 @@
 //! tracing never perturbs the report, event streams keep their ordering
 //! invariants, and TTFT blame components sum exactly to measured TTFT —
 //! and the serving fast path: shared cost tables and shared traces never
-//! change a fleet report, and the cached/screened tuner paths reproduce
-//! the exhaustive reference.
+//! change a fleet report, the cached/screened tuner paths reproduce
+//! the exhaustive reference, and the chaos-aware resilient tuner
+//! reproduces a reference written from the public API.
 
 use std::sync::Arc;
 
@@ -15,9 +16,10 @@ use meshslice::memory::{inference_footprint, HBM_BYTES};
 use meshslice::{MeshShape, SimConfig};
 use meshslice_faults::FailureSpec;
 use meshslice_serving::{
-    simulate_fleet, simulate_fleet_threads, simulate_fleet_traced, ArrivalSpec, ChaosSpec,
-    ChipDeath, CostProfile, CostTableCache, LoadShape, OutcomeKind, Request, RouterPolicy,
-    ScreenPolicy, ServingSpec, ServingTuning, ShedPolicy, TuneMode, MAX_PREFILL_TOKENS,
+    rank_resilient_candidates, simulate_fleet, simulate_fleet_threads, simulate_fleet_traced,
+    ArrivalSpec, ChaosSpec, ChipDeath, CostProfile, CostTableCache, LoadShape, OutcomeKind,
+    Request, ResilienceSpec, ResilientServingCandidate, RouterPolicy, ScreenPolicy, ServingSpec,
+    ServingTuning, ShedPolicy, TuneMode, MAX_PREFILL_TOKENS,
 };
 use meshslice_telemetry::ServingEvent;
 use proptest::prelude::*;
@@ -426,4 +428,174 @@ proptest! {
         }
         prop_assert_eq!(retried, report.retries, "trace retry count matches the report");
     }
+}
+
+/// The resilient tuner's ranking, rebuilt from the public API alone:
+/// the layouts that survive the nominal screen with twice the auto
+/// policy's top-K, each scored by a plain `simulate_fleet` (its own
+/// tables, its own trace) once per chaos draw `k` under chaos seed
+/// `seed + k`, reduced to worst / nearest-rank p95 / mean goodput and
+/// worst / mean SLO attainment, and sorted by
+/// `rank_resilient_candidates`. Returns the ranking and the number of
+/// grid entries screened out.
+#[allow(clippy::too_many_arguments)]
+fn resilient_reference(
+    tuner: &Autotuner,
+    model: &LlmConfig,
+    chips: usize,
+    replicas: Option<usize>,
+    arrivals: &ArrivalSpec,
+    slo_ms: f64,
+    requests: usize,
+    seed: u64,
+    resilience: &ResilienceSpec,
+) -> (Vec<ResilientServingCandidate>, usize) {
+    let auto = ScreenPolicy::auto(requests);
+    let policy = ScreenPolicy {
+        promote_top_k: 2 * auto.promote_top_k,
+        ..auto
+    };
+    let screen = tuner
+        .tune_serving_mode(
+            model,
+            chips,
+            replicas,
+            arrivals,
+            slo_ms,
+            requests,
+            seed,
+            TuneMode::Screened(policy),
+            1,
+        )
+        .expect("reference screen tunes");
+    let cfg = tuner.cost_model().config();
+    let draws = resilience.draws;
+    let mut ranked: Vec<ResilientServingCandidate> = screen
+        .candidates
+        .iter()
+        .filter_map(|c| {
+            let drawn: Vec<(f64, f64)> = (0..draws as u64)
+                .map(|k| {
+                    let mut spec =
+                        ServingSpec::new(model.clone(), c.mesh, c.replicas, arrivals.qps);
+                    spec.slice_count = c.slice_count;
+                    spec.max_batch = c.max_batch;
+                    spec.arrivals = arrivals.clone();
+                    spec.num_requests = requests;
+                    spec.seed = seed;
+                    spec.slo_p99_ttft_ms = slo_ms;
+                    spec.chaos = Some(ChaosSpec {
+                        seed: resilience.chaos.seed.wrapping_add(k),
+                        ..resilience.chaos
+                    });
+                    spec.router = resilience.router;
+                    spec.shed = resilience.shed;
+                    let report = simulate_fleet(&spec, cfg).ok()?;
+                    Some((report.goodput_tokens_per_chip_s, report.slo_attainment))
+                })
+                .collect::<Option<_>>()?;
+            let mut goodputs: Vec<f64> = drawn.iter().map(|d| d.0).collect();
+            goodputs.sort_by(f64::total_cmp);
+            // Nearest rank ⌈0.05·n⌉, counted from the worst draw.
+            let p95_rank = draws.div_ceil(20);
+            Some(ResilientServingCandidate {
+                mesh: c.mesh,
+                slice_count: c.slice_count,
+                replicas: c.replicas,
+                max_batch: c.max_batch,
+                worst_goodput: goodputs[0],
+                p95_goodput: goodputs[p95_rank - 1],
+                mean_goodput: goodputs.iter().sum::<f64>() / draws as f64,
+                worst_slo_attainment: drawn.iter().map(|d| d.1).fold(f64::INFINITY, f64::min),
+                mean_slo_attainment: drawn.iter().map(|d| d.1).sum::<f64>() / draws as f64,
+            })
+        })
+        .collect();
+    ranked.sort_by(rank_resilient_candidates);
+    (ranked, screen.screened_out)
+}
+
+/// The resilient tuner (nominal screen on shared nominal-only tables,
+/// dedup'd eval units, fully-priced shared tables per chaos draw)
+/// equals the public-API reference bit for bit at 1 and 2 threads —
+/// including a case where the screen drops candidates and a 21-draw
+/// case where the p95 draw is not the worst one.
+#[test]
+fn resilient_tuning_matches_the_public_api_reference() {
+    let tuner = Autotuner::new(SimConfig::tpu_v4());
+    let chaos = |mtbf: f64, horizon: f64, seed: u64| {
+        ChaosSpec::new(FailureSpec::chip_mtbf(mtbf, horizon), seed)
+    };
+    // (model, chips, replicas, qps, SLO ms, requests, seed, resilience,
+    //  grid entries the screen must drop)
+    let cases = [
+        (
+            LlmConfig::tiny(),
+            8,
+            None,
+            2000.0,
+            1.0,
+            48,
+            7,
+            ResilienceSpec::new(chaos(0.2, 0.03, 5)).with_draws(2),
+            10,
+        ),
+        (
+            tiny(),
+            2,
+            Some(2),
+            20.0,
+            500.0,
+            24,
+            3,
+            ResilienceSpec::new(chaos(4.0, 1.2, 11))
+                .with_draws(21)
+                .with_router(RouterPolicy::for_slo(0.5))
+                .with_shed(ShedPolicy::for_queue_depth(64)),
+            0,
+        ),
+    ];
+    let mut p95_above_worst = false;
+    for (model, chips, replicas, qps, slo_ms, requests, seed, resilience, dropped) in cases {
+        let arrivals = ArrivalSpec::poisson(qps);
+        let (reference, screened_out) = resilient_reference(
+            &tuner,
+            &model,
+            chips,
+            replicas,
+            &arrivals,
+            slo_ms,
+            requests,
+            seed,
+            &resilience,
+        );
+        assert_eq!(screened_out, dropped, "{}: screen drops", model.name);
+        for threads in [1, 2] {
+            let plan = tuner
+                .tune_serving_resilient(
+                    &model,
+                    chips,
+                    replicas,
+                    &arrivals,
+                    slo_ms,
+                    requests,
+                    seed,
+                    &resilience,
+                    threads,
+                )
+                .expect("resilient tune succeeds");
+            assert_eq!(
+                plan.candidates, reference,
+                "{} at {threads} threads",
+                model.name
+            );
+            assert_eq!(plan.screened_out, screened_out);
+            assert_eq!(plan.draws, resilience.draws);
+        }
+        p95_above_worst |= reference.iter().any(|c| c.p95_goodput > c.worst_goodput);
+    }
+    assert!(
+        p95_above_worst,
+        "some case must rank a p95 draw above its worst"
+    );
 }
