@@ -13,7 +13,7 @@ use meshslice::{
 };
 use meshslice_bench::banner;
 use meshslice_mesh::{ChipId, Torus2d};
-use meshslice_sim::OpKind;
+use meshslice_sim::{OpKind, OpTraceRecorder, RunScratch};
 
 fn main() {
     let mesh = Torus2d::new(4, 4);
@@ -37,7 +37,14 @@ fn main() {
     let mut worst = 0.0f64;
     for (name, algo) in &algos {
         let program = algo.schedule(&mesh, problem, cfg.elem_bytes).unwrap();
-        let (report, traces) = Engine::new(mesh.clone(), cfg.clone()).run_traced(&program);
+        let engine = Engine::new(mesh.clone(), cfg.clone());
+        let lowered = engine.lower_program(&program);
+        let mut recorder = OpTraceRecorder::new(&lowered);
+        let report = engine
+            .run_observed(&lowered, &mut RunScratch::new(), None, &mut recorder)
+            .into_completed()
+            .expect("no failure was injected");
+        let traces = recorder.into_traces();
         worst = worst.max(report.makespan().as_secs());
         results.push((*name, program, report, traces));
     }

@@ -90,8 +90,11 @@ fn bench_scratch_reuse(c: &mut Criterion) {
         b.iter(|| engine.run(std::hint::black_box(&prog)))
     });
     let mut scratch = RunScratch::new();
-    group.bench_function("run_with_scratch", |b| {
-        b.iter(|| engine.run_with_scratch(std::hint::black_box(&prog), &mut scratch))
+    group.bench_function("lower_and_run_with_scratch", |b| {
+        b.iter(|| {
+            let lowered = engine.lower_program(std::hint::black_box(&prog));
+            engine.run_lowered_with_scratch(&lowered, &mut scratch)
+        })
     });
     group.bench_function("run_lowered_with_scratch", |b| {
         b.iter(|| engine.run_lowered_with_scratch(std::hint::black_box(&lowered), &mut scratch))

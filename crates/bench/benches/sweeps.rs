@@ -157,10 +157,12 @@ fn scratch_microbench(iters: usize) -> Json {
         }
         last
     });
+    // Lowering on every run, reusing only the scratch buffers.
     let (scratch_report, with_scratch) = timed(|| {
-        let mut last = engine.run_with_scratch(&program, &mut scratch);
+        let mut last =
+            engine.run_lowered_with_scratch(&engine.lower_program(&program), &mut scratch);
         for _ in 1..iters {
-            last = engine.run_with_scratch(&program, &mut scratch);
+            last = engine.run_lowered_with_scratch(&engine.lower_program(&program), &mut scratch);
         }
         last
     });

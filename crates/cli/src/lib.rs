@@ -51,7 +51,9 @@ use meshslice_serving::{
     RouterPolicy, ScreenPolicy, ServingSpec, ServingTuning, ShedPolicy, TuneMode,
     DEFAULT_SEGMENT_SECS,
 };
-use meshslice_sim::{NodeSpan, OpKind, Program};
+use meshslice_sim::{
+    NodeSpan, OpKind, Program, RunScratch, RunTimeline, SimReport, SpanRecorder, TimelineRecorder,
+};
 use meshslice_telemetry::{
     is_serving_artifact, FleetDiff, Json, PathKind, RunDiff, RunMetrics, BUCKET_LABELS,
 };
@@ -533,6 +535,39 @@ fn parse_chips(s: &str) -> Result<usize, UsageError> {
     Ok(n)
 }
 
+/// Rejects chip counts below the two that weak scaling needs
+/// ([`TrainingSetup::weak_scaling`] panics on them).
+fn weak_scaling_chips(chips: usize) -> Result<usize, UsageError> {
+    if chips < 2 {
+        return Err(UsageError(format!(
+            "weak scaling needs at least 2 chips, got {chips}"
+        )));
+    }
+    Ok(chips)
+}
+
+/// Rejects `chips` unless one of `meshes` divides every weak-scaled FC
+/// GeMM of `model` ([`Autotuner::tune`] panics when none does).
+fn plannable_chips(model: Model, chips: usize, meshes: &[MeshShape]) -> Result<usize, UsageError> {
+    let setup = TrainingSetup::weak_scaling(weak_scaling_chips(chips)?);
+    let (config, tuner) = (model.config(), Autotuner::new(SimConfig::tpu_v4()));
+    if meshes
+        .iter()
+        .any(|&mesh| tuner.estimate_on_mesh(&config, setup, mesh).is_some())
+    {
+        return Ok(chips);
+    }
+    Err(UsageError(format!(
+        "no {chips}-chip mesh shape divides the FC GeMMs of {}",
+        model.name()
+    )))
+}
+
+/// [`plannable_chips`] over every mesh shape the autotuner considers.
+fn tunable_chips(model: Model, chips: usize) -> Result<usize, UsageError> {
+    plannable_chips(model, chips, &Autotuner::candidate_meshes(chips))
+}
+
 fn parse_f64(s: &str, what: &str) -> Result<f64, UsageError> {
     s.parse()
         .map_err(|_| UsageError(format!("invalid {what} '{s}'")))
@@ -571,6 +606,7 @@ fn parse_faults(args: &[String]) -> Result<Command, UsageError> {
     if seeds == 0 {
         return Err(UsageError("seed count must be positive".into()));
     }
+    tunable_chips(model, chips)?;
     Ok(Command::Faults {
         model,
         chips,
@@ -610,6 +646,7 @@ fn parse_resilience(args: &[String]) -> Result<Command, UsageError> {
     if steps == 0 {
         return Err(UsageError("step count must be positive".into()));
     }
+    tunable_chips(model, chips)?;
     Ok(Command::Resilience {
         model,
         chips,
@@ -638,6 +675,7 @@ fn parse_trace(args: &[String]) -> Result<Command, UsageError> {
             other => return Err(UsageError(format!("unknown flag '{other}'"))),
         }
     }
+    weak_scaling_chips(mesh.num_chips())?;
     Ok(Command::Trace {
         model,
         mesh,
@@ -685,6 +723,7 @@ fn parse_metrics(args: &[String]) -> Result<Command, UsageError> {
     if s == Some(0) {
         return Err(UsageError("slice count must be positive".into()));
     }
+    weak_scaling_chips(mesh.num_chips())?;
     Ok(Command::Metrics {
         model,
         mesh,
@@ -889,10 +928,11 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             .ok_or_else(|| UsageError(format!("missing argument: {what}")))
     };
     match cmd {
-        "autotune" => Ok(Command::Autotune {
-            model: parse_model(need("model")?)?,
-            chips: parse_chips(need("chips")?)?,
-        }),
+        "autotune" => {
+            let model = parse_model(need("model")?)?;
+            let chips = tunable_chips(model, parse_chips(need("chips")?)?)?;
+            Ok(Command::Autotune { model, chips })
+        }
         // `compare` is overloaded: two model/chips positionals simulate
         // the algorithm comparison; two non-model arguments are treated
         // as metric-artifact paths and diffed.
@@ -902,7 +942,7 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             match parse_model(first) {
                 Ok(model) => Ok(Command::Compare {
                     model,
-                    chips: parse_chips(second)?,
+                    chips: tunable_chips(model, parse_chips(second)?)?,
                 }),
                 Err(_) => Ok(Command::CompareRuns {
                     a: first.to_string(),
@@ -912,12 +952,14 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         }
         "sweep-mesh" => Ok(Command::SweepMesh {
             model: parse_model(need("model")?)?,
-            chips: parse_chips(need("chips")?)?,
+            chips: weak_scaling_chips(parse_chips(need("chips")?)?)?,
         }),
-        "sweep-slice" => Ok(Command::SweepSlice {
-            model: parse_model(need("model")?)?,
-            mesh: parse_mesh(need("mesh shape")?)?,
-        }),
+        "sweep-slice" => {
+            let model = parse_model(need("model")?)?;
+            let mesh = parse_mesh(need("mesh shape")?)?;
+            plannable_chips(model, mesh.num_chips(), &[mesh])?;
+            Ok(Command::SweepSlice { model, mesh })
+        }
         "plan3d" => {
             let model = parse_model(need("model")?)?;
             let chips = parse_chips(need("chips")?)?;
@@ -931,10 +973,11 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 batch,
             })
         }
-        "memory" => Ok(Command::Memory {
-            model: parse_model(need("model")?)?,
-            chips: parse_chips(need("chips")?)?,
-        }),
+        "memory" => {
+            let model = parse_model(need("model")?)?;
+            let chips = tunable_chips(model, parse_chips(need("chips")?)?)?;
+            Ok(Command::Memory { model, chips })
+        }
         "inference" => Ok(Command::Inference {
             model: parse_model(need("model")?)?,
             chips: parse_chips(need("chips")?)?,
@@ -1494,7 +1537,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     "no legal MeshSlice schedule for {model} FC1 on mesh {mesh}"
                 ));
             };
-            let (report, spans) = Engine::new(torus, cfg.clone()).run_spans(&program);
+            let (report, spans, _) = run_recorded(&Engine::new(torus, cfg.clone()), &program);
             let json = if sort {
                 chrome_trace_json_sorted(&program, &spans)
             } else {
@@ -1842,12 +1885,28 @@ pub fn fc1_metrics(
     let torus = Torus2d::from_shape(mesh);
     let problem = fc1_problem(&config, mesh);
     let program = schedule_fc1_at(&torus, problem, s, cfg.elem_bytes)?;
-    let (report, spans, timeline) = Engine::new(torus, cfg.clone()).run_instrumented(&program);
+    let (report, spans, timeline) = run_recorded(&Engine::new(torus, cfg.clone()), &program);
     Some(
         RunMetrics::collect(&report, &spans, &timeline, program.len(), windows)
             .with_meta("model", model.name())
             .with_meta("mesh", &mesh.to_string())
             .with_meta("slice_count", &s.to_string()),
+    )
+}
+
+/// Runs `program` once on `engine`, recording its lane spans and realized
+/// timeline — the one engine path behind `trace` and `metrics`.
+fn run_recorded(engine: &Engine, program: &Program) -> (SimReport, Vec<NodeSpan>, RunTimeline) {
+    let lowered = engine.lower_program(program);
+    let mut recorders = (SpanRecorder::new(&lowered), TimelineRecorder::new(&lowered));
+    let report = engine
+        .run_observed(&lowered, &mut RunScratch::new(), None, &mut recorders)
+        .into_completed()
+        .expect("no failure was injected");
+    (
+        report,
+        recorders.0.into_spans(),
+        recorders.1.into_timeline(),
     )
 }
 
@@ -2002,6 +2061,27 @@ mod tests {
         assert!(parse(&args("autotune gpt3")).is_err());
         assert!(parse(&args("sweep-slice gpt3 328")).is_err());
         assert!(parse(&args("frobnicate")).is_err());
+    }
+
+    #[test]
+    fn untunable_chip_counts_are_usage_errors_not_panics() {
+        // Each of these used to reach a library panic: no feasible mesh
+        // shape in `Autotuner::tune`, or fewer than the two chips
+        // `TrainingSetup::weak_scaling` needs.
+        for line in [
+            "autotune gpt3 7",
+            "compare gpt3 7",
+            "memory gpt3 7",
+            "autotune gpt3 3",
+            "autotune gpt3 1",
+            "sweep-mesh gpt3 1",
+            "sweep-slice gpt3 1x1",
+            "trace --model gpt3 --mesh 1x1",
+            "metrics --model gpt3 --mesh 1x1",
+        ] {
+            let err = parse(&args(line)).map(execute).expect_err(line);
+            assert!(err.to_string().contains("USAGE"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -2269,8 +2349,8 @@ mod tests {
         let problem = fc1_problem(&Model::Gpt3.config(), mesh);
         let program = schedule_fc1_at(&torus, problem, 2, cfg.elem_bytes).unwrap();
         let engine = Engine::new(torus, cfg);
-        let (_, spans_a) = engine.run_spans(&program);
-        let (_, spans_b) = engine.run_spans(&program);
+        let (_, spans_a, _) = run_recorded(&engine, &program);
+        let (_, spans_b, _) = run_recorded(&engine, &program);
         let a = chrome_trace_json_sorted(&program, &spans_a);
         assert_eq!(a, chrome_trace_json_sorted(&program, &spans_b));
         assert!(a.contains("\"name\":\"process_sort_index\""));

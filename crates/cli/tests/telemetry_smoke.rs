@@ -70,7 +70,7 @@ fn trace_events_are_well_formed_json() {
     use meshslice::llm::{LlmConfig, TrainingSetup};
     use meshslice::{Dataflow, DistributedGemm, GemmProblem, GemmShape, MeshSlice};
     use meshslice_mesh::Torus2d;
-    use meshslice_sim::Engine;
+    use meshslice_sim::{Engine, RunScratch, SpanRecorder};
 
     let cfg = SimConfig::tpu_v4();
     let mesh = MeshShape::new(2, 2);
@@ -84,7 +84,11 @@ fn trace_events_are_well_formed_json() {
     let program = MeshSlice::new(2, 8)
         .schedule(&torus, problem, cfg.elem_bytes)
         .expect("schedules");
-    let (_, spans) = Engine::new(torus, cfg).run_spans(&program);
+    let engine = Engine::new(torus, cfg);
+    let lowered = engine.lower_program(&program);
+    let mut recorder = SpanRecorder::new(&lowered);
+    engine.run_observed(&lowered, &mut RunScratch::new(), None, &mut recorder);
+    let spans = recorder.into_spans();
 
     for json in [
         chrome_trace_json(&program, &spans),

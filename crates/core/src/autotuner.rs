@@ -701,7 +701,7 @@ impl Autotuner {
             |scratch, &(problem, s)| {
                 let algo = self.meshslice_for(mesh_shape, problem, s);
                 let program = algo.schedule(&mesh, problem, eb).ok()?;
-                Some(engine.run_with_scratch(&program, scratch))
+                Some(engine.run_lowered_with_scratch(&engine.lower_program(&program), scratch))
             },
         );
         let sims: Vec<Option<SimReport>> =

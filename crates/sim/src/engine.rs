@@ -3,156 +3,17 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use meshslice_mesh::{ChipId, LinkDir, Torus2d};
+use meshslice_mesh::{ChipId, Torus2d};
 
 use crate::config::{NetworkModel, SimConfig};
 use crate::failure::{AbortInfo, ChipFailure, FailureOutcome};
 use crate::hbm::HbmChannel;
 use crate::lower::{lower, Category, ExecGraph, Resource};
+use crate::observe::EngineObserver;
 use crate::perturb::ClusterProfile;
-use crate::program::{OpId, Program};
+use crate::program::Program;
 use crate::report::{SimReport, TimeBreakdown};
 use crate::time::Duration;
-
-/// Completion record of one program operation (from
-/// [`Engine::run_traced`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OpTrace {
-    /// The operation.
-    pub op: OpId,
-    /// The chip it ran on.
-    pub chip: meshslice_mesh::ChipId,
-    /// Simulation time at which the operation completed.
-    pub completed: Duration,
-}
-
-/// The execution lane a trace span occupies on its chip.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanTrack {
-    /// The chip's compute unit.
-    Compute,
-    /// One of the four ICI link directions.
-    Link(LinkDir),
-    /// No exclusive resource (launch overheads, join points).
-    Host,
-}
-
-impl SpanTrack {
-    /// A stable per-chip lane index (compute, four links, host).
-    pub fn lane(&self) -> usize {
-        match self {
-            SpanTrack::Compute => 0,
-            SpanTrack::Link(dir) => 1 + dir.index(),
-            SpanTrack::Host => 5,
-        }
-    }
-
-    /// Human-readable lane label.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpanTrack::Compute => "compute",
-            SpanTrack::Link(LinkDir::RowPlus) => "link row+",
-            SpanTrack::Link(LinkDir::RowMinus) => "link row-",
-            SpanTrack::Link(LinkDir::ColPlus) => "link col+",
-            SpanTrack::Link(LinkDir::ColMinus) => "link col-",
-            SpanTrack::Host => "host",
-        }
-    }
-}
-
-/// What kind of work a trace span performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanKind {
-    /// A GeMM kernel.
-    Compute,
-    /// A slicing / layout-change copy kernel.
-    Slice,
-    /// Communication launch overhead.
-    CommLaunch,
-    /// A ring-step (or pipelined-broadcast) transfer.
-    CommTransfer,
-}
-
-impl SpanKind {
-    /// Human-readable category label (matches the report buckets).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpanKind::Compute => "compute",
-            SpanKind::Slice => "slice",
-            SpanKind::CommLaunch => "comm_launch",
-            SpanKind::CommTransfer => "comm_transfer",
-        }
-    }
-}
-
-/// One busy interval of one execution lane, from
-/// [`Engine::run_spans`]. Spans carry the program op they belong to, so a
-/// timeline can be labeled with op-level names.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeSpan {
-    /// The program operation this span was lowered from.
-    pub op: OpId,
-    /// The chip the span ran on.
-    pub chip: ChipId,
-    /// The lane it occupied.
-    pub track: SpanTrack,
-    /// The kind of work performed.
-    pub kind: SpanKind,
-    /// Busy-interval start (after any synchronization delay).
-    pub start: Duration,
-    /// Busy-interval end.
-    pub end: Duration,
-}
-
-/// The realized schedule of one lowered node, from
-/// [`Engine::run_instrumented`].
-///
-/// A record captures every instant that matters for critical-path
-/// analysis: when the node's dependencies were satisfied (`ready`), when it
-/// acquired its exclusive resource (`acquired`), when its synchronization
-/// delay elapsed and the busy interval began (`busy_start`), and when it
-/// completed (`finish`). `deps` are indices into the same record vector;
-/// `res_pred` names the node that released this node's resource to it, when
-/// the node had to queue for the resource.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeRecord {
-    /// The program operation this node was lowered from.
-    pub op: OpId,
-    /// The chip the node ran on.
-    pub chip: ChipId,
-    /// The execution lane it occupied.
-    pub track: SpanTrack,
-    /// The kind of work performed while busy.
-    pub kind: SpanKind,
-    /// Synchronization delay paid after acquiring the resource.
-    pub sync: Duration,
-    /// When the last dependency completed.
-    pub ready: Duration,
-    /// When the node acquired its resource (equals `ready` unless it
-    /// queued).
-    pub acquired: Duration,
-    /// When the busy interval began (`acquired` plus the sync delay).
-    pub busy_start: Duration,
-    /// When the node completed.
-    pub finish: Duration,
-    /// Dependency node indices (into [`RunTimeline::nodes`]).
-    pub deps: Vec<usize>,
-    /// The node that handed this node its resource, if it had to wait.
-    pub res_pred: Option<usize>,
-}
-
-/// The full realized schedule of a run: one [`NodeRecord`] per lowered
-/// node, in lowering order. Produced by [`Engine::run_instrumented`]; the
-/// raw material for critical-path extraction and slack analysis.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunTimeline {
-    /// Per-node records, indexed by lowered-node id.
-    pub nodes: Vec<NodeRecord>,
-    /// Node indices in the order they completed. A valid topological
-    /// order of both dependency and resource-handoff edges; its reverse
-    /// drives the backward (slack) pass.
-    pub finish_seq: Vec<usize>,
-}
 
 /// Executes [`Program`]s on a simulated cluster.
 ///
@@ -188,13 +49,13 @@ pub struct Engine {
 /// across threads (`LoweredProgram` is `Send + Sync`).
 ///
 /// Produced by [`Engine::lower_program`]; consumed by
-/// [`Engine::run_lowered`] and [`Engine::run_lowered_with_scratch`].
+/// [`Engine::run_lowered_with_scratch`] and [`Engine::run_observed`].
 #[derive(Clone, Debug)]
 pub struct LoweredProgram {
-    graph: ExecGraph,
+    pub(crate) graph: ExecGraph,
     /// Per-node hot fields, packed for cache locality: the event loop
     /// touches only this copy; the full [`ExecGraph`] nodes are read only
-    /// when building traces and timelines.
+    /// by failure detection and the recorders.
     hot: Vec<HotNode>,
     /// Reverse dependency lists in CSR form: the dependents of node `i`
     /// are `dep_targets[dep_starts[i]..dep_starts[i + 1]]`.
@@ -205,7 +66,7 @@ pub struct LoweredProgram {
     /// Nodes with no dependencies, in index order.
     roots: Vec<usize>,
     /// Chip of each program op, for trace attribution.
-    op_chips: Vec<ChipId>,
+    pub(crate) op_chips: Vec<ChipId>,
     total_flops: u64,
     num_chips: usize,
 }
@@ -230,19 +91,14 @@ impl LoweredProgram {
     pub fn num_nodes(&self) -> usize {
         self.graph.nodes.len()
     }
-
-    /// Number of program operations.
-    pub fn num_ops(&self) -> usize {
-        self.op_chips.len()
-    }
 }
 
-/// Reusable run-state buffers for [`Engine::run_with_scratch`] and
-/// [`Engine::run_lowered_with_scratch`].
+/// Reusable run-state buffers for [`Engine::run_lowered_with_scratch`]
+/// and [`Engine::run_observed`].
 ///
-/// A run clears and refills these buffers instead of allocating ~20 fresh
-/// `Vec`s; results are bit-for-bit identical to a fresh-allocation run.
-/// A scratch is not tied to any engine, mesh, or program — the same value
+/// A run clears and refills these buffers instead of allocating a dozen
+/// fresh `Vec`s; results are bit-for-bit identical to a fresh-allocation
+/// run. A scratch is not tied to any engine, mesh, or program — the same value
 /// can serve runs of any size in sequence (but not concurrently: use one
 /// scratch per worker thread).
 #[derive(Debug, Default)]
@@ -251,19 +107,24 @@ pub struct RunScratch {
     phase: Vec<Phase>,
     compute_units: Vec<ResourceState>,
     links: Vec<[ResourceState; 4]>,
+    /// Fluid channels: one HBM per chip, then the shared fabric in
+    /// logical-mesh mode. A channel's index is its wake slot.
     hbm: Vec<HbmChannel>,
     heap: BinaryHeap<Reverse<(crate::time::Time, u64, Event)>>,
+    /// Pending channel wake-ups, one replaceable slot per channel (the
+    /// fabric's slot is the chip count). Kept out of `heap` so channel
+    /// reconfigurations replace their wake instead of piling stale entries.
     wakes: WakeQueue,
+    /// Spare buffers for flow-completion batches (take/put-back; a pool
+    /// because completion handling can recursively drain more flows).
     done_pool: Vec<Vec<usize>>,
-    finish_time: Vec<f64>,
-    spans: Vec<NodeSpan>,
-    ready_time: Vec<f64>,
-    acquire_time: Vec<f64>,
     busy_start_time: Vec<f64>,
-    res_pred: Vec<Option<usize>>,
-    finish_seq: Vec<usize>,
+    /// Per-chip completed compute-unit busy time (the cumulative measure
+    /// used for overlap accounting; always on, O(1) per node).
     compute_cum: Vec<f64>,
+    /// Busy-interval start of the chip's currently active compute node.
     compute_since: Vec<Option<f64>>,
+    /// Compute measure snapshot taken when a transfer node went busy.
     overlap_at_start: Vec<f64>,
 }
 
@@ -289,10 +150,6 @@ enum Event {
     SyncDone(usize),
     /// The fixed busy timer of a node elapsed.
     TimerDone(usize),
-    /// A chip's HBM channel may have completed flows.
-    HbmWake { chip: usize, version: u64 },
-    /// The shared fabric may have completed flows.
-    FabricWake { version: u64 },
     /// A link-outage window of one chip starts or ends: in-flight
     /// transfers on that chip's links must be re-rated.
     FaultEdge { chip: usize },
@@ -305,9 +162,9 @@ enum Event {
     FailTimeout,
 }
 
-/// Permanent-failure bookkeeping of one run (present only on the
-/// [`Engine::run_with_failure`] path; `None` keeps the normal path
-/// structurally unchanged).
+/// Permanent-failure bookkeeping of one run (present only when
+/// [`Engine::run_observed`] is given a failure; `None` keeps the normal
+/// path structurally unchanged).
 #[derive(Clone, Copy, Debug)]
 struct FailCtx {
     /// The chip that dies.
@@ -455,58 +312,28 @@ impl WakeQueue {
     }
 }
 
-struct Run<'a> {
+/// The state of one run. The scratch buffers are moved in for the run
+/// and handed back after it.
+struct Run<'a, O> {
     nodes: &'a ExecGraph,
     /// Packed per-node hot fields (see [`HotNode`]); `nodes` is only read
-    /// for trace/span attribution.
+    /// by failure detection.
     hot: &'a [HotNode],
     /// Active variability profile. `None` when the config carries no
     /// profile *or* an ideal one — the fault hooks then cost nothing and
     /// the simulation is bit-for-bit the unperturbed one.
     profile: Option<&'a ClusterProfile>,
-    deps_left: Vec<u32>,
+    /// The caller's scratch, reset for this run.
+    s: RunScratch,
     dep_starts: &'a [u32],
     dep_targets: &'a [u32],
-    phase: Vec<Phase>,
-    compute_units: Vec<ResourceState>,
-    links: Vec<[ResourceState; 4]>,
-    hbm: Vec<HbmChannel>,
-    /// Fluid channel of the shared fabric (logical-mesh mode only).
-    fabric: Option<HbmChannel>,
-    heap: BinaryHeap<Reverse<(crate::time::Time, u64, Event)>>,
-    /// Pending channel wake-ups, one replaceable slot per HBM channel plus
-    /// one for the fabric (slot `hbm.len()`). Kept out of `heap` so channel
-    /// reconfigurations replace their wake instead of piling stale entries.
-    wakes: WakeQueue,
-    /// Spare buffers for flow-completion batches (take/put-back; a pool
-    /// because completion handling can recursively drain more flows).
-    done_pool: Vec<Vec<usize>>,
+    /// Wake slot of the shared fabric's channel in `s.hbm` (logical-mesh
+    /// mode only).
+    fabric: Option<usize>,
     seq: u64,
     makespan: f64,
     buckets: Buckets,
     completed: usize,
-    finish_time: Vec<f64>,
-    /// When set, every finished busy interval is recorded as a span.
-    collect_spans: bool,
-    /// When set, per-node schedule instants (`ready_time`, `acquire_time`,
-    /// `res_pred`, `finish_seq`) are maintained for [`RunTimeline`].
-    collect_nodes: bool,
-    /// When set, per-node finish times are maintained (op traces and
-    /// timelines need them; plain report-only runs skip the stores).
-    collect_finish: bool,
-    spans: Vec<NodeSpan>,
-    ready_time: Vec<f64>,
-    acquire_time: Vec<f64>,
-    busy_start_time: Vec<f64>,
-    res_pred: Vec<Option<usize>>,
-    finish_seq: Vec<usize>,
-    /// Per-chip completed compute-unit busy time (the cumulative measure
-    /// used for overlap accounting; always on, O(1) per node).
-    compute_cum: Vec<f64>,
-    /// Busy-interval start of the chip's currently active compute node.
-    compute_since: Vec<Option<f64>>,
-    /// Compute measure snapshot taken when a transfer node went busy.
-    overlap_at_start: Vec<f64>,
     /// Total comm-transfer busy time that ran while the same chip's
     /// compute unit was busy (the paper's "hidden" communication).
     overlapped: f64,
@@ -515,6 +342,7 @@ struct Run<'a> {
     /// Detection time once a watchdog fires; set at most once, and the
     /// event loop stops at it.
     aborted: Option<f64>,
+    obs: &'a mut O,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -554,32 +382,20 @@ impl Engine {
         }
     }
 
-    /// Runs a program to completion and reports timing.
+    /// Runs a program to completion and reports timing: lowers it, then
+    /// runs it on fresh scratch buffers.
     ///
     /// # Panics
     ///
     /// Panics if the program deadlocks (a dependency cycle), which would
     /// indicate a bug in the schedule builder.
     pub fn run(&self, program: &Program) -> SimReport {
-        self.run_traced(program).0
-    }
-
-    /// Like [`run`](Self::run), but clears and reuses the caller's
-    /// [`RunScratch`] buffers instead of allocating fresh run state —
-    /// the fast path for sweeps that execute thousands of programs.
-    /// Results are bit-for-bit identical to [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program deadlocks (a dependency cycle).
-    pub fn run_with_scratch(&self, program: &Program, scratch: &mut RunScratch) -> SimReport {
-        let lowered = self.lower_program(program);
-        self.run_lowered_with_scratch(&lowered, scratch)
+        self.run_lowered_with_scratch(&self.lower_program(program), &mut RunScratch::new())
     }
 
     /// Validates and lowers a program once, for repeated execution via
-    /// [`run_lowered`](Self::run_lowered) /
-    /// [`run_lowered_with_scratch`](Self::run_lowered_with_scratch).
+    /// [`run_lowered_with_scratch`](Self::run_lowered_with_scratch) /
+    /// [`run_observed`](Self::run_observed).
     ///
     /// The lowered form does not depend on [`SimConfig::faults`], so it can
     /// be reused across engines that differ only in their fault profile.
@@ -641,17 +457,6 @@ impl Engine {
         }
     }
 
-    /// Runs a pre-lowered program to completion and reports timing.
-    /// Bit-for-bit identical to [`run`](Self::run) on the source program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lowered program was built for a mesh of a different
-    /// size, or if the program deadlocks.
-    pub fn run_lowered(&self, lowered: &LoweredProgram) -> SimReport {
-        self.run_lowered_with_scratch(lowered, &mut RunScratch::default())
-    }
-
     /// Runs a pre-lowered program reusing the caller's scratch buffers —
     /// the hottest path: no validation, no lowering, no run-state
     /// allocation. Bit-for-bit identical to [`run`](Self::run).
@@ -665,147 +470,46 @@ impl Engine {
         lowered: &LoweredProgram,
         scratch: &mut RunScratch,
     ) -> SimReport {
-        let (report, _, _, _, _) =
-            self.run_lowered_inner(lowered, scratch, false, false, false, None);
-        report
+        self.run_observed(lowered, scratch, None, &mut ())
+            .into_completed()
+            .expect("a run without an injected failure never aborts")
     }
 
-    /// Runs a program that may be interrupted by a permanent chip
-    /// failure at `failure.at`.
+    /// Runs a pre-lowered program on the caller's scratch buffers, under
+    /// an optional permanent chip failure, reporting every schedule
+    /// instant to `observer` (see [`EngineObserver`]; `()` observes
+    /// nothing). The observer cannot change the run: the outcome is
+    /// bit-for-bit the same whatever observer is attached.
     ///
-    /// The failed chip freezes at the failure instant: in-flight work
-    /// stalls forever and nothing new starts there. Surviving chips keep
-    /// executing until one of them blocks with every remaining dependency
-    /// on the dead chip — the per-ring-step neighbor sync that would have
-    /// released it never arrives — and a watchdog declares the failure
-    /// detected `sync_timeout` seconds after that stall. The run then
-    /// aborts with an [`AbortInfo`]. If no live node ever depends on the
-    /// dead chip, the end-of-run barrier detects the missing chip one
-    /// timeout after the last live completion instead.
+    /// `failure` is a [`ChipFailure`] and the neighbor-sync timeout, in
+    /// seconds. The failed chip freezes at the failure instant: in-flight
+    /// work stalls forever and nothing new starts there. Surviving chips
+    /// keep executing until one of them blocks with every remaining
+    /// dependency on the dead chip — the per-ring-step neighbor sync that
+    /// would have released it never arrives — and a watchdog declares the
+    /// failure detected one timeout after that stall. The run then aborts
+    /// with an [`AbortInfo`]. If no live node ever depends on the dead
+    /// chip, the end-of-run barrier detects the missing chip one timeout
+    /// after the last live completion instead.
     ///
-    /// A failure at or after natural completion returns
+    /// A failure at or after natural completion (or none at all) returns
     /// [`FailureOutcome::Completed`] with a report **bit-for-bit
     /// identical** to [`run`](Self::run) — the failure path adds no
     /// floating-point work to unaffected runs.
     ///
     /// # Panics
     ///
-    /// Panics if `failure.chip` is outside the mesh, `failure.at` is not
-    /// finite and non-negative, or `sync_timeout` is negative.
-    pub fn run_with_failure(
-        &self,
-        program: &Program,
-        failure: ChipFailure,
-        sync_timeout: f64,
-    ) -> FailureOutcome {
-        let lowered = self.lower_program(program);
-        self.run_lowered_with_failure(&lowered, &mut RunScratch::default(), failure, sync_timeout)
-    }
-
-    /// Pre-lowered, scratch-reusing variant of
-    /// [`run_with_failure`](Self::run_with_failure) — the sweep hot path.
-    pub fn run_lowered_with_failure(
+    /// Panics if the lowered program or the fault profile was built for a
+    /// mesh of a different size, if the failed chip is outside the mesh,
+    /// if the failure time or timeout is not finite and non-negative, or
+    /// if a run without a failure deadlocks.
+    pub fn run_observed<O: EngineObserver>(
         &self,
         lowered: &LoweredProgram,
         scratch: &mut RunScratch,
-        failure: ChipFailure,
-        sync_timeout: f64,
-    ) -> FailureOutcome {
-        let (report, _, _, _, abort) = self.run_lowered_inner(
-            lowered,
-            scratch,
-            false,
-            false,
-            false,
-            Some((failure, sync_timeout)),
-        );
-        match abort {
-            Some(info) => FailureOutcome::Aborted(info),
-            None => FailureOutcome::Completed(report),
-        }
-    }
-
-    /// Like [`run_spans`](Self::run_spans), but additionally returns the
-    /// full realized schedule: one [`NodeRecord`] per lowered node with
-    /// ready/acquire/busy/finish instants, dependency edges, and resource
-    /// handoffs — everything critical-path extraction needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program deadlocks.
-    pub fn run_instrumented(&self, program: &Program) -> (SimReport, Vec<NodeSpan>, RunTimeline) {
-        let (report, _, mut spans, timeline) = self.run_inner(program, true, true);
-        spans.sort_by(|a, b| {
-            (a.chip.index(), a.track.lane())
-                .cmp(&(b.chip.index(), b.track.lane()))
-                .then(a.start.as_secs().total_cmp(&b.start.as_secs()))
-        });
-        (report, spans, timeline)
-    }
-
-    /// Like [`run`](Self::run), but also returns the completion time of
-    /// every program operation — useful for timeline visualization and
-    /// for debugging schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program deadlocks.
-    pub fn run_traced(&self, program: &Program) -> (SimReport, Vec<OpTrace>) {
-        let (report, traces, _, _) = self.run_inner(program, false, false);
-        (report, traces)
-    }
-
-    /// Like [`run`](Self::run), but also returns every busy interval of
-    /// every execution lane (compute unit, link directions, host), sorted
-    /// by chip, lane, and start time — the raw material for a Chrome
-    /// trace-event timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program deadlocks.
-    pub fn run_spans(&self, program: &Program) -> (SimReport, Vec<NodeSpan>) {
-        let (report, _, mut spans, _) = self.run_inner(program, true, false);
-        spans.sort_by(|a, b| {
-            (a.chip.index(), a.track.lane())
-                .cmp(&(b.chip.index(), b.track.lane()))
-                .then(a.start.as_secs().total_cmp(&b.start.as_secs()))
-        });
-        (report, spans)
-    }
-
-    fn run_inner(
-        &self,
-        program: &Program,
-        collect_spans: bool,
-        collect_nodes: bool,
-    ) -> (SimReport, Vec<OpTrace>, Vec<NodeSpan>, RunTimeline) {
-        let lowered = self.lower_program(program);
-        let (report, traces, spans, timeline, _) = self.run_lowered_inner(
-            &lowered,
-            &mut RunScratch::default(),
-            collect_spans,
-            collect_nodes,
-            true,
-            None,
-        );
-        (report, traces, spans, timeline)
-    }
-
-    fn run_lowered_inner(
-        &self,
-        lowered: &LoweredProgram,
-        scratch: &mut RunScratch,
-        collect_spans: bool,
-        collect_nodes: bool,
-        collect_traces: bool,
         failure: Option<(ChipFailure, f64)>,
-    ) -> (
-        SimReport,
-        Vec<OpTrace>,
-        Vec<NodeSpan>,
-        RunTimeline,
-        Option<AbortInfo>,
-    ) {
+        observer: &mut O,
+    ) -> FailureOutcome {
         let n = lowered.graph.nodes.len();
         let chips = self.mesh.num_chips();
         if let Some((cf, timeout)) = &failure {
@@ -871,23 +575,20 @@ impl Engine {
         while scratch.hbm.len() < chips {
             scratch.hbm.push(HbmChannel::new(self.config.hbm_bandwidth));
         }
+        let fabric = match self.config.network {
+            NetworkModel::PhysicalTorus => None,
+            NetworkModel::SharedFabric {
+                bisection_bandwidth,
+            } => {
+                scratch.hbm.push(HbmChannel::new(bisection_bandwidth));
+                Some(chips)
+            }
+        };
         scratch.heap.clear();
         scratch.wakes.reset(chips + 1);
         for buf in &mut scratch.done_pool {
             buf.clear();
         }
-        let collect_finish = collect_traces || collect_nodes;
-        if collect_finish {
-            refill(&mut scratch.finish_time, n, 0.0);
-        }
-        scratch.spans.clear();
-        if collect_nodes {
-            refill(&mut scratch.ready_time, n, 0.0);
-            refill(&mut scratch.acquire_time, n, 0.0);
-            refill(&mut scratch.res_pred, n, None);
-            scratch.finish_seq.reserve(n);
-        }
-        scratch.finish_seq.clear();
         refill(&mut scratch.busy_start_time, n, 0.0);
         refill(&mut scratch.compute_cum, chips, 0.0);
         refill(&mut scratch.compute_since, chips, None);
@@ -897,39 +598,14 @@ impl Engine {
             nodes: &lowered.graph,
             hot: &lowered.hot,
             profile,
-            deps_left: std::mem::take(&mut scratch.deps_left),
+            s: std::mem::take(scratch),
             dep_starts: &lowered.dep_starts,
             dep_targets: &lowered.dep_targets,
-            phase: std::mem::take(&mut scratch.phase),
-            compute_units: std::mem::take(&mut scratch.compute_units),
-            links: std::mem::take(&mut scratch.links),
-            hbm: std::mem::take(&mut scratch.hbm),
-            fabric: match self.config.network {
-                NetworkModel::PhysicalTorus => None,
-                NetworkModel::SharedFabric {
-                    bisection_bandwidth,
-                } => Some(HbmChannel::new(bisection_bandwidth)),
-            },
-            heap: std::mem::take(&mut scratch.heap),
-            wakes: std::mem::take(&mut scratch.wakes),
-            done_pool: std::mem::take(&mut scratch.done_pool),
+            fabric,
             seq: 0,
             makespan: 0.0,
             buckets: Buckets::default(),
             completed: 0,
-            finish_time: std::mem::take(&mut scratch.finish_time),
-            collect_spans,
-            collect_nodes,
-            collect_finish,
-            spans: std::mem::take(&mut scratch.spans),
-            ready_time: std::mem::take(&mut scratch.ready_time),
-            acquire_time: std::mem::take(&mut scratch.acquire_time),
-            busy_start_time: std::mem::take(&mut scratch.busy_start_time),
-            res_pred: std::mem::take(&mut scratch.res_pred),
-            finish_seq: std::mem::take(&mut scratch.finish_seq),
-            compute_cum: std::mem::take(&mut scratch.compute_cum),
-            compute_since: std::mem::take(&mut scratch.compute_since),
-            overlap_at_start: std::mem::take(&mut scratch.overlap_at_start),
             overlapped: 0.0,
             failure: failure.map(|(cf, timeout)| FailCtx {
                 chip: cf.chip as u32,
@@ -938,6 +614,7 @@ impl Engine {
                 fired: false,
             }),
             aborted: None,
+            obs: observer,
         };
 
         // Outage boundaries are known up front; scheduling them as events
@@ -960,7 +637,7 @@ impl Engine {
         // further nodes ready (through the normal dependency path), which
         // must not be re-readied by this loop.
         for &i in &lowered.roots {
-            if run.phase[i] == Phase::Blocked {
+            if run.s.phase[i] == Phase::Blocked {
                 run.ready(i, 0.0);
             }
         }
@@ -974,8 +651,8 @@ impl Engine {
             if run.aborted.is_some() {
                 break;
             }
-            let main_key = run.heap.peek().map(|Reverse((t, s, _))| (*t, *s));
-            let wake_key = run.wakes.peek();
+            let main_key = run.s.heap.peek().map(|Reverse((t, s, _))| (*t, *s));
+            let wake_key = run.s.wakes.peek();
             let take_wake = match (main_key, wake_key) {
                 (None, None) => break,
                 (Some(_), None) => false,
@@ -984,18 +661,10 @@ impl Engine {
             };
             if take_wake {
                 let (t, _) = wake_key.expect("checked");
-                let (slot, version) = run.wakes.pop();
-                let event = if slot == run.hbm.len() {
-                    Event::FabricWake { version }
-                } else {
-                    Event::HbmWake {
-                        chip: slot,
-                        version,
-                    }
-                };
-                run.dispatch(event, t.as_secs());
+                let (slot, version) = run.s.wakes.pop();
+                run.wake(slot, version, t.as_secs());
             } else {
-                let Reverse((t, _, event)) = run.heap.pop().expect("checked");
+                let Reverse((t, _, event)) = run.s.heap.pop().expect("checked");
                 run.dispatch(event, t.as_secs());
             }
         }
@@ -1037,130 +706,26 @@ impl Engine {
             },
             Duration::from_secs(run.overlapped),
         );
-        let traces = if collect_traces {
-            lowered
-                .graph
-                .op_exit
-                .iter()
-                .enumerate()
-                .map(|(op_idx, &exit)| OpTrace {
-                    op: OpId(op_idx),
-                    chip: lowered.op_chips[op_idx],
-                    completed: Duration::from_secs(run.finish_time[exit]),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Dismantle the run and hand its buffers back to the scratch.
-        // Buffers that leave as part of a returned artifact (spans,
-        // finish_seq of an instrumented run) are moved out instead; the
-        // scratch re-grows them on the next collecting run.
-        let Run {
-            deps_left,
-            phase,
-            compute_units,
-            links,
-            hbm,
-            heap,
-            wakes,
-            done_pool,
-            finish_time,
-            spans,
-            ready_time,
-            acquire_time,
-            busy_start_time,
-            res_pred,
-            finish_seq,
-            compute_cum,
-            compute_since,
-            overlap_at_start,
-            ..
-        } = run;
-
-        let timeline = if collect_nodes {
-            let nodes = lowered
-                .graph
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, node)| NodeRecord {
-                    op: OpId(node.op),
-                    chip: ChipId(node.chip),
-                    track: match node.resource {
-                        Resource::Compute => SpanTrack::Compute,
-                        Resource::Link(dir) => SpanTrack::Link(dir),
-                        Resource::None => SpanTrack::Host,
-                    },
-                    kind: match node.category {
-                        Category::Compute => SpanKind::Compute,
-                        Category::Slice => SpanKind::Slice,
-                        Category::CommLaunch => SpanKind::CommLaunch,
-                        Category::CommTransfer => SpanKind::CommTransfer,
-                    },
-                    sync: Duration::from_secs(node.sync),
-                    ready: Duration::from_secs(ready_time[i]),
-                    acquired: Duration::from_secs(acquire_time[i]),
-                    busy_start: Duration::from_secs(busy_start_time[i]),
-                    finish: Duration::from_secs(finish_time[i]),
-                    deps: node.deps.clone(),
-                    res_pred: res_pred[i],
-                })
-                .collect();
-            RunTimeline { nodes, finish_seq }
-        } else {
-            scratch.finish_seq = finish_seq;
-            RunTimeline {
-                nodes: Vec::new(),
-                finish_seq: Vec::new(),
-            }
-        };
-        scratch.deps_left = deps_left;
-        scratch.phase = phase;
-        scratch.compute_units = compute_units;
-        scratch.links = links;
-        scratch.hbm = hbm;
-        scratch.heap = heap;
-        scratch.wakes = wakes;
-        scratch.done_pool = done_pool;
-        scratch.finish_time = finish_time;
-        scratch.ready_time = ready_time;
-        scratch.acquire_time = acquire_time;
-        scratch.busy_start_time = busy_start_time;
-        scratch.res_pred = res_pred;
-        scratch.compute_cum = compute_cum;
-        scratch.compute_since = compute_since;
-        scratch.overlap_at_start = overlap_at_start;
-        (report, traces, spans, timeline, abort)
+        *scratch = run.s;
+        match abort {
+            Some(info) => FailureOutcome::Aborted(info),
+            None => FailureOutcome::Completed(report),
+        }
     }
 }
 
-impl<'a> Run<'a> {
+impl<O: EngineObserver> Run<'_, O> {
     fn schedule(&mut self, t: f64, event: Event) {
         self.seq += 1;
-        self.heap
+        self.s
+            .heap
             .push(Reverse((crate::time::Time::from_secs(t), self.seq, event)));
-    }
-
-    /// Grabs a spare completion buffer (empty) from the pool.
-    fn grab_done(&mut self) -> Vec<usize> {
-        self.done_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a completion buffer to the pool for reuse.
-    fn release_done(&mut self, mut buf: Vec<usize>) {
-        buf.clear();
-        self.done_pool.push(buf);
     }
 
     /// Whether `node` lives on the dead chip of a fired failure.
     #[inline]
     fn node_frozen(&self, node: usize) -> bool {
-        match &self.failure {
-            Some(f) => f.fired && self.hot[node].chip == f.chip,
-            None => false,
-        }
+        self.chip_dead(self.hot[node].chip as usize)
     }
 
     /// Whether `chip` is the dead chip of a fired failure.
@@ -1172,52 +737,44 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Settles channel `slot` up to `t` and completes the flows that
+    /// finished. Completion buffers come from a pool because completing a
+    /// node can recursively settle more channels. Forced inline, like
+    /// `reschedule`: without it the wake and busy paths of the event loop
+    /// measurably slow down.
+    #[inline(always)]
+    fn settle(&mut self, slot: usize, t: f64) {
+        self.s.hbm[slot].advance(t);
+        let mut done = self.s.done_pool.pop().unwrap_or_default();
+        self.s.hbm[slot].take_completed_into(&mut done);
+        for &node in &done {
+            self.part_done(node, t);
+        }
+        done.clear();
+        self.s.done_pool.push(done);
+    }
+
+    /// A wake-up of channel `slot`: completes its finished flows unless
+    /// the wake is stale or the channel belongs to the dead chip (frozen).
+    fn wake(&mut self, slot: usize, version: u64, t: f64) {
+        if self.chip_dead(slot) || self.s.hbm[slot].version() != version {
+            return;
+        }
+        self.settle(slot, t);
+        self.reschedule(slot, t);
+    }
+
     fn dispatch(&mut self, event: Event, t: f64) {
         match event {
             Event::SyncDone(node) => {
                 if self.node_frozen(node) {
                     return;
                 }
-                if self.phase[node] == Phase::Syncing {
+                if self.s.phase[node] == Phase::Syncing {
                     self.begin_busy(node, t);
                 }
             }
             Event::TimerDone(node) => self.part_done(node, t),
-            Event::HbmWake { chip, version } => {
-                if self.chip_dead(chip) {
-                    return; // the dead chip's channel is frozen
-                }
-                if self.hbm[chip].version() != version {
-                    return; // stale wake-up
-                }
-                self.hbm[chip].advance(t);
-                let mut done = self.grab_done();
-                self.hbm[chip].take_completed_into(&mut done);
-                for &node_done in &done {
-                    self.part_done(node_done, t);
-                }
-                self.release_done(done);
-                self.reschedule_hbm(chip, t);
-            }
-            Event::FabricWake { version } => {
-                let Some(fabric) = self.fabric.as_mut() else {
-                    return;
-                };
-                if fabric.version() != version {
-                    return; // stale wake-up
-                }
-                fabric.advance(t);
-                let mut done = self.grab_done();
-                self.fabric
-                    .as_mut()
-                    .expect("checked")
-                    .take_completed_into(&mut done);
-                for &node_done in &done {
-                    self.part_done(node_done, t);
-                }
-                self.release_done(done);
-                self.reschedule_fabric(t);
-            }
             Event::ChipFail => self.on_chip_fail(t),
             Event::FailTimeout => {
                 // A stall watchdog expired: the earliest one to fire is the
@@ -1234,29 +791,13 @@ impl<'a> Run<'a> {
                 // An outage window on one of this chip's links starts or
                 // ends: settle the chip's HBM channel up to now, then
                 // re-rate its in-flight link transfers.
-                self.hbm[chip].advance(t);
-                let mut done = self.grab_done();
-                self.hbm[chip].take_completed_into(&mut done);
-                for &node_done in &done {
-                    self.part_done(node_done, t);
-                }
-                self.release_done(done);
+                self.settle(chip, t);
                 self.retune_chip_links(chip, t);
-                self.reschedule_hbm(chip, t);
-                if self.fabric.is_some() {
-                    let fabric = self.fabric.as_mut().expect("checked");
-                    fabric.advance(t);
-                    let mut done = self.grab_done();
-                    self.fabric
-                        .as_mut()
-                        .expect("checked")
-                        .take_completed_into(&mut done);
-                    for &node_done in &done {
-                        self.part_done(node_done, t);
-                    }
-                    self.release_done(done);
+                self.reschedule(chip, t);
+                if let Some(slot) = self.fabric {
+                    self.settle(slot, t);
                     self.retune_fabric_links(chip, t);
-                    self.reschedule_fabric(t);
+                    self.reschedule(slot, t);
                 }
             }
         }
@@ -1268,7 +809,7 @@ impl<'a> Run<'a> {
     fn retune_chip_links(&mut self, chip: usize, t: f64) {
         let Some(profile) = self.profile else { return };
         let hot = self.hot;
-        self.hbm[chip].retune_caps(|node| {
+        self.s.hbm[chip].retune_caps(|node| {
             let info = &hot[node];
             match info.resource {
                 Resource::Link(dir) => {
@@ -1284,8 +825,8 @@ impl<'a> Run<'a> {
     fn retune_fabric_links(&mut self, chip: usize, t: f64) {
         let Some(profile) = self.profile else { return };
         let hot = self.hot;
-        if let Some(fabric) = self.fabric.as_mut() {
-            fabric.retune_caps(|node| {
+        if let Some(slot) = self.fabric {
+            self.s.hbm[slot].retune_caps(|node| {
                 let info = &hot[node];
                 if info.chip as usize != chip {
                     return None;
@@ -1308,24 +849,18 @@ impl<'a> Run<'a> {
     /// heap push would have produced.
     fn schedule_wake(&mut self, slot: usize, t: f64, version: u64) {
         self.seq += 1;
-        self.wakes
+        self.s
+            .wakes
             .set(slot, crate::time::Time::from_secs(t), self.seq, version);
     }
 
-    fn reschedule_hbm(&mut self, chip: usize, t: f64) {
-        if let Some(dt) = self.hbm[chip].next_completion_in() {
-            let version = self.hbm[chip].version();
-            self.schedule_wake(chip, t + dt, version);
-        }
-    }
-
-    fn reschedule_fabric(&mut self, t: f64) {
-        let Some(fabric) = self.fabric.as_ref() else {
-            return;
-        };
-        if let Some(dt) = fabric.next_completion_in() {
-            let version = fabric.version();
-            let slot = self.hbm.len();
+    /// Replaces the pending wake of channel `slot` with its next flow
+    /// completion, if any.
+    #[inline(always)]
+    fn reschedule(&mut self, slot: usize, t: f64) {
+        let channel = &self.s.hbm[slot];
+        if let Some(dt) = channel.next_completion_in() {
+            let version = channel.version();
             self.schedule_wake(slot, t + dt, version);
         }
     }
@@ -1334,8 +869,8 @@ impl<'a> Run<'a> {
         let chip = self.hot[node].chip as usize;
         match self.hot[node].resource {
             Resource::None => None,
-            Resource::Compute => Some(&mut self.compute_units[chip]),
-            Resource::Link(dir) => Some(&mut self.links[chip][dir.index()]),
+            Resource::Compute => Some(&mut self.s.compute_units[chip]),
+            Resource::Link(dir) => Some(&mut self.s.links[chip][dir.index()]),
         }
     }
 
@@ -1343,7 +878,7 @@ impl<'a> Run<'a> {
     /// monotone measure; the overlap of an interval `[s, t]` with the
     /// chip's compute-busy set is exactly `measure(t) − measure(s)`).
     fn compute_measure(&self, chip: usize, t: f64) -> f64 {
-        self.compute_cum[chip] + self.compute_since[chip].map_or(0.0, |s| t - s)
+        self.s.compute_cum[chip] + self.s.compute_since[chip].map_or(0.0, |s| t - s)
     }
 
     /// The just-fired failure froze `FailCtx::chip`: suppress every event
@@ -1360,7 +895,7 @@ impl<'a> Run<'a> {
             f.fired = true;
             f.chip
         };
-        if (0..self.phase.len()).any(|d| self.stalled_on_dead(d, dead)) {
+        if (0..self.s.phase.len()).any(|d| self.stalled_on_dead(d, dead)) {
             self.stall_watchdog(t);
         }
     }
@@ -1370,12 +905,12 @@ impl<'a> Run<'a> {
     /// neighbor-sync watchdog detects.
     fn stalled_on_dead(&self, node: usize, dead: u32) -> bool {
         self.hot[node].chip != dead
-            && self.phase[node] == Phase::Blocked
-            && self.deps_left[node] > 0
+            && self.s.phase[node] == Phase::Blocked
+            && self.s.deps_left[node] > 0
             && self.nodes.nodes[node]
                 .deps
                 .iter()
-                .all(|&dep| self.phase[dep] == Phase::Done || self.hot[dep].chip == dead)
+                .all(|&dep| self.s.phase[dep] == Phase::Done || self.hot[dep].chip == dead)
     }
 
     /// Arms (or tightens) the failure-detection watchdog: a stall that
@@ -1397,13 +932,11 @@ impl<'a> Run<'a> {
             return; // the dead chip never starts new work
         }
         debug_assert_eq!(
-            self.phase[node],
+            self.s.phase[node],
             Phase::Blocked,
             "node {node} readied twice"
         );
-        if self.collect_nodes {
-            self.ready_time[node] = t;
-        }
+        self.obs.node_ready(node, t);
         let acquired = match self.resource_state(node) {
             None => true,
             Some(rs) => {
@@ -1417,19 +950,19 @@ impl<'a> Run<'a> {
             }
         };
         if acquired {
-            self.begin_sync(node, t);
+            self.begin_sync(node, None, t);
         } else {
-            self.phase[node] = Phase::Queued;
+            self.s.phase[node] = Phase::Queued;
         }
     }
 
-    fn begin_sync(&mut self, node: usize, t: f64) {
-        if self.collect_nodes {
-            self.acquire_time[node] = t;
-        }
+    /// `node` acquired its lane at `t` (handed over by `from` if it
+    /// queued); its synchronization delay starts now.
+    fn begin_sync(&mut self, node: usize, from: Option<usize>, t: f64) {
+        self.obs.resource_acquired(node, from, t);
         let sync = self.hot[node].sync;
         if sync > 0.0 {
-            self.phase[node] = Phase::Syncing;
+            self.s.phase[node] = Phase::Syncing;
             self.schedule(t + sync, Event::SyncDone(node));
         } else {
             self.begin_busy(node, t);
@@ -1439,18 +972,18 @@ impl<'a> Run<'a> {
     fn begin_busy(&mut self, node: usize, t: f64) {
         let info = self.hot[node];
         let chip = info.chip as usize;
-        self.busy_start_time[node] = t;
+        self.s.busy_start_time[node] = t;
         self.buckets.comm_sync += info.sync;
         match (info.resource, info.category) {
             // The compute unit is exclusive, so at most one node per chip
             // is ever active here.
-            (Resource::Compute, _) => self.compute_since[chip] = Some(t),
+            (Resource::Compute, _) => self.s.compute_since[chip] = Some(t),
             (_, Category::CommTransfer) => {
-                self.overlap_at_start[node] = self.compute_measure(chip, t);
+                self.s.overlap_at_start[node] = self.compute_measure(chip, t);
             }
             _ => {}
         }
-        let fabric_active = self.fabric.is_some() && info.fabric_bytes > 0.0;
+        let fabric_slot = self.fabric.filter(|_| info.fabric_bytes > 0.0);
         let mut parts = 0u8;
         if info.timer > 0.0 {
             parts += 1;
@@ -1458,15 +991,15 @@ impl<'a> Run<'a> {
         if info.flow_bytes > 0.0 {
             parts += 1;
         }
-        if fabric_active {
+        if fabric_slot.is_some() {
             parts += 1;
         }
         if parts == 0 {
-            self.phase[node] = Phase::Busy { parts_left: 0 };
+            self.s.phase[node] = Phase::Busy { parts_left: 0 };
             self.complete(node, t);
             return;
         }
-        self.phase[node] = Phase::Busy { parts_left: parts };
+        self.s.phase[node] = Phase::Busy { parts_left: parts };
         let (mut timer, flow_bytes, mut flow_cap, fabric_bytes) = (
             info.timer,
             info.flow_bytes,
@@ -1488,32 +1021,15 @@ impl<'a> Run<'a> {
             self.schedule(t + timer, Event::TimerDone(node));
         }
         if flow_bytes > 0.0 {
-            self.hbm[chip].advance(t);
-            let mut done = self.grab_done();
-            self.hbm[chip].take_completed_into(&mut done);
-            for &node_done in &done {
-                self.part_done(node_done, t);
-            }
-            self.release_done(done);
-            self.hbm[chip].add_flow(node, flow_bytes, flow_cap);
-            self.reschedule_hbm(chip, t);
+            self.settle(chip, t);
+            self.s.hbm[chip].add_flow(node, flow_bytes, flow_cap);
+            self.reschedule(chip, t);
         }
-        if fabric_active {
-            let fabric = self.fabric.as_mut().expect("fabric_active checked");
-            fabric.advance(t);
-            let mut done = self.grab_done();
-            self.fabric
-                .as_mut()
-                .expect("fabric_active checked")
-                .take_completed_into(&mut done);
-            for &node_done in &done {
-                self.part_done(node_done, t);
-            }
-            self.release_done(done);
-            let fabric = self.fabric.as_mut().expect("fabric_active checked");
+        if let Some(slot) = fabric_slot {
+            self.settle(slot, t);
             // Per-transfer injection stays capped at the link rate.
-            fabric.add_flow(node, fabric_bytes, flow_cap / 2.0);
-            self.reschedule_fabric(t);
+            self.s.hbm[slot].add_flow(node, fabric_bytes, flow_cap / 2.0);
+            self.reschedule(slot, t);
         }
     }
 
@@ -1521,29 +1037,29 @@ impl<'a> Run<'a> {
         if self.node_frozen(node) {
             return; // in-flight work on the dead chip never finishes
         }
-        if let Phase::Busy { parts_left } = self.phase[node] {
+        if let Phase::Busy { parts_left } = self.s.phase[node] {
             if parts_left <= 1 {
-                self.phase[node] = Phase::Busy { parts_left: 0 };
+                self.s.phase[node] = Phase::Busy { parts_left: 0 };
                 self.complete(node, t);
             } else {
-                self.phase[node] = Phase::Busy {
+                self.s.phase[node] = Phase::Busy {
                     parts_left: parts_left - 1,
                 };
             }
         } else {
             panic!(
                 "part completion for node {node} in phase {:?}",
-                self.phase[node]
+                self.s.phase[node]
             );
         }
     }
 
     fn complete(&mut self, node: usize, t: f64) {
-        match self.phase[node] {
+        match self.s.phase[node] {
             Phase::Busy { .. } => {}
             ref p => panic!("completing node {node} in phase {p:?}"),
         }
-        let busy_start = self.busy_start_time[node];
+        let busy_start = self.s.busy_start_time[node];
         let info = self.hot[node];
         let chip = info.chip as usize;
         let busy = t - busy_start;
@@ -1555,68 +1071,30 @@ impl<'a> Run<'a> {
         }
         match (info.resource, info.category) {
             (Resource::Compute, _) => {
-                self.compute_cum[chip] += busy;
-                self.compute_since[chip] = None;
+                self.s.compute_cum[chip] += busy;
+                self.s.compute_since[chip] = None;
             }
             (_, Category::CommTransfer) => {
                 // Transfer time covered by the chip's compute-busy set over
                 // this node's busy interval — communication the schedule
                 // actually hid under computation.
-                let hidden = self.compute_measure(chip, t) - self.overlap_at_start[node];
+                let hidden = self.compute_measure(chip, t) - self.s.overlap_at_start[node];
                 self.overlapped += hidden.max(0.0);
             }
             _ => {}
         }
-        if self.collect_spans && busy > 0.0 {
-            self.spans.push(NodeSpan {
-                op: OpId(self.nodes.nodes[node].op),
-                chip: ChipId(chip),
-                track: match info.resource {
-                    Resource::Compute => SpanTrack::Compute,
-                    Resource::Link(dir) => SpanTrack::Link(dir),
-                    Resource::None => SpanTrack::Host,
-                },
-                kind: match info.category {
-                    Category::Compute => SpanKind::Compute,
-                    Category::Slice => SpanKind::Slice,
-                    Category::CommLaunch => SpanKind::CommLaunch,
-                    Category::CommTransfer => SpanKind::CommTransfer,
-                },
-                start: Duration::from_secs(busy_start),
-                end: Duration::from_secs(t),
-            });
-        }
-        self.phase[node] = Phase::Done;
-        if self.collect_nodes {
-            self.finish_seq.push(node);
-        }
+        self.s.phase[node] = Phase::Done;
         self.completed += 1;
-        if self.collect_finish {
-            self.finish_time[node] = t;
-        }
+        self.obs.node_completed(node, busy_start, t);
         self.makespan = self.makespan.max(t);
 
-        let handoff = match info.resource {
-            Resource::None => None,
-            _ => {
-                let rs = match info.resource {
-                    Resource::Compute => &mut self.compute_units[chip],
-                    Resource::Link(dir) => &mut self.links[chip][dir.index()],
-                    Resource::None => unreachable!(),
-                };
-                rs.busy = false;
-                let next = rs.queue.pop_front();
-                if next.is_some() {
-                    rs.busy = true;
-                }
-                next
-            }
-        };
+        let handoff = self.resource_state(node).and_then(|rs| {
+            let next = rs.queue.pop_front();
+            rs.busy = next.is_some();
+            next
+        });
         if let Some(next) = handoff {
-            if self.collect_nodes {
-                self.res_pred[next] = Some(node);
-            }
-            self.begin_sync(next, t);
+            self.begin_sync(next, Some(node), t);
         }
 
         let dead = match &self.failure {
@@ -1627,8 +1105,8 @@ impl<'a> Run<'a> {
         let end = self.dep_starts[node + 1] as usize;
         for i in start..end {
             let d = self.dep_targets[i] as usize;
-            self.deps_left[d] -= 1;
-            if self.deps_left[d] == 0 {
+            self.s.deps_left[d] -= 1;
+            if self.s.deps_left[d] == 0 {
                 self.ready(d, t);
             } else if let Some(dead) = dead {
                 if self.stalled_on_dead(d, dead) {
@@ -1643,11 +1121,50 @@ impl<'a> Run<'a> {
 mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
-    use crate::GemmShape;
+    use crate::{
+        GemmShape, NodeSpan, OpTrace, OpTraceRecorder, RunTimeline, SpanKind, SpanRecorder,
+        SpanTrack, TimelineRecorder,
+    };
     use meshslice_mesh::{ChipId, CommAxis, LinkDir};
 
     fn cfg() -> SimConfig {
         SimConfig::tpu_v4()
+    }
+
+    fn run_traced(engine: &Engine, program: &Program) -> (SimReport, Vec<OpTrace>) {
+        let lowered = engine.lower_program(program);
+        let mut rec = OpTraceRecorder::new(&lowered);
+        let outcome = engine.run_observed(&lowered, &mut RunScratch::new(), None, &mut rec);
+        (outcome.into_completed().unwrap(), rec.into_traces())
+    }
+
+    fn run_spans(engine: &Engine, program: &Program) -> (SimReport, Vec<NodeSpan>) {
+        let lowered = engine.lower_program(program);
+        let mut rec = SpanRecorder::new(&lowered);
+        let outcome = engine.run_observed(&lowered, &mut RunScratch::new(), None, &mut rec);
+        (outcome.into_completed().unwrap(), rec.into_spans())
+    }
+
+    fn run_timeline(engine: &Engine, program: &Program) -> (SimReport, RunTimeline) {
+        let lowered = engine.lower_program(program);
+        let mut rec = TimelineRecorder::new(&lowered);
+        let outcome = engine.run_observed(&lowered, &mut RunScratch::new(), None, &mut rec);
+        (outcome.into_completed().unwrap(), rec.into_timeline())
+    }
+
+    fn run_with_failure(
+        engine: &Engine,
+        program: &Program,
+        failure: crate::ChipFailure,
+        sync_timeout: f64,
+    ) -> FailureOutcome {
+        let lowered = engine.lower_program(program);
+        engine.run_observed(
+            &lowered,
+            &mut RunScratch::new(),
+            Some((failure, sync_timeout)),
+            &mut (),
+        )
     }
 
     #[test]
@@ -1917,7 +1434,7 @@ mod tests {
             b.gemm(chip, GemmShape::new(512, 512, 512), &[ag]);
         }
         let program = b.build();
-        let (report, traces) = Engine::new(mesh, cfg()).run_traced(&program);
+        let (report, traces) = run_traced(&Engine::new(mesh, cfg()), &program);
         assert_eq!(traces.len(), program.len());
         for t in &traces {
             assert!(t.completed <= report.makespan());
@@ -2068,7 +1585,7 @@ mod tests {
             b.gemm(chip, GemmShape::new(512, 512, 512), &[ag]);
         }
         let program = b.build();
-        let (report, spans) = Engine::new(mesh, cfg()).run_spans(&program);
+        let (report, spans) = run_spans(&Engine::new(mesh, cfg()), &program);
         assert!(!spans.is_empty());
         for s in &spans {
             assert!(s.end > s.start);
@@ -2160,7 +1677,7 @@ mod tests {
             b.reduce_scatter(chip, tag2, CommAxis::InterCol, 1 << 20, &[]);
         }
         let program = b.build();
-        let (report, spans) = Engine::new(mesh, cfg()).run_spans(&program);
+        let (report, spans) = run_spans(&Engine::new(mesh, cfg()), &program);
         let mut recomputed = 0.0;
         for t in spans
             .iter()
@@ -2193,7 +1710,7 @@ mod tests {
             b.gemm(chip, GemmShape::new(1024, 1024, 1024), &[ag]);
         }
         let program = b.build();
-        let (report, _, timeline) = Engine::new(mesh, cfg()).run_instrumented(&program);
+        let (report, timeline) = run_timeline(&Engine::new(mesh, cfg()), &program);
         assert!(!timeline.nodes.is_empty());
         assert_eq!(timeline.finish_seq.len(), timeline.nodes.len());
         let eps = 1e-12;
@@ -2233,24 +1750,6 @@ mod tests {
             timeline.nodes[*timeline.finish_seq.last().unwrap()].finish,
             report.makespan()
         );
-    }
-
-    #[test]
-    fn instrumented_run_matches_plain_run() {
-        let mesh = Torus2d::new(2, 2);
-        let mut b = ProgramBuilder::new(&mesh);
-        let tag = b.next_tag();
-        for chip in mesh.chips() {
-            let ag = b.all_gather(chip, tag, CommAxis::InterRow, 1 << 20, &[]);
-            b.gemm(chip, GemmShape::new(512, 512, 512), &[ag]);
-        }
-        let program = b.build();
-        let plain = Engine::new(Torus2d::new(2, 2), cfg()).run(&program);
-        let (report, spans, timeline) =
-            Engine::new(Torus2d::new(2, 2), cfg()).run_instrumented(&program);
-        assert_eq!(plain, report);
-        assert!(!spans.is_empty());
-        assert_eq!(timeline.nodes.len(), timeline.finish_seq.len());
     }
 
     #[test]
@@ -2295,7 +1794,7 @@ mod tests {
             chip: 0,
             at: baseline.makespan().as_secs() * 2.0,
         };
-        let outcome = Engine::new(mesh, cfg()).run_with_failure(&program, late, 1e-3);
+        let outcome = run_with_failure(&Engine::new(mesh, cfg()), &program, late, 1e-3);
         match outcome {
             crate::FailureOutcome::Completed(report) => assert_eq!(report, baseline),
             crate::FailureOutcome::Aborted(info) => panic!("late failure aborted: {info:?}"),
@@ -2309,7 +1808,8 @@ mod tests {
         let baseline = Engine::new(mesh.clone(), cfg()).run(&program);
         let at = baseline.makespan().as_secs() * 0.25;
         let timeout = 1e-3;
-        let outcome = Engine::new(mesh, cfg()).run_with_failure(
+        let outcome = run_with_failure(
+            &Engine::new(mesh, cfg()),
             &program,
             crate::ChipFailure { chip: 3, at },
             timeout,
@@ -2330,7 +1830,8 @@ mod tests {
         let mesh = Torus2d::new(2, 2);
         let program = ring_program(&mesh);
         let timeout = 5e-4;
-        let outcome = Engine::new(mesh, cfg()).run_with_failure(
+        let outcome = run_with_failure(
+            &Engine::new(mesh, cfg()),
             &program,
             crate::ChipFailure { chip: 0, at: 0.0 },
             timeout,
@@ -2360,7 +1861,8 @@ mod tests {
     fn failure_on_missing_chip_panics() {
         let mesh = Torus2d::new(2, 2);
         let program = ring_program(&mesh);
-        Engine::new(mesh, cfg()).run_with_failure(
+        run_with_failure(
+            &Engine::new(mesh, cfg()),
             &program,
             crate::ChipFailure { chip: 9, at: 1.0 },
             1e-3,

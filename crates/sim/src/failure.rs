@@ -1,7 +1,7 @@
 //! Permanent-failure support types: mid-run chip death, abort/detection
 //! outcomes, and the degraded-torus continuation profile.
 //!
-//! A [`ChipFailure`] delivered to [`Engine::run_with_failure`] freezes the
+//! A [`ChipFailure`] delivered to [`Engine::run_observed`] freezes the
 //! failed chip at its failure instant: every in-flight operation on the
 //! chip stalls forever, and no new operation starts there. Live chips keep
 //! running until one of them *stalls on the dead chip* — all of a blocked
@@ -17,7 +17,7 @@
 //! prices that continuation as a [`ClusterProfile`] whose links touching
 //! the dead chip run at the extra-hop bandwidth cost.
 //!
-//! [`Engine::run_with_failure`]: crate::Engine::run_with_failure
+//! [`Engine::run_observed`]: crate::Engine::run_observed
 
 use meshslice_mesh::{ChipId, LinkDir, Torus2d};
 
@@ -35,7 +35,7 @@ pub struct ChipFailure {
 }
 
 /// Why and when a failed run stopped, from
-/// [`Engine::run_with_failure`](crate::Engine::run_with_failure).
+/// [`Engine::run_observed`](crate::Engine::run_observed).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AbortInfo {
     /// When the chip failed.
@@ -77,6 +77,14 @@ impl FailureOutcome {
 
     /// The completed report, if the failure never bit.
     pub fn completed(&self) -> Option<&SimReport> {
+        match self {
+            FailureOutcome::Completed(report) => Some(report),
+            FailureOutcome::Aborted(_) => None,
+        }
+    }
+
+    /// The completed report by value, if the failure never bit.
+    pub fn into_completed(self) -> Option<SimReport> {
         match self {
             FailureOutcome::Completed(report) => Some(report),
             FailureOutcome::Aborted(_) => None,

@@ -45,6 +45,7 @@ mod engine;
 mod failure;
 mod hbm;
 mod lower;
+mod observe;
 mod perturb;
 mod pod;
 mod program;
@@ -52,12 +53,13 @@ mod report;
 mod time;
 
 pub use config::{NetworkModel, SimConfig};
-pub use engine::{
-    Engine, LoweredProgram, NodeRecord, NodeSpan, OpTrace, RunScratch, RunTimeline, SpanKind,
-    SpanTrack,
-};
+pub use engine::{Engine, LoweredProgram, RunScratch};
 pub use failure::{
     degraded_torus_profile, AbortInfo, ChipFailure, FailureOutcome, DETOUR_LINK_MULTIPLIER,
+};
+pub use observe::{
+    EngineObserver, NodeRecord, NodeSpan, OpTrace, OpTraceRecorder, RunTimeline, SpanKind,
+    SpanRecorder, SpanTrack, TimelineRecorder,
 };
 pub use perturb::{ClusterProfile, LinkOutage};
 pub use pod::{PlaneAssignment, PodProfile};

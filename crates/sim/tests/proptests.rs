@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator's invariants.
 
 use meshslice_mesh::{ChipId, CommAxis, Torus2d};
-use meshslice_sim::{Engine, GemmShape, ProgramBuilder, SimConfig};
+use meshslice_sim::{Engine, GemmShape, OpTraceRecorder, ProgramBuilder, RunScratch, SimConfig};
 use proptest::prelude::*;
 
 fn cfg() -> SimConfig {
@@ -119,7 +119,14 @@ proptest! {
             }
         }
         let program = b.build();
-        let (report, traces) = Engine::new(mesh, cfg()).run_traced(&program);
+        let engine = Engine::new(mesh, cfg());
+        let lowered = engine.lower_program(&program);
+        let mut rec = OpTraceRecorder::new(&lowered);
+        let report = engine
+            .run_observed(&lowered, &mut RunScratch::new(), None, &mut rec)
+            .into_completed()
+            .unwrap();
+        let traces = rec.into_traces();
         prop_assert_eq!(traces.len(), program.len());
         for (i, op) in program.ops().iter().enumerate() {
             prop_assert!(traces[i].completed <= report.makespan());

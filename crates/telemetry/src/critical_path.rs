@@ -331,6 +331,7 @@ pub fn op_slacks(timeline: &RunTimeline, num_ops: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::instrumented;
     use meshslice_mesh::{CommAxis, Torus2d};
     use meshslice_sim::{Engine, GemmShape, Program, ProgramBuilder, SimConfig};
 
@@ -348,8 +349,7 @@ mod tests {
     fn path_telescopes_to_the_makespan() {
         let mesh = Torus2d::new(4, 2);
         let program = ring_program(&mesh);
-        let (report, _, timeline) =
-            Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+        let (report, _, timeline) = instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         let path = CriticalPath::extract(&timeline);
         assert!(!path.segments.is_empty());
         assert_eq!(path.makespan, report.makespan().as_secs());
@@ -383,7 +383,7 @@ mod tests {
             &[],
         );
         let (report, _, timeline) =
-            Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&b.build());
+            instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &b.build());
         let path = CriticalPath::extract(&timeline);
         let attr = path.attribution();
         assert!((attr.total() - report.makespan().as_secs()).abs() < 1e-12);
@@ -412,7 +412,7 @@ mod tests {
                 }
             }
         }
-        let (_, _, timeline) = Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&b.build());
+        let (_, _, timeline) = instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &b.build());
         let path = CriticalPath::extract(&timeline);
         let chips: HashSet<usize> = path.segments.iter().map(|s| s.chip.index()).collect();
         assert!(chips.contains(&0), "path skipped the straggler: {chips:?}");
@@ -435,7 +435,7 @@ mod tests {
             b.gemm(chip, GemmShape::new(side, side, side), &[ag]);
         }
         let program = b.build();
-        let (_, _, timeline) = Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+        let (_, _, timeline) = instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         let slacks = node_slacks(&timeline);
         assert!(slacks.iter().all(|&s| s >= 0.0));
         let path = CriticalPath::extract(&timeline);

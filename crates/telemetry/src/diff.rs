@@ -174,6 +174,7 @@ impl fmt::Display for RunDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::instrumented;
     use meshslice_mesh::{CommAxis, Torus2d};
     use meshslice_sim::{Engine, GemmShape, ProgramBuilder, SimConfig};
 
@@ -187,7 +188,7 @@ mod tests {
         }
         let program = b.build();
         let (report, spans, timeline) =
-            Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+            instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         RunMetrics::collect(&report, &spans, &timeline, program.len(), 4)
     }
 

@@ -23,15 +23,19 @@
 //!   [`FleetDiff`] compares two serving runs like [`RunDiff`] compares
 //!   two training runs.
 //!
-//! Everything is built on [`meshslice_sim::Engine::run_instrumented`],
-//! works under fault profiles, and serializes through the dependency-free
+//! Everything is built on the spans and timeline that
+//! [`meshslice_sim::SpanRecorder`] and [`meshslice_sim::TimelineRecorder`]
+//! record from one [`meshslice_sim::Engine::run_observed`] run, works
+//! under fault profiles, and serializes through the dependency-free
 //! [`Json`] value.
 //!
 //! # Example
 //!
 //! ```
 //! use meshslice_mesh::{CommAxis, Torus2d};
-//! use meshslice_sim::{Engine, GemmShape, ProgramBuilder, SimConfig};
+//! use meshslice_sim::{
+//!     Engine, GemmShape, ProgramBuilder, RunScratch, SimConfig, SpanRecorder, TimelineRecorder,
+//! };
 //! use meshslice_telemetry::{CriticalPath, RunMetrics};
 //!
 //! let mesh = Torus2d::new(2, 2);
@@ -42,8 +46,14 @@
 //!     b.gemm(chip, GemmShape::new(512, 512, 512), &[ag]);
 //! }
 //! let program = b.build();
-//! let (report, spans, timeline) =
-//!     Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+//! let engine = Engine::new(mesh, SimConfig::tpu_v4());
+//! let lowered = engine.lower_program(&program);
+//! let mut recorders = (SpanRecorder::new(&lowered), TimelineRecorder::new(&lowered));
+//! let report = engine
+//!     .run_observed(&lowered, &mut RunScratch::new(), None, &mut recorders)
+//!     .into_completed()
+//!     .expect("no failure was injected");
+//! let (spans, timeline) = (recorders.0.into_spans(), recorders.1.into_timeline());
 //! let path = CriticalPath::extract(&timeline);
 //! assert!((path.attribution().total() - report.makespan().as_secs()).abs() < 1e-9);
 //! let metrics = RunMetrics::collect(&report, &spans, &timeline, program.len(), 16);
@@ -85,3 +95,27 @@ pub use timeseries::{
     SeriesWindow, BASE_WINDOW_SECS, MAX_WINDOWS,
 };
 pub use tunelog::{TuneCandidate, TuneLog};
+
+#[cfg(test)]
+mod test_util {
+    use meshslice_sim::{
+        Engine, NodeSpan, Program, RunScratch, RunTimeline, SimReport, SpanRecorder,
+        TimelineRecorder,
+    };
+
+    /// Runs `program` once, recording its spans and realized timeline.
+    pub(crate) fn instrumented(
+        engine: &Engine,
+        program: &Program,
+    ) -> (SimReport, Vec<NodeSpan>, RunTimeline) {
+        let lowered = engine.lower_program(program);
+        let mut recorders = (SpanRecorder::new(&lowered), TimelineRecorder::new(&lowered));
+        let outcome = engine.run_observed(&lowered, &mut RunScratch::new(), None, &mut recorders);
+        let (spans, timeline) = recorders;
+        (
+            outcome.into_completed().unwrap(),
+            spans.into_spans(),
+            timeline.into_timeline(),
+        )
+    }
+}

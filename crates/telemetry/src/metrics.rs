@@ -556,6 +556,7 @@ pub fn spans_overlap_and_buckets(spans: &[NodeSpan]) -> (f64, [f64; 5]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::instrumented;
     use meshslice_mesh::{CommAxis, Torus2d};
     use meshslice_sim::{Engine, GemmShape, ProgramBuilder, SimConfig};
 
@@ -569,7 +570,7 @@ mod tests {
         }
         let program = b.build();
         let (report, spans, timeline) =
-            Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+            instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         RunMetrics::collect(&report, &spans, &timeline, program.len(), 8)
     }
 
@@ -655,7 +656,7 @@ mod tests {
             b.gemm(chip, GemmShape::new(4096, 4096, 4096), &[]);
         }
         let program = b.build();
-        let (report, spans) = Engine::new(mesh, SimConfig::tpu_v4()).run_spans(&program);
+        let (report, spans, _) = instrumented(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         let (overlap, buckets) = spans_overlap_and_buckets(&spans);
         assert!((overlap - report.overlapped_comm().as_secs()).abs() < 1e-9);
         let totals = report.totals();

@@ -15,7 +15,7 @@ use meshslice::{
     DataOp, Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice, SimConfig,
 };
 use meshslice_mesh::{ChipId, Torus2d};
-use meshslice_sim::OpKind;
+use meshslice_sim::{OpKind, OpTraceRecorder, RunScratch};
 
 fn data_label(op: &DataOp) -> String {
     match op {
@@ -73,7 +73,14 @@ fn main() {
     // (see examples/quickstart.rs) — here we price its timing program.
     let plan = algo.plan(&mesh, problem, cfg.elem_bytes).unwrap();
     let program = plan.program();
-    let (report, traces) = Engine::new(mesh, cfg).run_traced(program);
+    let engine = Engine::new(mesh, cfg);
+    let lowered = engine.lower_program(program);
+    let mut recorder = OpTraceRecorder::new(&lowered);
+    let report = engine
+        .run_observed(&lowered, &mut RunScratch::new(), None, &mut recorder)
+        .into_completed()
+        .expect("no failure was injected");
+    let traces = recorder.into_traces();
     let makespan = report.makespan().as_secs();
 
     println!(

@@ -10,7 +10,8 @@ use meshslice_faults::FailureSpec;
 use meshslice_mesh::{ChipId, CommAxis, Torus2d};
 use meshslice_recovery::{simulate_recovery, RecoveryParams};
 use meshslice_sim::{
-    degraded_torus_profile, ChipFailure, Engine, GemmShape, Program, ProgramBuilder, SimConfig,
+    degraded_torus_profile, ChipFailure, Engine, FailureOutcome, GemmShape, Program,
+    ProgramBuilder, RunScratch, SimConfig,
 };
 use meshslice_tensor::Matrix;
 use proptest::prelude::*;
@@ -25,6 +26,22 @@ fn step_program(mesh: &Torus2d) -> Program {
         b.gemm(chip, GemmShape::new(512, 512, 512), &[ag]);
     }
     b.build()
+}
+
+/// Runs `program` on fresh scratch with `failure` injected mid-run.
+fn run_with_failure(
+    engine: &Engine,
+    program: &Program,
+    failure: ChipFailure,
+    sync_timeout: f64,
+) -> FailureOutcome {
+    let lowered = engine.lower_program(program);
+    engine.run_observed(
+        &lowered,
+        &mut RunScratch::new(),
+        Some((failure, sync_timeout)),
+        &mut (),
+    )
 }
 
 #[test]
@@ -55,7 +72,7 @@ fn chip_death_mid_run_completes_via_checkpoint_restart_with_goodput_below_one() 
         chip: first.chip,
         at: 0.35 * step_secs,
     };
-    let outcome = engine.run_with_failure(&program, failure, sync_timeout);
+    let outcome = run_with_failure(&engine, &program, failure, sync_timeout);
     let abort = outcome.aborted().expect("mid-step failure aborts the run");
     assert!(abort.detected_at.as_secs() >= failure.at + sync_timeout);
     assert!(abort.completed_nodes < abort.total_nodes);
@@ -126,7 +143,7 @@ fn zero_failure_spec_is_bit_for_bit_identical_to_the_baseline() {
         chip: 0,
         at: 2.0 * baseline.makespan().as_secs(),
     };
-    let outcome = engine.run_with_failure(&program, beyond, 1e-6);
+    let outcome = run_with_failure(&engine, &program, beyond, 1e-6);
     assert_eq!(outcome.completed(), Some(&baseline));
 
     // And the recovery walk of an empty draw is pure useful time.

@@ -2,22 +2,28 @@
 //! layer built on it: every algorithm and dataflow must emit spans that
 //! stay inside the run, never double-book an exclusive lane, sum to the
 //! report's time-breakdown buckets, and carry a critical path that
-//! telescopes to the makespan with non-negative slack everywhere.
+//! telescopes to the makespan with non-negative slack everywhere. The
+//! recorders that produce spans, timelines and op traces must be
+//! observation-only: attaching them never changes a run's outcome.
 
 use meshslice::{
     Cannon, Collective, Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice,
     SimConfig, Summa, Wang,
 };
+use meshslice_faults::FaultSpec;
 use meshslice_mesh::Torus2d;
-use meshslice_sim::{NodeSpan, SimReport, SpanTrack};
+use meshslice_sim::{
+    ChipFailure, EngineObserver, FailureOutcome, LoweredProgram, NodeSpan, OpTraceRecorder,
+    Program, RunScratch, RunTimeline, SimReport, SpanRecorder, SpanTrack, TimelineRecorder,
+};
 use meshslice_telemetry::{node_slacks, spans_overlap_and_buckets, CriticalPath};
 use proptest::prelude::*;
 
-/// The algorithm zoo, each boxed behind the scheduling trait. Cannon
-/// requires a square mesh, so it carries a predicate.
-fn algorithms() -> Vec<(&'static str, Box<dyn DistributedGemm>, bool)> {
+/// The algorithm zoo at slice count `s`, each boxed behind the scheduling
+/// trait. Cannon requires a square mesh, so it carries a predicate.
+fn algorithms(s: usize) -> Vec<(&'static str, Box<dyn DistributedGemm>, bool)> {
     vec![
-        ("meshslice", Box::new(MeshSlice::new(2, 4)), false),
+        ("meshslice", Box::new(MeshSlice::new(s, 4)), false),
         ("collective", Box::new(Collective), false),
         ("wang", Box::new(Wang::new()), false),
         ("summa", Box::new(Summa::new(4)), false),
@@ -25,19 +31,96 @@ fn algorithms() -> Vec<(&'static str, Box<dyn DistributedGemm>, bool)> {
     ]
 }
 
-/// Schedules and runs one divisible GeMM; `None` when the algorithm
-/// rejects the (mesh, dataflow) combination.
-fn run_spans(
+/// Schedules one GeMM divisible at slice count `s`; `None` when the
+/// algorithm rejects the (mesh, dataflow) combination.
+fn schedule(
     algo: &dyn DistributedGemm,
-    pr: usize,
-    pc: usize,
+    mesh: &Torus2d,
     dataflow: Dataflow,
-) -> Option<(SimReport, Vec<NodeSpan>)> {
-    let mesh = Torus2d::new(pr, pc);
-    let unit = 8 * pr * pc * 2;
+    s: usize,
+) -> Option<Program> {
+    let unit = 8 * mesh.num_chips() * s;
     let problem = GemmProblem::new(GemmShape::new(unit * 4, unit * 4, unit * 4), dataflow);
-    let program = algo.schedule(&mesh, problem, 2).ok()?;
-    Some(Engine::new(mesh, SimConfig::tpu_v4()).run_spans(&program))
+    algo.schedule(mesh, problem, 2).ok()
+}
+
+/// Runs a lowered program to completion on fresh scratch under
+/// `observer`.
+fn observe<O: EngineObserver>(
+    engine: &Engine,
+    lowered: &LoweredProgram,
+    observer: &mut O,
+) -> SimReport {
+    engine
+        .run_observed(lowered, &mut RunScratch::new(), None, observer)
+        .into_completed()
+        .expect("no failure was injected")
+}
+
+/// A fault-free run's report and spans.
+fn run_spans(engine: &Engine, program: &Program) -> (SimReport, Vec<NodeSpan>) {
+    let lowered = engine.lower_program(program);
+    let mut recorder = SpanRecorder::new(&lowered);
+    let report = observe(engine, &lowered, &mut recorder);
+    (report, recorder.into_spans())
+}
+
+/// A fault-free run's report and realized timeline.
+fn run_timeline(engine: &Engine, program: &Program) -> (SimReport, RunTimeline) {
+    let lowered = engine.lower_program(program);
+    let mut recorder = TimelineRecorder::new(&lowered);
+    let report = observe(engine, &lowered, &mut recorder);
+    (report, recorder.into_timeline())
+}
+
+/// Runs `lowered` under `failure` with no observer, with each recorder,
+/// and with all three recorders at once, on the caller's reused scratch,
+/// and asserts every outcome equals `want`. Returns the spans and
+/// timeline of the combined run, which must match the ones recorded
+/// alone.
+fn assert_observation_only(
+    engine: &Engine,
+    lowered: &LoweredProgram,
+    scratch: &mut RunScratch,
+    failure: Option<(ChipFailure, f64)>,
+    want: &FailureOutcome,
+) -> (Vec<NodeSpan>, RunTimeline) {
+    let mut spans = SpanRecorder::new(lowered);
+    let mut timeline = TimelineRecorder::new(lowered);
+    let mut traces = OpTraceRecorder::new(lowered);
+    assert_eq!(
+        &engine.run_observed(lowered, scratch, failure, &mut ()),
+        want
+    );
+    assert_eq!(
+        &engine.run_observed(lowered, scratch, failure, &mut spans),
+        want
+    );
+    assert_eq!(
+        &engine.run_observed(lowered, scratch, failure, &mut timeline),
+        want
+    );
+    assert_eq!(
+        &engine.run_observed(lowered, scratch, failure, &mut traces),
+        want
+    );
+    let mut all = (
+        SpanRecorder::new(lowered),
+        (
+            TimelineRecorder::new(lowered),
+            OpTraceRecorder::new(lowered),
+        ),
+    );
+    assert_eq!(
+        &engine.run_observed(lowered, scratch, failure, &mut all),
+        want
+    );
+    let (all_spans, (all_timeline, all_traces)) = all;
+    let (all_spans, all_timeline) = (all_spans.into_spans(), all_timeline.into_timeline());
+    assert_eq!(spans.into_spans(), all_spans);
+    assert_eq!(timeline.into_timeline(), all_timeline);
+    assert_eq!(traces.into_traces(), all_traces.into_traces());
+    (all_spans, all_timeline)
 }
 
 /// Asserts the satellite span invariants on one run.
@@ -104,12 +187,15 @@ proptest! {
         pr in 1usize..4, pc in 1usize..4,
     ) {
         let mut ran = 0;
-        for (name, algo, square_only) in algorithms() {
+        let mesh = Torus2d::new(pr, pc);
+        let engine = Engine::new(mesh.clone(), SimConfig::tpu_v4());
+        for (name, algo, square_only) in algorithms(2) {
             if square_only && pr != pc {
                 continue;
             }
             for dataflow in [Dataflow::Os, Dataflow::Ls, Dataflow::Rs] {
-                if let Some((report, spans)) = run_spans(algo.as_ref(), pr, pc, dataflow) {
+                if let Some(program) = schedule(algo.as_ref(), &mesh, dataflow, 2) {
+                    let (report, spans) = run_spans(&engine, &program);
                     prop_assert!(!spans.is_empty(), "{} produced no spans", name);
                     check_span_invariants(name, &report, &spans);
                     ran += 1;
@@ -131,8 +217,7 @@ proptest! {
         let problem =
             GemmProblem::new(GemmShape::new(unit * 4, unit * 4, unit * 4), Dataflow::Os);
         let program = MeshSlice::new(s, 4).schedule(&mesh, problem, 2).unwrap();
-        let (report, _, timeline) =
-            Engine::new(mesh, SimConfig::tpu_v4()).run_instrumented(&program);
+        let (report, timeline) = run_timeline(&Engine::new(mesh, SimConfig::tpu_v4()), &program);
         let path = CriticalPath::extract(&timeline);
         let makespan = report.makespan().as_secs();
         prop_assert!(
@@ -162,7 +247,7 @@ proptest! {
             let problem =
                 GemmProblem::new(GemmShape::new(unit * 4, unit * 4, unit * 4), Dataflow::Os);
             let program = MeshSlice::new(s, 4).schedule(&mesh, problem, 2).unwrap();
-            runs.push(Engine::new(mesh.clone(), cfg.clone()).run_spans(&program));
+            runs.push(run_spans(&Engine::new(mesh.clone(), cfg.clone()), &program));
         }
         let merged = SimReport::merge_serial(&[runs[0].0.clone(), runs[1].0.clone()]);
 
@@ -203,5 +288,65 @@ proptest! {
             .map(|sp| sp.end.as_secs())
             .fold(0.0f64, f64::max);
         prop_assert!(last <= merged.makespan().as_secs() + 1e-9);
+    }
+
+    /// Recorders are observation-only: for every algorithm, mesh,
+    /// dataflow and slice count, a run with no observer, with each
+    /// recorder, or with all of them at once returns the plain run's
+    /// report — with a chip dying mid-run (where it must equal the
+    /// unobserved failure run's outcome), fault-free, and under a seeded
+    /// straggler-and-outage profile. All observed runs of a case share one
+    /// scratch, so an aborted run must also leave it clean.
+    #[test]
+    fn recorders_never_change_the_outcome(
+        pr in 1usize..4, pc in 1usize..4, s in 1usize..3, seed in any::<u64>(),
+    ) {
+        let mesh = Torus2d::new(pr, pc);
+        let engine = Engine::new(mesh.clone(), SimConfig::tpu_v4());
+        for (name, algo, square_only) in algorithms(s) {
+            if square_only && pr != pc {
+                continue;
+            }
+            for dataflow in [Dataflow::Os, Dataflow::Ls, Dataflow::Rs] {
+                let Some(program) = schedule(algo.as_ref(), &mesh, dataflow, s) else {
+                    continue;
+                };
+                let lowered = engine.lower_program(&program);
+                let plain = engine.run_lowered_with_scratch(&lowered, &mut RunScratch::new());
+                let makespan = plain.makespan().as_secs();
+                let scratch = &mut RunScratch::new();
+
+                let failure = Some((
+                    ChipFailure { chip: mesh.num_chips() - 1, at: 0.5 * makespan },
+                    1e-3 * makespan,
+                ));
+                let unobserved =
+                    engine.run_observed(&lowered, &mut RunScratch::new(), failure, &mut ());
+                assert_observation_only(&engine, &lowered, scratch, failure, &unobserved);
+
+                let (spans, timeline) = assert_observation_only(
+                    &engine,
+                    &lowered,
+                    scratch,
+                    None,
+                    &FailureOutcome::Completed(plain),
+                );
+                prop_assert!(!spans.is_empty(), "{} produced no spans", name);
+                prop_assert_eq!(timeline.nodes.len(), timeline.finish_seq.len());
+
+                let profile = FaultSpec::stragglers(1, 1.5)
+                    .with_outages(1.0, 0.1 * makespan, 0.25, makespan)
+                    .sample(mesh.num_chips(), seed);
+                let faulty = engine.with_faults(profile);
+                let perturbed = faulty.run_lowered_with_scratch(&lowered, &mut RunScratch::new());
+                assert_observation_only(
+                    &faulty,
+                    &lowered,
+                    scratch,
+                    None,
+                    &FailureOutcome::Completed(perturbed),
+                );
+            }
+        }
     }
 }

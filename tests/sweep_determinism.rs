@@ -100,8 +100,10 @@ fn scratch_reuse_matches_fresh_runs() {
         let fresh = engine.run(&program);
         // Reuse the same scratch across programs and back-to-back runs:
         // recycled state must never leak between runs.
-        let reused_a = engine.run_with_scratch(&program, &mut scratch);
-        let reused_b = engine.run_with_scratch(&program, &mut scratch);
+        let reused_a =
+            engine.run_lowered_with_scratch(&engine.lower_program(&program), &mut scratch);
+        let reused_b =
+            engine.run_lowered_with_scratch(&engine.lower_program(&program), &mut scratch);
         assert_eq!(fresh, reused_a);
         assert_eq!(fresh, reused_b);
         let lowered = engine.lower_program(&program);
