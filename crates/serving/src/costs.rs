@@ -8,9 +8,12 @@
 //! schedule the four FC GeMMs with MeshSlice (weight-stationary `Rs`,
 //! so weights stay resident between requests), lower once, and replay
 //! the lowered plan on both the nominal engine and a degraded-torus
-//! engine (one chip dead, traffic detoured). Steps then cost a table
-//! lookup, and a mid-simulation chip death switches the replica from
-//! the nominal to the degraded column of the same table.
+//! engine (one chip dead, traffic detoured). The nominal column runs the
+//! engine's symmetry quotient (one representative chip of the SPMD
+//! schedule); the degraded profile breaks the symmetry, so that column
+//! lowers and runs the full graph. Steps then cost a table lookup, and a
+//! mid-simulation chip death switches the replica from the nominal to
+//! the degraded column of the same table.
 //!
 //! Requests falling between buckets are padded up to the next bucket —
 //! the same rounding a real serving engine's CUDA-graph / XLA-program

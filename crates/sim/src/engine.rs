@@ -2,8 +2,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::OnceLock;
 
-use meshslice_mesh::{ChipId, Torus2d};
+use meshslice_mesh::Torus2d;
 
 use crate::config::{NetworkModel, SimConfig};
 use crate::failure::{AbortInfo, ChipFailure, FailureOutcome};
@@ -12,6 +13,7 @@ use crate::lower::{lower, Category, ExecGraph, Resource};
 use crate::observe::EngineObserver;
 use crate::perturb::ClusterProfile;
 use crate::program::Program;
+use crate::quotient;
 use crate::report::{SimReport, TimeBreakdown};
 use crate::time::Duration;
 
@@ -48,10 +50,32 @@ pub struct Engine {
 /// differ only in their fault profile (the robust-tuning hot path), and
 /// across threads (`LoweredProgram` is `Send + Sync`).
 ///
+/// When the program is SPMD on a physical torus, it also holds a
+/// *symmetry quotient*: chip 0's node graph alone. Fault-free,
+/// failure-free runs observed by `()` execute that one chip, counting
+/// each busy-time addition once per chip, bit-identical to the full
+/// graph. Other runs use the full graph, lowered on first use and kept.
+///
 /// Produced by [`Engine::lower_program`]; consumed by
 /// [`Engine::run_lowered_with_scratch`] and [`Engine::run_observed`].
 #[derive(Clone, Debug)]
 pub struct LoweredProgram {
+    /// The source program (shared), for trace attribution and for
+    /// lowering the full graph on demand.
+    pub(crate) program: Program,
+    /// The mesh and timing model the graphs are lowered for.
+    lowering: Engine,
+    /// Chip 0's graph, when the program is translation-invariant.
+    representative: Option<Executable>,
+    /// The whole cluster's graph: lowered up front when there is no
+    /// representative, otherwise by the first run that needs it.
+    full: OnceLock<Executable>,
+    total_flops: u64,
+}
+
+/// One lowered node graph plus the packed forms the event loop reads.
+#[derive(Clone, Debug)]
+pub(crate) struct Executable {
     pub(crate) graph: ExecGraph,
     /// Per-node hot fields, packed for cache locality: the event loop
     /// touches only this copy; the full [`ExecGraph`] nodes are read only
@@ -65,10 +89,9 @@ pub struct LoweredProgram {
     deps_left_init: Vec<u32>,
     /// Nodes with no dependencies, in index order.
     roots: Vec<usize>,
-    /// Chip of each program op, for trace attribution.
-    pub(crate) op_chips: Vec<ChipId>,
-    total_flops: u64,
-    num_chips: usize,
+    /// Chips whose state a run of this graph keeps (1 for a
+    /// representative).
+    chips: usize,
 }
 
 /// The per-node fields the event loop actually reads, packed into one
@@ -86,10 +109,85 @@ struct HotNode {
     category: Category,
 }
 
+impl Executable {
+    fn new(graph: ExecGraph, chips: usize) -> Self {
+        let n = graph.nodes.len();
+        let mut deps_left_init = vec![0u32; n];
+        // CSR construction: count dependents, prefix-sum, then fill.
+        let mut dep_starts = vec![0u32; n + 1];
+        for (i, node) in graph.nodes.iter().enumerate() {
+            deps_left_init[i] = node.deps.len() as u32;
+            for &d in &node.deps {
+                dep_starts[d + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dep_starts[i + 1] += dep_starts[i];
+        }
+        let mut dep_targets = vec![0u32; dep_starts[n] as usize];
+        let mut cursor = dep_starts.clone();
+        for (i, node) in graph.nodes.iter().enumerate() {
+            for &d in &node.deps {
+                dep_targets[cursor[d] as usize] = i as u32;
+                cursor[d] += 1;
+            }
+        }
+        let hot = graph
+            .nodes
+            .iter()
+            .map(|node| HotNode {
+                sync: node.sync,
+                timer: node.timer,
+                flow_bytes: node.flow_bytes,
+                flow_cap: node.flow_cap,
+                fabric_bytes: node.fabric_bytes,
+                chip: node.chip as u32,
+                resource: node.resource,
+                category: node.category,
+            })
+            .collect();
+        let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
+        Executable {
+            graph,
+            hot,
+            dep_starts,
+            dep_targets,
+            deps_left_init,
+            roots,
+            chips,
+        }
+    }
+}
+
 impl LoweredProgram {
-    /// Number of lowered execution nodes.
+    /// Number of lowered execution nodes a fault-free, unobserved run
+    /// executes: one chip's worth under the symmetry quotient, otherwise
+    /// the whole cluster's.
     pub fn num_nodes(&self) -> usize {
-        self.graph.nodes.len()
+        let nominal = self.representative.as_ref();
+        nominal.unwrap_or_else(|| self.full()).graph.nodes.len()
+    }
+
+    /// The representative, if a run under the non-ideal `profile`, with
+    /// or without an injected failure, observed by `O` may execute it:
+    /// only runs that neither break the symmetry nor look at individual
+    /// chips do.
+    fn quotient_for<O: EngineObserver>(
+        &self,
+        profile: Option<&ClusterProfile>,
+        failure: bool,
+    ) -> Option<&Executable> {
+        let symmetric_run = profile.is_none() && !failure && !O::OBSERVES;
+        self.representative.as_ref().filter(|_| symmetric_run)
+    }
+
+    /// The whole cluster's graph (what recorders index), lowered on
+    /// first use.
+    pub(crate) fn full(&self) -> &Executable {
+        self.full.get_or_init(|| {
+            let Engine { mesh, config } = &self.lowering;
+            Executable::new(lower(mesh, config, &self.program, true), mesh.num_chips())
+        })
     }
 }
 
@@ -139,6 +237,16 @@ impl RunScratch {
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, val: T) {
     v.clear();
     v.resize(n, val);
+}
+
+/// Adds `x` to `acc` `copies` times in sequence: the order in which the
+/// full engine accumulates the same addition from every chip of a
+/// symmetric program (summing `copies * x` once rounds differently).
+#[inline]
+fn add_copies(acc: &mut f64, x: f64, copies: usize) {
+    for _ in 0..copies {
+        *acc += x;
+    }
 }
 
 /// Heap events are ordered by (time, sequence); the sequence is unique, so
@@ -332,6 +440,8 @@ struct Run<'a, O> {
     fabric: Option<usize>,
     seq: u64,
     makespan: f64,
+    /// How many chips each busy-time addition stands for.
+    copies: usize,
     buckets: Buckets,
     completed: usize,
     /// Total comm-transfer busy time that ran while the same chip's
@@ -399,6 +509,9 @@ impl Engine {
     ///
     /// The lowered form does not depend on [`SimConfig::faults`], so it can
     /// be reused across engines that differ only in their fault profile.
+    /// A translation-invariant program lowers only chip 0 here (see
+    /// [`LoweredProgram`]); its full graph waits for the first run that
+    /// needs it.
     ///
     /// # Panics
     ///
@@ -407,53 +520,27 @@ impl Engine {
         if let Err(cycle) = program.validate_acyclic() {
             panic!("invalid program: {cycle}");
         }
-        let graph = lower(&self.mesh, &self.config, program);
-        let n = graph.nodes.len();
-        let mut deps_left_init = vec![0u32; n];
-        // CSR construction: count dependents, prefix-sum, then fill.
-        let mut dep_starts = vec![0u32; n + 1];
-        for (i, node) in graph.nodes.iter().enumerate() {
-            deps_left_init[i] = node.deps.len() as u32;
-            for &d in &node.deps {
-                dep_starts[d + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            dep_starts[i + 1] += dep_starts[i];
-        }
-        let mut dep_targets = vec![0u32; dep_starts[n] as usize];
-        let mut cursor = dep_starts.clone();
-        for (i, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                dep_targets[cursor[d] as usize] = i as u32;
-                cursor[d] += 1;
-            }
-        }
-        let hot = graph
-            .nodes
-            .iter()
-            .map(|node| HotNode {
-                sync: node.sync,
-                timer: node.timer,
-                flow_bytes: node.flow_bytes,
-                flow_cap: node.flow_cap,
-                fabric_bytes: node.fabric_bytes,
-                chip: node.chip as u32,
-                resource: node.resource,
-                category: node.category,
-            })
-            .collect();
-        let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
+        let representative = quotient::representative(&self.mesh, &self.config, program)
+            .map(|rep| Executable::new(lower(&self.mesh, &self.config, &rep, false), 1));
+        let full = match representative {
+            Some(_) => OnceLock::new(),
+            None => OnceLock::from(Executable::new(
+                lower(&self.mesh, &self.config, program, true),
+                self.mesh.num_chips(),
+            )),
+        };
         LoweredProgram {
-            graph,
-            hot,
-            dep_starts,
-            dep_targets,
-            deps_left_init,
-            roots,
-            op_chips: program.ops().iter().map(|op| op.chip).collect(),
+            program: program.clone(),
+            lowering: Engine {
+                mesh: self.mesh.clone(),
+                config: SimConfig {
+                    faults: None,
+                    ..self.config.clone()
+                },
+            },
+            representative,
+            full,
             total_flops: program.total_flops(),
-            num_chips: self.mesh.num_chips(),
         }
     }
 
@@ -510,7 +597,6 @@ impl Engine {
         failure: Option<(ChipFailure, f64)>,
         observer: &mut O,
     ) -> FailureOutcome {
-        let n = lowered.graph.nodes.len();
         let chips = self.mesh.num_chips();
         if let Some((cf, timeout)) = &failure {
             assert!(
@@ -528,10 +614,10 @@ impl Engine {
                 "sync timeout {timeout} must be finite and non-negative"
             );
         }
+        let lowered_chips = lowered.lowering.mesh.num_chips();
         assert_eq!(
-            lowered.num_chips, chips,
-            "lowered program was built for {} chips but the mesh has {chips}",
-            lowered.num_chips
+            lowered_chips, chips,
+            "lowered program was built for {lowered_chips} chips but the mesh has {chips}"
         );
         let profile = self.config.faults.as_ref();
         if let Some(p) = profile {
@@ -547,10 +633,46 @@ impl Engine {
         // bit-for-bit equivalence structural.
         let profile = profile.filter(|p| !p.is_ideal());
 
+        let quotient = lowered.quotient_for::<O>(profile, failure.is_some());
+        let (exe, copies) = match quotient {
+            Some(rep) => (rep, chips),
+            None => (lowered.full(), 1),
+        };
+        let flops = lowered.total_flops;
+        let outcome = self.execute(flops, exe, copies, scratch, profile, failure, observer);
+        #[cfg(debug_assertions)]
+        if quotient.is_some() {
+            let full = lowered.full();
+            let want = self.execute(flops, full, 1, &mut RunScratch::new(), None, None, &mut ());
+            assert_eq!(
+                outcome, want,
+                "the symmetry quotient diverged from the full graph"
+            );
+        }
+        outcome
+    }
+
+    /// The event loop: runs `exe`, a graph of a program of `total_flops`,
+    /// on `scratch`. Each busy-time addition counts `copies` times, once
+    /// per chip a representative stands for.
+    #[allow(clippy::too_many_arguments)]
+    fn execute<O: EngineObserver>(
+        &self,
+        total_flops: u64,
+        exe: &Executable,
+        copies: usize,
+        scratch: &mut RunScratch,
+        profile: Option<&ClusterProfile>,
+        failure: Option<(ChipFailure, f64)>,
+        observer: &mut O,
+    ) -> FailureOutcome {
+        let n = exe.graph.nodes.len();
+        let chips = exe.chips;
+
         // Reset the scratch buffers to exactly the state a fresh
         // allocation would have, keeping their capacity.
         scratch.deps_left.clear();
-        scratch.deps_left.extend_from_slice(&lowered.deps_left_init);
+        scratch.deps_left.extend_from_slice(&exe.deps_left_init);
         refill(&mut scratch.phase, n, Phase::Blocked);
         scratch.compute_units.truncate(chips);
         for rs in &mut scratch.compute_units {
@@ -595,15 +717,16 @@ impl Engine {
         refill(&mut scratch.overlap_at_start, n, 0.0);
 
         let mut run = Run {
-            nodes: &lowered.graph,
-            hot: &lowered.hot,
+            nodes: &exe.graph,
+            hot: &exe.hot,
             profile,
             s: std::mem::take(scratch),
-            dep_starts: &lowered.dep_starts,
-            dep_targets: &lowered.dep_targets,
+            dep_starts: &exe.dep_starts,
+            dep_targets: &exe.dep_targets,
             fabric,
             seq: 0,
             makespan: 0.0,
+            copies,
             buckets: Buckets::default(),
             completed: 0,
             overlapped: 0.0,
@@ -636,7 +759,7 @@ impl Engine {
         // of them: zero-duration roots can complete instantly and make
         // further nodes ready (through the normal dependency path), which
         // must not be re-readied by this loop.
-        for &i in &lowered.roots {
+        for &i in &exe.roots {
             if run.s.phase[i] == Phase::Blocked {
                 run.ready(i, 0.0);
             }
@@ -694,9 +817,9 @@ impl Engine {
 
         let report = SimReport::new(
             Duration::from_secs(run.makespan),
-            chips,
+            self.mesh.num_chips(),
             self.config.peak_flops,
-            lowered.total_flops,
+            total_flops,
             TimeBreakdown {
                 compute: Duration::from_secs(run.buckets.compute),
                 slice: Duration::from_secs(run.buckets.slice),
@@ -973,7 +1096,7 @@ impl<O: EngineObserver> Run<'_, O> {
         let info = self.hot[node];
         let chip = info.chip as usize;
         self.s.busy_start_time[node] = t;
-        self.buckets.comm_sync += info.sync;
+        add_copies(&mut self.buckets.comm_sync, info.sync, self.copies);
         match (info.resource, info.category) {
             // The compute unit is exclusive, so at most one node per chip
             // is ever active here.
@@ -1063,12 +1186,13 @@ impl<O: EngineObserver> Run<'_, O> {
         let info = self.hot[node];
         let chip = info.chip as usize;
         let busy = t - busy_start;
-        match info.category {
-            Category::Compute => self.buckets.compute += busy,
-            Category::Slice => self.buckets.slice += busy,
-            Category::CommLaunch => self.buckets.comm_launch += busy,
-            Category::CommTransfer => self.buckets.comm_transfer += busy,
-        }
+        let bucket = match info.category {
+            Category::Compute => &mut self.buckets.compute,
+            Category::Slice => &mut self.buckets.slice,
+            Category::CommLaunch => &mut self.buckets.comm_launch,
+            Category::CommTransfer => &mut self.buckets.comm_transfer,
+        };
+        add_copies(bucket, busy, self.copies);
         match (info.resource, info.category) {
             (Resource::Compute, _) => {
                 self.s.compute_cum[chip] += busy;
@@ -1079,7 +1203,7 @@ impl<O: EngineObserver> Run<'_, O> {
                 // this node's busy interval — communication the schedule
                 // actually hid under computation.
                 let hidden = self.compute_measure(chip, t) - self.s.overlap_at_start[node];
-                self.overlapped += hidden.max(0.0);
+                add_copies(&mut self.overlapped, hidden.max(0.0), self.copies);
             }
             _ => {}
         }
@@ -1854,6 +1978,46 @@ mod tests {
             slowed.makespan(),
             baseline.makespan()
         );
+    }
+
+    #[test]
+    fn only_fault_free_unobserved_runs_take_the_quotient() {
+        let mesh = Torus2d::new(4, 4);
+        let program = ring_program(&mesh);
+        let lowered = Engine::new(mesh.clone(), cfg()).lower_program(&program);
+        assert_eq!(lowered.num_nodes() * 16, lowered.full().graph.nodes.len());
+        assert!(lowered.quotient_for::<()>(None, false).is_some());
+        assert!(lowered.quotient_for::<((), ())>(None, false).is_some());
+        let straggler = crate::ClusterProfile::ideal(16).with_compute_slowdown(3, 2.0);
+        assert!(lowered
+            .quotient_for::<()>(Some(&straggler), false)
+            .is_none());
+        assert!(lowered.quotient_for::<()>(None, true).is_none());
+        assert!(lowered.quotient_for::<SpanRecorder>(None, false).is_none());
+        assert!(lowered
+            .quotient_for::<((), OpTraceRecorder)>(None, false)
+            .is_none());
+        // Graphs that are not symmetric have no quotient to take.
+        let fabric = Engine::new(mesh, crate::SimConfig::gpu_logical_mesh(1e12));
+        let lowered = fabric.lower_program(&program);
+        assert_eq!(lowered.num_nodes(), lowered.full().graph.nodes.len());
+        assert!(lowered.quotient_for::<()>(None, false).is_none());
+    }
+
+    #[test]
+    fn a_failure_run_reports_the_full_graph() {
+        let mesh = Torus2d::new(2, 2);
+        let program = ring_program(&mesh);
+        let engine = Engine::new(mesh, cfg());
+        let lowered = engine.lower_program(&program);
+        let outcome = engine.run_observed(
+            &lowered,
+            &mut RunScratch::new(),
+            Some((crate::ChipFailure { chip: 3, at: 0.0 }, 1e-3)),
+            &mut (),
+        );
+        let info = outcome.aborted().expect("immediate failure must abort");
+        assert_eq!(info.total_nodes, 4 * lowered.num_nodes());
     }
 
     #[test]

@@ -91,6 +91,16 @@ impl HbmChannel {
         assert!(dt > -1e-12, "HBM channel time went backwards by {dt}");
         let dt = dt.max(0.0);
         for f in &mut self.flows {
+            // The engine settles a channel no later than its earliest flow
+            // completion, so a flow may overshoot its bytes only by the
+            // rounding of the wake-up instant.
+            debug_assert!(
+                f.rate * dt <= f.remaining + COMPLETION_EPS + f.rate * now * 4.0 * f64::EPSILON,
+                "flow of node {} over-delivered: {} bytes left, {} delivered",
+                f.node,
+                f.remaining,
+                f.rate * dt
+            );
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
         }
         self.last_update = now;
@@ -126,7 +136,9 @@ impl HbmChannel {
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].remaining <= COMPLETION_EPS {
-                done.push(self.flows.swap_remove(i).node);
+                let flow = self.flows.swap_remove(i);
+                debug_assert!((0.0..=COMPLETION_EPS).contains(&flow.remaining));
+                done.push(flow.node);
             } else {
                 i += 1;
             }
@@ -209,6 +221,15 @@ impl HbmChannel {
             left -= 1;
         }
         self.order = order;
+        debug_assert!(
+            self.flows.iter().all(|f| f.rate <= f.cap),
+            "a flow runs above its cap"
+        );
+        debug_assert!(
+            self.flows.iter().map(|f| f.rate).sum::<f64>() <= self.capacity * (1.0 + 1e-12),
+            "flows exceed the channel capacity {}",
+            self.capacity
+        );
     }
 
     #[cfg(test)]

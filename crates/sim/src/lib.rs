@@ -49,6 +49,7 @@ mod observe;
 mod perturb;
 mod pod;
 mod program;
+mod quotient;
 mod report;
 mod time;
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use meshslice_mesh::{CommAxis, LinkDir, Torus2d};
+use meshslice_mesh::{ChipId, CommAxis, LinkDir, Torus2d};
 
 use crate::config::{NetworkModel, SimConfig};
 use crate::program::{OpKind, Program};
@@ -214,7 +214,16 @@ struct CollectiveGroup {
     axis: Option<CommAxis>,
 }
 
-pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecGraph {
+/// Lowers `program` for `mesh`. With `wire_rings` unset, ring steps
+/// depend only on their own chip's previous step: the lowering of a
+/// symmetry-quotient representative (see [`crate::quotient`]), whose
+/// upstream neighbour reaches step `k − 1` at the same instant.
+pub(crate) fn lower(
+    mesh: &Torus2d,
+    cfg: &SimConfig,
+    program: &Program,
+    wire_rings: bool,
+) -> ExecGraph {
     let mut lw = Lowerer {
         cfg,
         // Every op lowers to a bounded handful of nodes per chip it
@@ -295,9 +304,11 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
                     deps,
                     &mut steps,
                 );
-                let group = groups.entry(*tag).or_default();
-                group.axis = Some(*axis);
-                group.steps.insert(chip, steps);
+                if wire_rings {
+                    let group = groups.entry(*tag).or_default();
+                    group.axis = Some(*axis);
+                    group.steps.insert(chip, steps);
+                }
                 (entry, exit)
             }
             OpKind::PipelinedBcast { axis, bytes } => {
@@ -358,15 +369,15 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
             if lanes.is_empty() {
                 continue; // singleton ring
             }
-            let ring = mesh.ring_through(mesh.coord_of(meshslice_mesh::ChipId(chip)), axis);
             for (lane_idx, chain) in lanes.iter().enumerate() {
-                // Lane 0 flows forward: this chip receives from `prev`.
-                // Lane 1 flows backward: it receives from `next`.
-                let upstream = if lane_idx == 0 {
-                    ring.prev(meshslice_mesh::ChipId(chip))
+                // Lane 0 flows forward: this chip receives from its ring
+                // predecessor. Lane 1 flows backward: from its successor.
+                let from = if lane_idx == 0 {
+                    axis.backward_link()
                 } else {
-                    ring.next(meshslice_mesh::ChipId(chip))
+                    axis.forward_link()
                 };
+                let upstream = mesh.neighbor_chip(ChipId(chip), from);
                 let upstream_chain = &group.steps[&upstream.index()][lane_idx];
                 for (k, &node) in chain.iter().enumerate().skip(1) {
                     let dep = upstream_chain[k - 1];
@@ -386,7 +397,6 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
 mod tests {
     use super::*;
     use crate::program::{CollectiveKind, ProgramBuilder};
-    use meshslice_mesh::ChipId;
     use meshslice_tensor::GemmShape;
 
     #[test]
@@ -394,7 +404,7 @@ mod tests {
         let mesh = Torus2d::new(1, 1);
         let mut b = ProgramBuilder::new(&mesh);
         b.gemm(ChipId(0), GemmShape::new(256, 256, 256), &[]);
-        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build());
+        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build(), true);
         assert_eq!(g.nodes.len(), 1);
         assert_eq!(g.nodes[0].resource, Resource::Compute);
         assert!(g.nodes[0].timer > 0.0);
@@ -409,7 +419,7 @@ mod tests {
         for chip in mesh.chips() {
             b.all_gather(chip, tag, CommAxis::InterRow, 4096, &[]);
         }
-        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build());
+        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build(), true);
         // Per chip: 1 launch + 3 steps.
         assert_eq!(g.nodes.len(), 4 * 4);
         let steps: Vec<_> = g
@@ -432,7 +442,7 @@ mod tests {
             // InterRow rings have length 1 on a 1-row mesh.
             b.all_gather(chip, tag, CommAxis::InterRow, 4096, &[]);
         }
-        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build());
+        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build(), true);
         assert_eq!(g.nodes.len(), 2);
         assert!(g
             .nodes
@@ -456,7 +466,7 @@ mod tests {
                 &[],
             );
         }
-        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build());
+        let g = lower(&mesh, &SimConfig::tpu_v4(), &b.build(), true);
         let step_bytes: Vec<_> = g
             .nodes
             .iter()
@@ -486,7 +496,7 @@ mod tests {
             overlap_collectives: false,
             ..SimConfig::tpu_v4()
         };
-        let g = lower(&mesh, &cfg, &b.build());
+        let g = lower(&mesh, &cfg, &b.build(), true);
         assert_eq!(g.nodes[1].deps, vec![0]);
     }
 
@@ -498,7 +508,7 @@ mod tests {
             b.pipelined_bcast(chip, CommAxis::InterRow, 16_000, &[]);
         }
         let cfg = SimConfig::tpu_v4();
-        let g = lower(&mesh, &cfg, &b.build());
+        let g = lower(&mesh, &cfg, &b.build(), true);
         let step = g
             .nodes
             .iter()

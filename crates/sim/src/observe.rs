@@ -39,11 +39,17 @@ use crate::time::Duration;
 
 /// Observation-only hooks into one engine run.
 ///
-/// Nodes are lowered-node indices of the [`LoweredProgram`] being run;
+/// Nodes are indices into the [`LoweredProgram`]'s full node graph;
 /// times are simulation seconds. Every hook defaults to doing nothing, so
 /// an observer implements only what it records, and the no-op observer
 /// `()` compiles to the unobserved event loop.
 pub trait EngineObserver {
+    /// Whether the observer records anything. Only observers that do not
+    /// (`()`, and pairs of them) let a run execute the program's symmetry
+    /// quotient (see [`LoweredProgram`]); every other observer sees each
+    /// chip's nodes of the full graph.
+    const OBSERVES: bool = true;
+
     /// Every dependency of `node` completed at `t` (roots are ready at 0).
     fn node_ready(&mut self, _node: usize, _t: f64) {}
 
@@ -57,10 +63,14 @@ pub trait EngineObserver {
 }
 
 /// The no-op observer.
-impl EngineObserver for () {}
+impl EngineObserver for () {
+    const OBSERVES: bool = false;
+}
 
 /// Both observers see every event, the first one first.
 impl<A: EngineObserver, B: EngineObserver> EngineObserver for (A, B) {
+    const OBSERVES: bool = A::OBSERVES || B::OBSERVES;
+
     fn node_ready(&mut self, node: usize, t: f64) {
         self.0.node_ready(node, t);
         self.1.node_ready(node, t);
@@ -219,7 +229,7 @@ pub struct RunTimeline {
 
 /// The op, chip, lane and work kind of one lowered node.
 fn labels(lowered: &LoweredProgram, node: usize) -> (OpId, ChipId, SpanTrack, SpanKind) {
-    let n = &lowered.graph.nodes[node];
+    let n = &lowered.full().graph.nodes[node];
     let track = match n.resource {
         Resource::Compute => SpanTrack::Compute,
         Resource::Link(dir) => SpanTrack::Link(dir),
@@ -247,7 +257,7 @@ impl<'a> OpTraceRecorder<'a> {
     pub fn new(lowered: &'a LoweredProgram) -> Self {
         OpTraceRecorder {
             lowered,
-            finish: vec![0.0; lowered.num_nodes()],
+            finish: vec![0.0; lowered.full().graph.nodes.len()],
         }
     }
 
@@ -255,13 +265,14 @@ impl<'a> OpTraceRecorder<'a> {
     pub fn into_traces(self) -> Vec<OpTrace> {
         let lowered = self.lowered;
         lowered
+            .full()
             .graph
             .op_exit
             .iter()
             .enumerate()
             .map(|(op, &exit)| OpTrace {
                 op: OpId(op),
-                chip: lowered.op_chips[op],
+                chip: lowered.program.ops()[op].chip,
                 completed: Duration::from_secs(self.finish[exit]),
             })
             .collect()
@@ -330,10 +341,10 @@ pub struct TimelineRecorder {
 impl TimelineRecorder {
     /// A recorder for runs of `lowered`.
     pub fn new(lowered: &LoweredProgram) -> Self {
-        let nodes = (0..lowered.num_nodes())
+        let nodes = (0..lowered.full().graph.nodes.len())
             .map(|i| {
                 let (op, chip, track, kind) = labels(lowered, i);
-                let node = &lowered.graph.nodes[i];
+                let node = &lowered.full().graph.nodes[i];
                 NodeRecord {
                     op,
                     chip,
@@ -349,7 +360,7 @@ impl TimelineRecorder {
                 }
             })
             .collect();
-        let finish_seq = Vec::with_capacity(lowered.num_nodes());
+        let finish_seq = Vec::with_capacity(lowered.full().graph.nodes.len());
         TimelineRecorder {
             timeline: RunTimeline { nodes, finish_seq },
         }

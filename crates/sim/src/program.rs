@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use meshslice_mesh::{ChipId, CommAxis, LinkDir, Torus2d};
 use meshslice_tensor::GemmShape;
@@ -146,10 +147,12 @@ pub struct Op {
 
 /// A cluster-wide DAG of operations, ready for the [`Engine`].
 ///
+/// The ops are shared, so cloning a program is O(1).
+///
 /// [`Engine`]: crate::Engine
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
-    pub(crate) ops: Vec<Op>,
+    pub(crate) ops: Arc<Vec<Op>>,
 }
 
 impl Program {
@@ -471,7 +474,9 @@ impl ProgramBuilder {
     /// every ring touched by a tag must be fully covered.
     pub fn build(self) -> Program {
         self.validate_collectives();
-        Program { ops: self.ops }
+        Program {
+            ops: Arc::new(self.ops),
+        }
     }
 
     fn validate_collectives(&self) {
@@ -620,7 +625,7 @@ mod tests {
     fn hand_built_cycles_are_detected() {
         // Construct a cyclic program directly (the builder forbids this).
         let p = Program {
-            ops: vec![
+            ops: Arc::new(vec![
                 Op {
                     chip: ChipId(0),
                     kind: OpKind::SliceCopy { bytes: 1 },
@@ -633,7 +638,7 @@ mod tests {
                     },
                     deps: vec![OpId(0)],
                 },
-            ],
+            ]),
         };
         let err = p.validate_acyclic().unwrap_err();
         assert_eq!(err.op, OpId(0));
@@ -651,7 +656,7 @@ mod tests {
         // Op 0 is stuck only because it waits on the 1 <-> 2 cycle; the
         // error must point into the cycle itself, not at op 0.
         let p = Program {
-            ops: vec![
+            ops: Arc::new(vec![
                 Op {
                     chip: ChipId(0),
                     kind: OpKind::SliceCopy { bytes: 1 },
@@ -667,7 +672,7 @@ mod tests {
                     kind: OpKind::SliceCopy { bytes: 3 },
                     deps: vec![OpId(1)],
                 },
-            ],
+            ]),
         };
         let err = p.validate_acyclic().unwrap_err();
         assert!(err.op == OpId(1) || err.op == OpId(2));

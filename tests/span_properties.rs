@@ -4,8 +4,12 @@
 //! report's time-breakdown buckets, and carry a critical path that
 //! telescopes to the makespan with non-negative slack everywhere. The
 //! recorders that produce spans, timelines and op traces must be
-//! observation-only: attaching them never changes a run's outcome.
+//! observation-only: attaching them never changes a run's outcome. The
+//! full node graph those recorders, failures and fault profiles run on is
+//! lowered lazily for symmetry-quotient programs; it must not matter when,
+//! or on which thread, that happens.
 
+use meshslice::par::parallel_map_threads;
 use meshslice::{
     Cannon, Collective, Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice,
     SimConfig, Summa, Wang,
@@ -13,8 +17,9 @@ use meshslice::{
 use meshslice_faults::FaultSpec;
 use meshslice_mesh::Torus2d;
 use meshslice_sim::{
-    ChipFailure, EngineObserver, FailureOutcome, LoweredProgram, NodeSpan, OpTraceRecorder,
-    Program, RunScratch, RunTimeline, SimReport, SpanRecorder, SpanTrack, TimelineRecorder,
+    ChipFailure, EngineObserver, FailureOutcome, LoweredProgram, NodeSpan, OpTrace,
+    OpTraceRecorder, Program, RunScratch, RunTimeline, SimReport, SpanRecorder, SpanTrack,
+    TimelineRecorder,
 };
 use meshslice_telemetry::{node_slacks, spans_overlap_and_buckets, CriticalPath};
 use proptest::prelude::*;
@@ -349,4 +354,164 @@ proptest! {
             }
         }
     }
+}
+
+/// One run of a lowered program, with everything it recorded. All but
+/// `Nominal` run the full node graph.
+#[derive(Debug, PartialEq)]
+enum FullRun {
+    Spans(FailureOutcome, Vec<NodeSpan>),
+    Timeline(FailureOutcome, RunTimeline),
+    Traces(FailureOutcome, Vec<OpTrace>),
+    Combined(FailureOutcome, Vec<NodeSpan>, RunTimeline, Vec<OpTrace>),
+    Failure(FailureOutcome),
+    Faulted(SimReport),
+    Nominal(SimReport),
+}
+
+/// The kinds of run that need the full graph.
+const FULL_RUNS: usize = 6;
+
+/// A quotient-eligible MeshSlice program on a 2x4 torus, and the pieces
+/// of its full-graph runs: the engine, a faulted sibling, and a chip
+/// failure halfway through the nominal makespan.
+struct FullRunCase {
+    program: Program,
+    engine: Engine,
+    faulty: Engine,
+    failure: Option<(ChipFailure, f64)>,
+}
+
+impl FullRunCase {
+    fn new() -> Self {
+        let mesh = Torus2d::new(2, 4);
+        let engine = Engine::new(mesh.clone(), SimConfig::tpu_v4());
+        let program = schedule(&MeshSlice::new(2, 4), &mesh, Dataflow::Os, 2).unwrap();
+        let makespan = engine.run(&program).makespan().as_secs();
+        let faulty = engine.with_faults(
+            FaultSpec::stragglers(1, 1.5)
+                .with_outages(1.0, 0.1 * makespan, 0.25, makespan)
+                .sample(mesh.num_chips(), 11),
+        );
+        let failure = Some((
+            ChipFailure {
+                chip: 5,
+                at: 0.5 * makespan,
+            },
+            1e-3 * makespan,
+        ));
+        FullRunCase {
+            program,
+            engine,
+            faulty,
+            failure,
+        }
+    }
+
+    /// Full-graph run number `kind` of `lowered`.
+    fn run(&self, kind: usize, lowered: &LoweredProgram) -> FullRun {
+        let (engine, scratch) = (&self.engine, &mut RunScratch::new());
+        match kind {
+            0 => {
+                let mut rec = SpanRecorder::new(lowered);
+                let outcome = engine.run_observed(lowered, scratch, None, &mut rec);
+                FullRun::Spans(outcome, rec.into_spans())
+            }
+            1 => {
+                let mut rec = TimelineRecorder::new(lowered);
+                let outcome = engine.run_observed(lowered, scratch, None, &mut rec);
+                FullRun::Timeline(outcome, rec.into_timeline())
+            }
+            2 => {
+                let mut rec = OpTraceRecorder::new(lowered);
+                let outcome = engine.run_observed(lowered, scratch, None, &mut rec);
+                FullRun::Traces(outcome, rec.into_traces())
+            }
+            3 => {
+                let mut all = (
+                    SpanRecorder::new(lowered),
+                    (
+                        TimelineRecorder::new(lowered),
+                        OpTraceRecorder::new(lowered),
+                    ),
+                );
+                let outcome = engine.run_observed(lowered, scratch, None, &mut all);
+                let (spans, (timeline, traces)) = all;
+                FullRun::Combined(
+                    outcome,
+                    spans.into_spans(),
+                    timeline.into_timeline(),
+                    traces.into_traces(),
+                )
+            }
+            4 => FullRun::Failure(engine.run_observed(lowered, scratch, self.failure, &mut ())),
+            _ => FullRun::Faulted(self.faulty.run_lowered_with_scratch(lowered, scratch)),
+        }
+    }
+
+    /// A fault-free, unobserved run: the one that takes the quotient.
+    fn nominal(&self, lowered: &LoweredProgram) -> SimReport {
+        self.engine
+            .run_lowered_with_scratch(lowered, &mut RunScratch::new())
+    }
+}
+
+/// Every full-graph run of a quotient-eligible program — each recorder,
+/// all three at once, a mid-run chip failure, a faulted sibling — returns
+/// what a fresh lowering returns, whether the program's full graph is
+/// first needed before or after a fault-free quotient run.
+#[test]
+fn lazy_full_graph_runs_match_a_fresh_lowering() {
+    let case = FullRunCase::new();
+    let nominal = case.engine.run(&case.program);
+    let probe = case.engine.lower_program(&case.program);
+    let full_nodes = TimelineRecorder::new(&probe).into_timeline().nodes.len();
+    assert_eq!(
+        probe.num_nodes() * 8,
+        full_nodes,
+        "the MeshSlice program must take the quotient"
+    );
+    for kind in 0..FULL_RUNS {
+        let want = case.run(kind, &case.engine.lower_program(&case.program));
+        if let FullRun::Spans(outcome, _) | FullRun::Combined(outcome, ..) = &want {
+            assert_eq!(outcome, &FailureOutcome::Completed(nominal.clone()));
+        }
+
+        let full_first = case.engine.lower_program(&case.program);
+        assert_eq!(
+            case.run(kind, &full_first),
+            want,
+            "run {kind}, full graph first"
+        );
+        assert_eq!(case.nominal(&full_first), nominal);
+        assert_eq!(
+            case.run(kind, &full_first),
+            want,
+            "run {kind}, built earlier"
+        );
+
+        let quotient_first = case.engine.lower_program(&case.program);
+        assert_eq!(case.nominal(&quotient_first), nominal);
+        assert_eq!(
+            case.run(kind, &quotient_first),
+            want,
+            "run {kind}, quotient first"
+        );
+    }
+}
+
+/// One lowered program shared by four workers — which race to lower its
+/// full graph — gives exactly the serial results.
+#[test]
+fn a_shared_lowered_program_is_thread_count_invariant() {
+    let case = FullRunCase::new();
+    let jobs: Vec<usize> = (0..4 * (FULL_RUNS + 1)).collect();
+    let run_all = |threads: usize| {
+        let lowered = case.engine.lower_program(&case.program);
+        parallel_map_threads(threads, &jobs, |&job| match job % (FULL_RUNS + 1) {
+            FULL_RUNS => FullRun::Nominal(case.nominal(&lowered)),
+            kind => case.run(kind, &lowered),
+        })
+    };
+    assert_eq!(run_all(4), run_all(1));
 }
