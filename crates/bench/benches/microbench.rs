@@ -1,15 +1,15 @@
 //! Criterion microbenchmarks of the core primitives: blocked slicing,
-//! dense GeMM kernels, functional collectives, and the event-driven
-//! simulation engine.
+//! dense GeMM kernels, functional collectives, the Program → lowered-graph
+//! pipeline, and the event-driven simulation engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use meshslice::autotuner::{Autotuner, RobustObjective};
+use meshslice::autotuner::{choose_stationary, pass_problems, Autotuner, RobustObjective};
 use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice_collectives::{all_gather, reduce_scatter};
 use meshslice_faults::FaultSpec;
 use meshslice_gemm::{Collective, Dataflow, DistributedGemm, GemmProblem, MeshSlice};
 use meshslice_mesh::{CommAxis, Torus2d};
-use meshslice_sim::{Engine, RunScratch, SimConfig};
+use meshslice_sim::{ClusterProfile, Engine, RunScratch, SimConfig};
 use meshslice_tensor::gemm::matmul;
 use meshslice_tensor::slice::{slice_cols, SliceSpec};
 use meshslice_tensor::{GemmShape, Matrix};
@@ -75,6 +75,38 @@ fn bench_sim_engine(c: &mut Criterion) {
     });
 }
 
+fn bench_pipeline(c: &mut Criterion) {
+    // Per-layer cost of reaching the simulator: one GPT-3 FC pass (the
+    // first pass of the QKV layer, weak scaling) on 4x4 at S = 8. The
+    // faulted run cannot use the one-chip quotient, so it also lowers
+    // the full node graph.
+    let mesh = Torus2d::new(4, 4);
+    let cfg = SimConfig::tpu_v4();
+    let tokens = TrainingSetup::weak_scaling(16).tokens();
+    let qkv = LlmConfig::gpt3().fc_layers()[0];
+    let stationary = choose_stationary(tokens, qkv.input_dim, qkv.output_dim);
+    let problem = pass_problems(stationary, tokens, qkv.input_dim, qkv.output_dim)[0];
+    let algo = Autotuner::new(cfg.clone()).meshslice_for(mesh.shape(), problem, 8);
+    let engine = Engine::new(mesh.clone(), cfg.clone());
+    let faulted = engine.with_faults(ClusterProfile::ideal(16).with_compute_slowdown(5, 1.5));
+    let program = algo.schedule(&mesh, problem, cfg.elem_bytes).unwrap();
+    let mut scratch = RunScratch::new();
+    let mut group = c.benchmark_group("pipeline");
+    group.bench_function("schedule_gpt3_fc_4x4_s8", |b| {
+        b.iter(|| algo.schedule(&mesh, std::hint::black_box(problem), cfg.elem_bytes))
+    });
+    group.bench_function("lower_program_gpt3_fc_4x4_s8", |b| {
+        b.iter(|| engine.lower_program(std::hint::black_box(&program)))
+    });
+    group.bench_function("lower_program_and_faulted_run_gpt3_fc_4x4_s8", |b| {
+        b.iter(|| {
+            let lowered = engine.lower_program(std::hint::black_box(&program));
+            faulted.run_lowered_with_scratch(&lowered, &mut scratch)
+        })
+    });
+    group.finish();
+}
+
 fn bench_scratch_reuse(c: &mut Criterion) {
     // The sweep hot path: the same program replayed with allocations
     // recycled across runs (and, for the lowered variant, the program
@@ -138,6 +170,7 @@ criterion_group!(
     bench_collectives,
     bench_functional_meshslice,
     bench_sim_engine,
+    bench_pipeline,
     bench_scratch_reuse,
     bench_robust_tuning
 );

@@ -9,7 +9,7 @@ use meshslice_mesh::Torus2d;
 use crate::config::{NetworkModel, SimConfig};
 use crate::failure::{AbortInfo, ChipFailure, FailureOutcome};
 use crate::hbm::HbmChannel;
-use crate::lower::{lower, Category, ExecGraph, Resource};
+use crate::lower::{lower, Category, ExecGraph, Node, Resource};
 use crate::observe::EngineObserver;
 use crate::perturb::ClusterProfile;
 use crate::program::Program;
@@ -73,14 +73,10 @@ pub struct LoweredProgram {
     total_flops: u64,
 }
 
-/// One lowered node graph plus the packed forms the event loop reads.
+/// One lowered node graph plus the forms the event loop reads.
 #[derive(Clone, Debug)]
 pub(crate) struct Executable {
     pub(crate) graph: ExecGraph,
-    /// Per-node hot fields, packed for cache locality: the event loop
-    /// touches only this copy; the full [`ExecGraph`] nodes are read only
-    /// by failure detection and the recorders.
-    hot: Vec<HotNode>,
     /// Reverse dependency lists in CSR form: the dependents of node `i`
     /// are `dep_targets[dep_starts[i]..dep_starts[i + 1]]`.
     dep_starts: Vec<u32>,
@@ -94,31 +90,16 @@ pub(crate) struct Executable {
     chips: usize,
 }
 
-/// The per-node fields the event loop actually reads, packed into one
-/// cache line (the full [`Node`](crate::lower::Node) is ~2 lines and drags
-/// its dependency list along).
-#[derive(Clone, Copy, Debug)]
-struct HotNode {
-    sync: f64,
-    timer: f64,
-    flow_bytes: f64,
-    flow_cap: f64,
-    fabric_bytes: f64,
-    chip: u32,
-    resource: Resource,
-    category: Category,
-}
-
 impl Executable {
     fn new(graph: ExecGraph, chips: usize) -> Self {
         let n = graph.nodes.len();
-        let mut deps_left_init = vec![0u32; n];
-        // CSR construction: count dependents, prefix-sum, then fill.
+        let deps_left_init: Vec<u32> = (0..n).map(|i| graph.deps(i).len() as u32).collect();
+        // Reverse the flat dependency buffer: count dependents,
+        // prefix-sum, then fill in dependent order.
         let mut dep_starts = vec![0u32; n + 1];
-        for (i, node) in graph.nodes.iter().enumerate() {
-            deps_left_init[i] = node.deps.len() as u32;
-            for &d in &node.deps {
-                dep_starts[d + 1] += 1;
+        for i in 0..n {
+            for &d in graph.deps(i) {
+                dep_starts[d as usize + 1] += 1;
             }
         }
         for i in 0..n {
@@ -126,30 +107,15 @@ impl Executable {
         }
         let mut dep_targets = vec![0u32; dep_starts[n] as usize];
         let mut cursor = dep_starts.clone();
-        for (i, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                dep_targets[cursor[d] as usize] = i as u32;
-                cursor[d] += 1;
+        for i in 0..n {
+            for &d in graph.deps(i) {
+                dep_targets[cursor[d as usize] as usize] = i as u32;
+                cursor[d as usize] += 1;
             }
         }
-        let hot = graph
-            .nodes
-            .iter()
-            .map(|node| HotNode {
-                sync: node.sync,
-                timer: node.timer,
-                flow_bytes: node.flow_bytes,
-                flow_cap: node.flow_cap,
-                fabric_bytes: node.fabric_bytes,
-                chip: node.chip as u32,
-                resource: node.resource,
-                category: node.category,
-            })
-            .collect();
         let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
         Executable {
             graph,
-            hot,
             dep_starts,
             dep_targets,
             deps_left_init,
@@ -423,10 +389,11 @@ impl WakeQueue {
 /// The state of one run. The scratch buffers are moved in for the run
 /// and handed back after it.
 struct Run<'a, O> {
-    nodes: &'a ExecGraph,
-    /// Packed per-node hot fields (see [`HotNode`]); `nodes` is only read
-    /// by failure detection.
-    hot: &'a [HotNode],
+    /// The graph; its dependency lists are read only by failure
+    /// detection.
+    graph: &'a ExecGraph,
+    /// The graph's nodes.
+    nodes: &'a [Node],
     /// Active variability profile. `None` when the config carries no
     /// profile *or* an ideal one — the fault hooks then cost nothing and
     /// the simulation is bit-for-bit the unperturbed one.
@@ -717,8 +684,8 @@ impl Engine {
         refill(&mut scratch.overlap_at_start, n, 0.0);
 
         let mut run = Run {
-            nodes: &exe.graph,
-            hot: &exe.hot,
+            graph: &exe.graph,
+            nodes: &exe.graph.nodes,
             profile,
             s: std::mem::take(scratch),
             dep_starts: &exe.dep_starts,
@@ -848,7 +815,7 @@ impl<O: EngineObserver> Run<'_, O> {
     /// Whether `node` lives on the dead chip of a fired failure.
     #[inline]
     fn node_frozen(&self, node: usize) -> bool {
-        self.chip_dead(self.hot[node].chip as usize)
+        self.chip_dead(self.nodes[node].chip as usize)
     }
 
     /// Whether `chip` is the dead chip of a fired failure.
@@ -931,9 +898,9 @@ impl<O: EngineObserver> Run<'_, O> {
     /// (GeMM/slice streaming) are untouched.
     fn retune_chip_links(&mut self, chip: usize, t: f64) {
         let Some(profile) = self.profile else { return };
-        let hot = self.hot;
+        let nodes = self.nodes;
         self.s.hbm[chip].retune_caps(|node| {
-            let info = &hot[node];
+            let info = &nodes[node];
             match info.resource {
                 Resource::Link(dir) => {
                     Some(info.flow_cap * profile.link_multiplier_at(chip, dir, t))
@@ -947,10 +914,10 @@ impl<O: EngineObserver> Run<'_, O> {
     /// shared-fabric flows injected by that chip.
     fn retune_fabric_links(&mut self, chip: usize, t: f64) {
         let Some(profile) = self.profile else { return };
-        let hot = self.hot;
+        let nodes = self.nodes;
         if let Some(slot) = self.fabric {
             self.s.hbm[slot].retune_caps(|node| {
-                let info = &hot[node];
+                let info = &nodes[node];
                 if info.chip as usize != chip {
                     return None;
                 }
@@ -989,8 +956,8 @@ impl<O: EngineObserver> Run<'_, O> {
     }
 
     fn resource_state(&mut self, node: usize) -> Option<&mut ResourceState> {
-        let chip = self.hot[node].chip as usize;
-        match self.hot[node].resource {
+        let chip = self.nodes[node].chip as usize;
+        match self.nodes[node].resource {
             Resource::None => None,
             Resource::Compute => Some(&mut self.s.compute_units[chip]),
             Resource::Link(dir) => Some(&mut self.s.links[chip][dir.index()]),
@@ -1027,13 +994,12 @@ impl<O: EngineObserver> Run<'_, O> {
     /// on the dead chip — a stall that can never resolve, which is what the
     /// neighbor-sync watchdog detects.
     fn stalled_on_dead(&self, node: usize, dead: u32) -> bool {
-        self.hot[node].chip != dead
+        self.nodes[node].chip != dead
             && self.s.phase[node] == Phase::Blocked
             && self.s.deps_left[node] > 0
-            && self.nodes.nodes[node]
-                .deps
-                .iter()
-                .all(|&dep| self.s.phase[dep] == Phase::Done || self.hot[dep].chip == dead)
+            && self.graph.deps(node).iter().all(|&dep| {
+                self.s.phase[dep as usize] == Phase::Done || self.nodes[dep as usize].chip == dead
+            })
     }
 
     /// Arms (or tightens) the failure-detection watchdog: a stall that
@@ -1083,7 +1049,7 @@ impl<O: EngineObserver> Run<'_, O> {
     /// queued); its synchronization delay starts now.
     fn begin_sync(&mut self, node: usize, from: Option<usize>, t: f64) {
         self.obs.resource_acquired(node, from, t);
-        let sync = self.hot[node].sync;
+        let sync = self.nodes[node].sync;
         if sync > 0.0 {
             self.s.phase[node] = Phase::Syncing;
             self.schedule(t + sync, Event::SyncDone(node));
@@ -1093,7 +1059,7 @@ impl<O: EngineObserver> Run<'_, O> {
     }
 
     fn begin_busy(&mut self, node: usize, t: f64) {
-        let info = self.hot[node];
+        let info = self.nodes[node];
         let chip = info.chip as usize;
         self.s.busy_start_time[node] = t;
         add_copies(&mut self.buckets.comm_sync, info.sync, self.copies);
@@ -1183,7 +1149,7 @@ impl<O: EngineObserver> Run<'_, O> {
             ref p => panic!("completing node {node} in phase {p:?}"),
         }
         let busy_start = self.s.busy_start_time[node];
-        let info = self.hot[node];
+        let info = self.nodes[node];
         let chip = info.chip as usize;
         let busy = t - busy_start;
         let bucket = match info.category {

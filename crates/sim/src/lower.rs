@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use meshslice_mesh::{ChipId, CommAxis, LinkDir, Torus2d};
+use meshslice_mesh::{CommAxis, LinkDir, Torus2d};
 
 use crate::config::{NetworkModel, SimConfig};
 use crate::program::{OpKind, Program};
@@ -38,14 +38,10 @@ pub(crate) enum Category {
     CommTransfer,
 }
 
-/// One executable node.
-#[derive(Clone, Debug)]
+/// One executable node: the fields the event loop reads, packed into one
+/// cache line. Its dependencies live in [`ExecGraph`]'s flat buffer.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Node {
-    pub(crate) chip: usize,
-    /// Index of the program op this node was lowered from (set by
-    /// [`lower`] after each op expands; used for trace-span attribution).
-    pub(crate) op: usize,
-    pub(crate) resource: Resource,
     /// Synchronization delay after acquiring the resource, attributed to
     /// the `comm_sync` bucket.
     pub(crate) sync: f64,
@@ -59,109 +55,166 @@ pub(crate) struct Node {
     /// torus). Only link transfers set this, and only under
     /// [`NetworkModel::SharedFabric`].
     pub(crate) fabric_bytes: f64,
+    pub(crate) chip: u32,
+    pub(crate) resource: Resource,
     pub(crate) category: Category,
-    pub(crate) deps: Vec<usize>,
+}
+
+impl Node {
+    /// A node on `chip` that holds no resource and does no work.
+    fn idle(chip: usize) -> Node {
+        Node {
+            sync: 0.0,
+            timer: 0.0,
+            flow_bytes: 0.0,
+            flow_cap: 0.0,
+            fabric_bytes: 0.0,
+            chip: chip as u32,
+            resource: Resource::None,
+            category: Category::CommLaunch,
+        }
+    }
 }
 
 /// The lowered graph.
 #[derive(Clone, Debug)]
 pub(crate) struct ExecGraph {
     pub(crate) nodes: Vec<Node>,
+    /// Index of the program op each node was lowered from (for trace-span
+    /// attribution).
+    pub(crate) node_op: Vec<u32>,
+    /// Dependency lists in CSR form: node `i` waits on
+    /// `deps[dep_starts[i]..dep_starts[i + 1]]`.
+    dep_starts: Vec<u32>,
+    deps: Vec<u32>,
     /// Exit node of each program op (completion of this node completes
     /// the op), indexed by op id.
-    pub(crate) op_exit: Vec<usize>,
+    pub(crate) op_exit: Vec<u32>,
 }
+
+impl ExecGraph {
+    /// The nodes `node` waits on: its own chip's dependencies, sorted and
+    /// deduplicated, then (for ring steps after the first) the upstream
+    /// neighbour's previous step.
+    pub(crate) fn deps(&self, node: usize) -> &[u32] {
+        &self.deps[self.dep_starts[node] as usize..self.dep_starts[node + 1] as usize]
+    }
+}
+
+/// Placeholder for a ring dependency not yet wired.
+const UNWIRED: u32 = u32::MAX;
 
 struct Lowerer<'a> {
     cfg: &'a SimConfig,
-    nodes: Vec<Node>,
+    graph: ExecGraph,
+    /// Dependencies of the next node, gathered before [`Lowerer::push`].
+    pending: Vec<u32>,
     /// Last node of the previously lowered op per chip, for the
     /// no-overlap serialization mode.
-    chip_chain: Vec<Option<usize>>,
+    chip_chain: Vec<Option<u32>>,
     /// Last node issued on each (chip, link direction). Real ICI channels
     /// process operations in issue order, so every link op depends on its
     /// predecessor on the same link — without this, the ring steps of a
     /// later collective would overtake the remaining steps of an earlier
     /// one in the link queue and destroy software pipelining.
-    link_chain: Vec<[Option<usize>; 4]>,
+    link_chain: Vec<[Option<u32>; 4]>,
 }
 
 impl<'a> Lowerer<'a> {
-    fn push(&mut self, mut node: Node) -> usize {
-        // Link chaining can duplicate an existing dependency edge.
-        node.deps.sort_unstable();
-        node.deps.dedup();
-        self.nodes.push(node);
-        self.nodes.len() - 1
+    /// Appends `node` waiting on the pending dependencies (sorted and
+    /// deduplicated: link chaining can duplicate an edge), plus one slot
+    /// for a ring dependency if `ring_slot`.
+    fn push(&mut self, node: Node, ring_slot: bool) -> u32 {
+        let g = &mut self.graph;
+        self.pending.sort_unstable();
+        self.pending.dedup();
+        g.deps.append(&mut self.pending);
+        g.deps.extend(ring_slot.then_some(UNWIRED));
+        g.dep_starts.push(g.deps.len() as u32);
+        g.nodes.push(node);
+        g.nodes.len() as u32 - 1
     }
 
-    fn zero_node(&mut self, chip: usize, deps: Vec<usize>) -> usize {
-        self.push(Node {
-            chip,
-            op: usize::MAX,
-            resource: Resource::None,
-            sync: 0.0,
-            timer: 0.0,
-            flow_bytes: 0.0,
-            flow_cap: 0.0,
-            fabric_bytes: 0.0,
-            category: Category::CommLaunch,
-            deps,
-        })
+    fn zero_node(&mut self, chip: usize) -> u32 {
+        self.push(Node::idle(chip), false)
     }
 
-    fn launch_node(&mut self, chip: usize, deps: Vec<usize>) -> usize {
-        let t = self.cfg.t_launch.as_secs();
-        self.push(Node {
-            chip,
-            op: usize::MAX,
-            resource: Resource::None,
-            sync: 0.0,
-            timer: t,
-            flow_bytes: 0.0,
-            flow_cap: 0.0,
-            fabric_bytes: 0.0,
-            category: Category::CommLaunch,
-            deps,
-        })
+    fn launch_node(&mut self, chip: usize) -> u32 {
+        let timer = self.cfg.t_launch.as_secs();
+        let node = Node {
+            timer,
+            ..Node::idle(chip)
+        };
+        self.push(node, false)
     }
 
-    fn link_step(&mut self, chip: usize, dir: LinkDir, bytes: u64, mut deps: Vec<usize>) -> usize {
-        if let Some(prev) = self.link_chain[chip][dir.index()] {
-            deps.push(prev);
-        }
+    /// A kernel on the chip's compute unit: `timer` of fixed work beside
+    /// an HBM flow of `flow_bytes`.
+    fn kernel(&mut self, chip: usize, timer: f64, flow_bytes: f64, category: Category) -> u32 {
+        let node = Node {
+            timer,
+            flow_bytes,
+            flow_cap: self.cfg.hbm_bandwidth,
+            resource: Resource::Compute,
+            category,
+            ..Node::idle(chip)
+        };
+        self.push(node, false)
+    }
+
+    /// A transfer of `bytes` over link `dir`, queued behind the link's
+    /// previous node: it pays `sync`, then streams `flow_bytes` of HBM
+    /// traffic at up to twice the link bandwidth.
+    fn link_node(
+        &mut self,
+        chip: usize,
+        dir: LinkDir,
+        sync: f64,
+        flow_bytes: f64,
+        bytes: u64,
+        ring_slot: bool,
+    ) -> u32 {
+        self.pending.extend(self.link_chain[chip][dir.index()]);
+        let fabric_bytes = match self.cfg.network {
+            NetworkModel::PhysicalTorus => 0.0,
+            NetworkModel::SharedFabric { .. } => bytes as f64,
+        };
+        let node = Node {
+            sync,
+            flow_bytes,
+            flow_cap: 2.0 * self.cfg.link_bandwidth,
+            fabric_bytes,
+            resource: Resource::Link(dir),
+            category: Category::CommTransfer,
+            ..Node::idle(chip)
+        };
+        let n = self.push(node, ring_slot);
+        self.link_chain[chip][dir.index()] = Some(n);
+        n
+    }
+
+    fn link_step(&mut self, chip: usize, dir: LinkDir, bytes: u64, ring_slot: bool) -> u32 {
         // Before the synchronized send, the NIC stages the outgoing
         // sub-shard from HBM into its buffer (store-and-forward at chip
         // granularity) — a second-order cost the analytical model of
         // §3.2.2 does not include.
         let staging = bytes as f64 / self.cfg.hbm_bandwidth;
+        let sync = self.cfg.t_sync.as_secs() + staging;
         // A ring step reads the outgoing shard from HBM and writes the
         // incoming one, so the HBM demand is twice the step bytes; the
         // flow cap of twice the link bandwidth makes an uncontended step
         // take exactly bytes / link_bw.
-        let fabric_bytes = match self.cfg.network {
-            NetworkModel::PhysicalTorus => 0.0,
-            NetworkModel::SharedFabric { .. } => bytes as f64,
-        };
-        let n = self.push(Node {
-            chip,
-            op: usize::MAX,
-            resource: Resource::Link(dir),
-            sync: self.cfg.t_sync.as_secs() + staging,
-            timer: 0.0,
-            flow_bytes: 2.0 * bytes as f64,
-            flow_cap: 2.0 * self.cfg.link_bandwidth,
-            fabric_bytes,
-            category: Category::CommTransfer,
-            deps,
-        });
-        self.link_chain[chip][dir.index()] = Some(n);
-        n
+        self.link_node(chip, dir, sync, 2.0 * bytes as f64, bytes, ring_slot)
     }
 
-    /// Lowers a collective for one chip; returns (entry node, exit node)
-    /// and records the per-lane step nodes for cross-chip wiring.
-    #[allow(clippy::too_many_arguments)]
+    /// Lowers a collective for one chip, waiting on the pending
+    /// dependencies; returns (entry node, exit node).
+    ///
+    /// The nodes are laid out as the launch, then each lane's `P − 1`
+    /// steps in order, then (two lanes) a join, so step `k` of lane `l`
+    /// is node `launch + 1 + l·(P − 1) + k`. With `ring_slots`, every step
+    /// after the first keeps a slot for its upstream dependency (see
+    /// [`Lowerer::wire`]).
     fn collective(
         &mut self,
         chip: usize,
@@ -169,234 +222,195 @@ impl<'a> Lowerer<'a> {
         ring_len: usize,
         shard_bytes: u64,
         lanes: u8,
-        deps: Vec<usize>,
-        steps_out: &mut Vec<Vec<usize>>,
-    ) -> (usize, usize) {
+        ring_slots: bool,
+    ) -> (u32, u32) {
         if ring_len <= 1 {
-            let n = self.zero_node(chip, deps);
-            steps_out.clear();
+            let n = self.zero_node(chip);
             return (n, n);
         }
-        let launch = self.launch_node(chip, deps);
-        let mut lane_finals = Vec::new();
-        steps_out.clear();
+        let launch = self.launch_node(chip);
+        let lane_bytes = (shard_bytes / lanes as u64).max(1);
         for lane in 0..lanes {
             let dir = if lane == 0 {
                 axis.forward_link()
             } else {
                 axis.backward_link()
             };
-            let lane_bytes = shard_bytes / lanes as u64;
-            let mut chain = Vec::with_capacity(ring_len - 1);
             let mut prev = launch;
-            for _step in 0..ring_len - 1 {
-                let n = self.link_step(chip, dir, lane_bytes.max(1), vec![prev]);
-                chain.push(n);
-                prev = n;
+            for step in 0..ring_len - 1 {
+                self.pending.push(prev);
+                prev = self.link_step(chip, dir, lane_bytes, ring_slots && step > 0);
             }
-            lane_finals.push(prev);
-            steps_out.push(chain);
         }
-        let exit = if lane_finals.len() == 1 {
-            lane_finals[0]
+        let steps = ring_len as u32 - 1;
+        let exit = if lanes == 1 {
+            launch + steps
         } else {
-            self.zero_node(chip, lane_finals)
+            self.pending.extend([launch + steps, launch + 2 * steps]);
+            self.zero_node(chip)
         };
         (launch, exit)
     }
+
+    /// Points step `k ≥ 1` of `lane` of the collective launched at
+    /// `launch` at step `k − 1` of the upstream copy launched at
+    /// `upstream`: the data it forwards.
+    fn wire(&mut self, launch: u32, upstream: u32, lane: u32, ring_len: usize) {
+        let steps = ring_len as u32 - 1;
+        let first = 1 + lane * steps;
+        for k in 1..steps {
+            let node = (launch + first + k) as usize;
+            let slot = self.graph.dep_starts[node + 1] as usize - 1;
+            self.graph.deps[slot] = upstream + first + k - 1;
+        }
+    }
 }
 
-/// Per-collective bookkeeping for cross-chip wiring.
-#[derive(Default)]
-struct CollectiveGroup {
-    /// chip -> per-lane step node chains.
-    steps: HashMap<usize, Vec<Vec<usize>>>,
-    axis: Option<CommAxis>,
-}
-
-/// Lowers `program` for `mesh`. With `wire_rings` unset, ring steps
-/// depend only on their own chip's previous step: the lowering of a
-/// symmetry-quotient representative (see [`crate::quotient`]), whose
-/// upstream neighbour reaches step `k − 1` at the same instant.
+/// Lowers `program` for `mesh` in one pass over the ops plus one over the
+/// collectives, relying on the program being ordered (every dependency
+/// points to an earlier op, as [`ProgramBuilder::build`] guarantees).
+///
+/// With `wire_rings` unset, ring steps depend only on their own chip's
+/// previous step: the lowering of a symmetry-quotient representative (see
+/// [`crate::quotient`]), whose upstream neighbour reaches step `k − 1` at
+/// the same instant.
+///
+/// [`ProgramBuilder::build`]: crate::ProgramBuilder::build
 pub(crate) fn lower(
     mesh: &Torus2d,
     cfg: &SimConfig,
     program: &Program,
     wire_rings: bool,
 ) -> ExecGraph {
+    let ops = program.ops();
+    let chips = mesh.num_chips();
+    // Every op lowers to a bounded handful of nodes per chip it touches;
+    // reserving a generous estimate up front avoids the doubling
+    // reallocations that otherwise dominate lowering of six-figure-node
+    // graphs.
+    let cap = 16 * ops.len();
     let mut lw = Lowerer {
         cfg,
-        // Every op lowers to a bounded handful of nodes per chip it
-        // touches; reserving a generous estimate up front avoids the
-        // doubling reallocations of a ~100 B/node vector that otherwise
-        // dominate lowering of six-figure-node graphs.
-        nodes: Vec::with_capacity(16 * program.ops().len()),
-        chip_chain: vec![None; mesh.num_chips()],
-        link_chain: vec![[None; 4]; mesh.num_chips()],
+        graph: ExecGraph {
+            nodes: Vec::with_capacity(cap),
+            node_op: Vec::with_capacity(cap),
+            dep_starts: Vec::with_capacity(cap + 1),
+            deps: Vec::with_capacity(2 * cap),
+            op_exit: Vec::with_capacity(ops.len()),
+        },
+        pending: Vec::new(),
+        chip_chain: vec![None; chips],
+        link_chain: vec![[None; 4]; chips],
     };
-    // op index -> (entry node, exit node)
-    let mut op_nodes: Vec<(usize, usize)> = Vec::with_capacity(program.ops().len());
-    let mut groups: HashMap<u64, CollectiveGroup> = HashMap::new();
+    lw.graph.dep_starts.push(0);
+    // Dense per-tag ring bookkeeping: each tag's group number, and
+    // (group, chip) -> launch node of the chip's copy of the collective.
+    let mut group_of: HashMap<u64, usize> = HashMap::new();
+    let mut launches: Vec<u32> = Vec::new();
+    // (chip, launch, group, axis, lanes) of every collective whose steps
+    // wait on a neighbour.
+    let mut rings = Vec::new();
 
-    for (op_idx, op) in program.ops().iter().enumerate() {
+    for (op_idx, op) in ops.iter().enumerate() {
         let chip = op.chip.index();
-        let node_start = lw.nodes.len();
-        let mut deps: Vec<usize> = op.deps.iter().map(|d| op_nodes[d.index()].1).collect();
+        let exits = &lw.graph.op_exit;
+        lw.pending.extend(op.deps.iter().map(|d| exits[d.index()]));
         if !cfg.overlap_collectives {
             // Real-hardware mode (§5.3): the compiler serializes every
             // chip's operations in program order.
-            if let Some(prev) = lw.chip_chain[chip] {
-                deps.push(prev);
-            }
+            lw.pending.extend(lw.chip_chain[chip]);
         }
-        let entry_exit = match &op.kind {
+        let exit = match &op.kind {
             OpKind::Gemm { shape } => {
                 let timer = cfg.t_kernel_launch.as_secs() + cfg.gemm_flop_time(*shape).as_secs();
-                let n = lw.push(Node {
-                    chip,
-                    op: usize::MAX,
-                    resource: Resource::Compute,
-                    sync: 0.0,
-                    timer,
-                    flow_bytes: cfg.gemm_hbm_bytes(*shape) as f64,
-                    flow_cap: cfg.hbm_bandwidth,
-                    fabric_bytes: 0.0,
-                    category: Category::Compute,
-                    deps,
-                });
-                (n, n)
+                let flow_bytes = cfg.gemm_hbm_bytes(*shape) as f64;
+                lw.kernel(chip, timer, flow_bytes, Category::Compute)
             }
             OpKind::SliceCopy { bytes } => {
-                let n = lw.push(Node {
-                    chip,
-                    op: usize::MAX,
-                    resource: Resource::Compute,
-                    sync: 0.0,
-                    timer: cfg.t_kernel_launch.as_secs(),
-                    flow_bytes: (2 * bytes.max(&1)) as f64,
-                    flow_cap: cfg.hbm_bandwidth,
-                    fabric_bytes: 0.0,
-                    category: Category::Slice,
-                    deps,
-                });
-                (n, n)
+                let timer = cfg.t_kernel_launch.as_secs();
+                let flow_bytes = (2 * bytes.max(&1)) as f64;
+                lw.kernel(chip, timer, flow_bytes, Category::Slice)
             }
             OpKind::SendRecv { dir, bytes } => {
-                let launch = lw.launch_node(chip, deps);
-                let step = lw.link_step(chip, *dir, (*bytes).max(1), vec![launch]);
-                (launch, step)
+                let launch = lw.launch_node(chip);
+                lw.pending.push(launch);
+                lw.link_step(chip, *dir, (*bytes).max(1), false)
             }
             OpKind::Collective {
                 axis,
                 tag,
                 shard_bytes,
                 lanes,
-                kind: _,
+                ..
             } => {
                 let ring_len = mesh.ring_len(*axis);
-                let mut steps = Vec::new();
-                let (entry, exit) = lw.collective(
-                    chip,
-                    *axis,
-                    ring_len,
-                    *shard_bytes,
-                    *lanes,
-                    deps,
-                    &mut steps,
-                );
-                if wire_rings {
-                    let group = groups.entry(*tag).or_default();
-                    group.axis = Some(*axis);
-                    group.steps.insert(chip, steps);
+                let wired = wire_rings && ring_len > 1;
+                let (launch, exit) =
+                    lw.collective(chip, *axis, ring_len, *shard_bytes, *lanes, wired);
+                if wired {
+                    let g = *group_of.entry(*tag).or_insert_with(|| {
+                        launches.resize(launches.len() + chips, UNWIRED);
+                        launches.len() / chips - 1
+                    });
+                    launches[g * chips + chip] = launch;
+                    rings.push((op.chip, launch, g, *axis, *lanes));
                 }
-                (entry, exit)
+                exit
             }
             OpKind::PipelinedBcast { axis, bytes } => {
                 let p = mesh.ring_len(*axis);
                 if p <= 1 {
-                    let n = lw.zero_node(chip, deps);
-                    (n, n)
+                    lw.zero_node(chip)
                 } else {
                     let d = cfg.summa_packets.max(1);
                     // Unidirectional packet streaming, exactly Figure 3
                     // (left): P + D - 2 stages with P - 2 bubbles per link.
                     let stages = (p + d - 2) as f64;
-                    let launch = lw.launch_node(chip, deps);
+                    let launch = lw.launch_node(chip);
                     // One node occupies the link for the whole pipelined
                     // stream: `stages` synchronizations plus `stages`
                     // packet transfers (bubbles included — each link is
                     // idle for P − 2 of the stages, which is exactly the
                     // inefficiency of Figure 3, left).
                     let flow_bytes = 2.0 * *bytes as f64 * stages / d as f64;
+                    let sync = stages * cfg.t_sync.as_secs();
+                    lw.pending.push(launch);
                     let dir = axis.forward_link();
-                    let mut node_deps = vec![launch];
-                    if let Some(prev) = lw.link_chain[chip][dir.index()] {
-                        node_deps.push(prev);
-                    }
-                    let fabric = match cfg.network {
-                        NetworkModel::PhysicalTorus => 0.0,
-                        NetworkModel::SharedFabric { .. } => *bytes as f64,
-                    };
-                    let n = lw.push(Node {
-                        chip,
-                        op: usize::MAX,
-                        resource: Resource::Link(dir),
-                        sync: stages * cfg.t_sync.as_secs(),
-                        timer: 0.0,
-                        flow_bytes: flow_bytes.max(1.0),
-                        flow_cap: 2.0 * cfg.link_bandwidth,
-                        fabric_bytes: fabric,
-                        category: Category::CommTransfer,
-                        deps: node_deps,
-                    });
-                    lw.link_chain[chip][dir.index()] = Some(n);
-                    (launch, n)
+                    lw.link_node(chip, dir, sync, flow_bytes.max(1.0), *bytes, false)
                 }
             }
         };
-        for node in node_start..lw.nodes.len() {
-            lw.nodes[node].op = op_idx;
-        }
-        lw.chip_chain[chip] = Some(entry_exit.1);
-        op_nodes.push(entry_exit);
+        let g = &mut lw.graph;
+        g.node_op.resize(g.nodes.len(), op_idx as u32);
+        g.op_exit.push(exit);
+        lw.chip_chain[chip] = Some(exit);
     }
 
     // Cross-chip wiring: step k depends on the upstream neighbor's step
     // k − 1 within the same collective and lane.
-    for group in groups.values() {
-        let axis = group.axis.expect("group has an axis");
-        for (&chip, lanes) in &group.steps {
-            if lanes.is_empty() {
-                continue; // singleton ring
-            }
-            for (lane_idx, chain) in lanes.iter().enumerate() {
-                // Lane 0 flows forward: this chip receives from its ring
-                // predecessor. Lane 1 flows backward: from its successor.
-                let from = if lane_idx == 0 {
-                    axis.backward_link()
-                } else {
-                    axis.forward_link()
-                };
-                let upstream = mesh.neighbor_chip(ChipId(chip), from);
-                let upstream_chain = &group.steps[&upstream.index()][lane_idx];
-                for (k, &node) in chain.iter().enumerate().skip(1) {
-                    let dep = upstream_chain[k - 1];
-                    lw.nodes[node].deps.push(dep);
-                }
-            }
+    for (chip, launch, g, axis, lanes) in rings {
+        for lane in 0..lanes {
+            // Lane 0 flows forward: this chip receives from its ring
+            // predecessor. Lane 1 flows backward: from its successor.
+            let from = if lane == 0 {
+                axis.backward_link()
+            } else {
+                axis.forward_link()
+            };
+            let upstream = mesh.neighbor_chip(chip, from);
+            let up_launch = launches[g * chips + upstream.index()];
+            assert_ne!(up_launch, UNWIRED, "ring of {chip:?} is incomplete");
+            lw.wire(launch, up_launch, lane as u32, mesh.ring_len(axis));
         }
     }
-
-    ExecGraph {
-        nodes: lw.nodes,
-        op_exit: op_nodes.iter().map(|&(_, exit)| exit).collect(),
-    }
+    lw.graph
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{CollectiveKind, ProgramBuilder};
+    use meshslice_mesh::ChipId;
     use meshslice_tensor::GemmShape;
 
     #[test]
@@ -429,7 +443,7 @@ mod tests {
             .collect();
         assert_eq!(steps.len(), 12);
         // Step nodes after the first must have a cross-chip dependency.
-        let two_deps = g.nodes.iter().filter(|n| n.deps.len() == 2).count();
+        let two_deps = (0..g.nodes.len()).filter(|&i| g.deps(i).len() == 2).count();
         assert_eq!(two_deps, 8); // steps 1 and 2 on each of 4 chips
     }
 
@@ -478,10 +492,8 @@ mod tests {
         assert_eq!(step_bytes.len(), 4 * 6);
         assert!(step_bytes.iter().all(|&b| b == 2.0 * 2048.0));
         // Joins: one per chip.
-        let joins = g
-            .nodes
-            .iter()
-            .filter(|n| n.resource == Resource::None && n.deps.len() == 2)
+        let joins = (0..g.nodes.len())
+            .filter(|&i| g.nodes[i].resource == Resource::None && g.deps(i).len() == 2)
             .count();
         assert_eq!(joins, 4);
     }
@@ -497,7 +509,7 @@ mod tests {
             ..SimConfig::tpu_v4()
         };
         let g = lower(&mesh, &cfg, &b.build(), true);
-        assert_eq!(g.nodes[1].deps, vec![0]);
+        assert_eq!(g.deps(1), [0]);
     }
 
     #[test]

@@ -229,7 +229,8 @@ pub struct RunTimeline {
 
 /// The op, chip, lane and work kind of one lowered node.
 fn labels(lowered: &LoweredProgram, node: usize) -> (OpId, ChipId, SpanTrack, SpanKind) {
-    let n = &lowered.full().graph.nodes[node];
+    let graph = &lowered.full().graph;
+    let n = &graph.nodes[node];
     let track = match n.resource {
         Resource::Compute => SpanTrack::Compute,
         Resource::Link(dir) => SpanTrack::Link(dir),
@@ -241,7 +242,8 @@ fn labels(lowered: &LoweredProgram, node: usize) -> (OpId, ChipId, SpanTrack, Sp
         Category::CommLaunch => SpanKind::CommLaunch,
         Category::CommTransfer => SpanKind::CommTransfer,
     };
-    (OpId(n.op), ChipId(n.chip), track, kind)
+    let op = OpId(graph.node_op[node] as usize);
+    (op, ChipId(n.chip as usize), track, kind)
 }
 
 /// Records when every program operation completed — the per-op timeline
@@ -273,7 +275,7 @@ impl<'a> OpTraceRecorder<'a> {
             .map(|(op, &exit)| OpTrace {
                 op: OpId(op),
                 chip: lowered.program.ops()[op].chip,
-                completed: Duration::from_secs(self.finish[exit]),
+                completed: Duration::from_secs(self.finish[exit as usize]),
             })
             .collect()
     }
@@ -341,10 +343,11 @@ pub struct TimelineRecorder {
 impl TimelineRecorder {
     /// A recorder for runs of `lowered`.
     pub fn new(lowered: &LoweredProgram) -> Self {
-        let nodes = (0..lowered.full().graph.nodes.len())
+        let graph = &lowered.full().graph;
+        let nodes = (0..graph.nodes.len())
             .map(|i| {
                 let (op, chip, track, kind) = labels(lowered, i);
-                let node = &lowered.full().graph.nodes[i];
+                let node = &graph.nodes[i];
                 NodeRecord {
                     op,
                     chip,
@@ -355,12 +358,12 @@ impl TimelineRecorder {
                     acquired: Duration::ZERO,
                     busy_start: Duration::ZERO,
                     finish: Duration::ZERO,
-                    deps: node.deps.clone(),
+                    deps: graph.deps(i).iter().map(|&d| d as usize).collect(),
                     res_pred: None,
                 }
             })
             .collect();
-        let finish_seq = Vec::with_capacity(lowered.full().graph.nodes.len());
+        let finish_seq = Vec::with_capacity(graph.nodes.len());
         TimelineRecorder {
             timeline: RunTimeline { nodes, finish_seq },
         }

@@ -174,10 +174,12 @@ impl Program {
     /// Checks that the op dependency graph is acyclic and returns a valid
     /// topological order of op indices.
     ///
-    /// The builder only allows backward references, so programs built with
-    /// [`ProgramBuilder`] are always acyclic; this check exists for
-    /// programs constructed or transformed by other means, and gives a
-    /// clearer error than the engine's deadlock panic.
+    /// Programs built with [`ProgramBuilder`] are ordered: every
+    /// dependency points to an earlier op. For them the check is one pass
+    /// over the dependencies and the order is the identity. Other programs
+    /// (constructed or transformed by other means) fall back to Kahn's
+    /// algorithm, which also yields a clearer error than the engine's
+    /// deadlock panic.
     ///
     /// # Errors
     ///
@@ -185,6 +187,14 @@ impl Program {
     /// its chip and kind, and a short excerpt of the cycle.
     pub fn validate_acyclic(&self) -> Result<Vec<usize>, CycleError> {
         let n = self.ops.len();
+        let ordered = self
+            .ops
+            .iter()
+            .enumerate()
+            .all(|(i, op)| op.deps.iter().all(|d| d.0 < i));
+        if ordered {
+            return Ok((0..n).collect());
+        }
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, op) in self.ops.iter().enumerate() {
@@ -467,11 +477,18 @@ impl ProgramBuilder {
 
     /// Finalizes the program.
     ///
+    /// The result is ordered: the builder accepts only dependencies on
+    /// ops that already exist, so every dependency points to an earlier op
+    /// and op order is a topological order (which
+    /// [`Program::validate_acyclic`] and the lowering rely on).
+    ///
     /// # Panics
     ///
     /// Panics if any collective tag is inconsistent: members of one ring
-    /// must all carry the same kind, axis, byte count, and lane count, and
-    /// every ring touched by a tag must be fully covered.
+    /// must all carry the same kind, axis, byte count, and lane count, no
+    /// chip may take part twice, and every ring touched by a tag must be
+    /// fully covered. The panic names the first offending op in program
+    /// order.
     pub fn build(self) -> Program {
         self.validate_collectives();
         Program {
@@ -479,48 +496,46 @@ impl ProgramBuilder {
         }
     }
 
+    /// Checks collective membership in one pass over the ops plus one over
+    /// the collectives. A ring is a cycle, so it is complete exactly when
+    /// each member's forward neighbour along the axis also takes part.
     fn validate_collectives(&self) {
-        // tag -> (kind, axis, shard_bytes, lanes) plus participating chips.
-        let mut groups: HashMap<u64, (CollectiveKind, CommAxis, u64, u8, Vec<ChipId>)> =
-            HashMap::new();
-        for op in &self.ops {
-            if let OpKind::Collective {
-                kind,
-                axis,
-                tag,
-                shard_bytes,
-                lanes,
-            } = op.kind
-            {
-                let entry =
-                    groups
-                        .entry(tag)
-                        .or_insert((kind, axis, shard_bytes, lanes, Vec::new()));
-                assert!(
-                    entry.0 == kind
-                        && entry.1 == axis
-                        && entry.2 == shard_bytes
-                        && entry.3 == lanes,
-                    "collective tag {tag} used with inconsistent parameters"
-                );
-                assert!(
-                    !entry.4.contains(&op.chip),
-                    "chip {:?} participates twice in collective tag {tag}",
-                    op.chip
-                );
-                entry.4.push(op.chip);
+        let chips = self.mesh.num_chips();
+        // Dense per-tag bookkeeping: each tag's group number, the group's
+        // first op, and (group, chip) -> the chip's first op of the group
+        // (`usize::MAX`: none).
+        let mut group_of: HashMap<u64, usize> = HashMap::new();
+        let (mut first_op, mut member, mut collectives) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, op) in self.ops.iter().enumerate() {
+            if let OpKind::Collective { tag, axis, .. } = op.kind {
+                let g = *group_of.entry(tag).or_insert_with(|| {
+                    first_op.push(i);
+                    member.resize(member.len() + chips, usize::MAX);
+                    first_op.len() - 1
+                });
+                let slot = &mut member[g * chips + op.chip.index()];
+                *slot = i.min(*slot);
+                collectives.push((i, g, tag, axis));
             }
         }
-        for (tag, (_, axis, _, _, chips)) in &groups {
-            for &chip in chips {
-                let ring = self.mesh.ring_through(self.mesh.coord_of(chip), *axis);
-                for member in ring.members() {
-                    assert!(
-                        chips.contains(member),
-                        "collective tag {tag}: ring of {chip:?} is missing {member:?}"
-                    );
-                }
-            }
+        for (i, g, tag, axis) in collectives {
+            let op = &self.ops[i];
+            // Equal tags, so equal kinds means equal parameters.
+            assert!(
+                op.kind == self.ops[first_op[g]].kind,
+                "collective tag {tag} used with inconsistent parameters"
+            );
+            assert!(
+                member[g * chips + op.chip.index()] == i,
+                "chip {:?} participates twice in collective tag {tag}",
+                op.chip
+            );
+            let next = self.mesh.neighbor_chip(op.chip, axis.forward_link());
+            assert!(
+                member[g * chips + next.index()] != usize::MAX,
+                "collective tag {tag}: ring of {:?} is missing {next:?}",
+                op.chip
+            );
         }
     }
 }
@@ -592,6 +607,26 @@ mod tests {
     }
 
     #[test]
+    fn the_first_broken_collective_in_program_order_is_named() {
+        // Every tag misses a ring member. Program order, not the tag value
+        // or a hasher's iteration order, decides which one is named.
+        let mesh = Torus2d::new(2, 2);
+        let tags = [7, 3, 12, 0, 9, 5, 1, 10];
+        for rot in 0..tags.len() {
+            let mut b = ProgramBuilder::new(&mesh);
+            for k in 0..tags.len() {
+                let tag = tags[(rot + k) % tags.len()];
+                b.all_gather(ChipId(k % 4), tag, CommAxis::InterRow, 64, &[]);
+            }
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.build()))
+                .expect_err("broken rings are rejected");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            let want = format!("collective tag {}: ring of", tags[rot]);
+            assert!(msg.starts_with(&want), "{msg}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "does not exist yet")]
     fn forward_dependency_panics() {
         let mesh = Torus2d::new(1, 1);
@@ -649,6 +684,26 @@ mod tests {
         assert!(msg.contains("cycle through op 0"), "message: {msg}");
         assert!(msg.contains("chip 0"), "message: {msg}");
         assert!(msg.contains("0 -> 1"), "message: {msg}");
+    }
+
+    #[test]
+    fn out_of_order_programs_fall_back_to_a_topological_sort() {
+        // Op 0 waits on op 1: acyclic, but not in builder order.
+        let p = Program {
+            ops: Arc::new(vec![
+                Op {
+                    chip: ChipId(0),
+                    kind: OpKind::SliceCopy { bytes: 1 },
+                    deps: vec![OpId(1)],
+                },
+                Op {
+                    chip: ChipId(0),
+                    kind: OpKind::SliceCopy { bytes: 2 },
+                    deps: vec![],
+                },
+            ]),
+        };
+        assert_eq!(p.validate_acyclic(), Ok(vec![1, 0]));
     }
 
     #[test]

@@ -202,13 +202,14 @@ mod tests {
                 )
             };
             assert_eq!(work(a), work(b), "node {f}");
-            let own: Vec<usize> = a
-                .deps
+            let own: Vec<usize> = full
+                .deps(f)
                 .iter()
-                .filter(|&&d| full.nodes[d].chip == 0)
-                .map(|&d| rep_of[d])
+                .filter(|&&d| full.nodes[d as usize].chip == 0)
+                .map(|&d| rep_of[d as usize])
                 .collect();
-            assert_eq!(own, b.deps, "node {f}");
+            let rep_deps: Vec<usize> = rep.deps(r).iter().map(|&d| d as usize).collect();
+            assert_eq!(own, rep_deps, "node {f}");
         }
     }
 
