@@ -15,7 +15,7 @@ use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::par;
 use meshslice_bench::{banner, quick_mode, sim_config};
 use meshslice_faults::FailureSpec;
-use meshslice_recovery::{simulate_recovery, RecoveryParams, ResilientTuning, DEFAULT_DETECT_SECS};
+use meshslice_recovery::{simulate_recovery, tune_resilient, RecoveryParams, DEFAULT_DETECT_SECS};
 use meshslice_telemetry::Json;
 
 struct Workload {
@@ -63,17 +63,15 @@ fn main() {
     let tuner = Autotuner::new(sim_config());
     let setup = TrainingSetup::weak_scaling(w.chips);
     let threads = par::threads().max(2);
+    // Every spec below has a positive MTBF and horizon.
+    let tune = |spec: &FailureSpec, threads: usize| {
+        tune_resilient(&tuner, &w.model, setup, w.chips, &w.s_values, spec, threads)
+            .expect("the bench builds only valid failure specs")
+    };
 
     // The failure-free plan prices the modeled horizon: `steps` nominal
     // training steps.
-    let calm = tuner.tune_resilient_threads(
-        &w.model,
-        setup,
-        w.chips,
-        &w.s_values,
-        &FailureSpec::none(),
-        threads,
-    );
+    let calm = tune(&FailureSpec::none(), threads);
     let step0 = calm.best().nominal_block.as_secs() * w.model.layers as f64;
     let horizon = (w.steps as f64 * step0).max(1.0);
     println!("nominal run: {horizon:.1} s ({step0:.3} s/step)");
@@ -81,11 +79,8 @@ fn main() {
     let mut rungs = Vec::new();
     for &hours in &w.mtbf_hours {
         let spec = FailureSpec::chip_mtbf(hours * 3600.0, horizon);
-        let (serial, serial_secs) =
-            timed(|| tuner.tune_resilient_threads(&w.model, setup, w.chips, &w.s_values, &spec, 1));
-        let (parallel, parallel_secs) = timed(|| {
-            tuner.tune_resilient_threads(&w.model, setup, w.chips, &w.s_values, &spec, threads)
-        });
+        let (serial, serial_secs) = timed(|| tune(&spec, 1));
+        let (parallel, parallel_secs) = timed(|| tune(&spec, threads));
         if serial != parallel {
             eprintln!("FAIL: parallel resilient sweep diverges from serial at MTBF {hours} h");
             std::process::exit(1);

@@ -44,7 +44,7 @@ use meshslice::{
 use meshslice_faults::FailureSpec;
 use meshslice_mesh::{MeshView, Torus2d};
 use meshslice_recovery::{
-    simulate_recovery, RecoveryParams, RepairModel, ResilientTuning, DEFAULT_DETECT_SECS,
+    simulate_recovery, tune_resilient, RecoveryParams, RepairModel, DEFAULT_DETECT_SECS,
 };
 use meshslice_serving::{
     simulate_fleet_threads, simulate_fleet_traced, ArrivalSpec, ChaosSpec, ChipDeath, Request,
@@ -1453,9 +1453,16 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             let setup = TrainingSetup::weak_scaling(chips);
             let tuner = Autotuner::new(cfg.clone());
             let s_values = [1usize, 2, 4, 8];
+            // Parsing rejects non-positive MTBFs and the horizon is at
+            // least 1 s, so every spec below is valid.
+            let tune = |spec: &FailureSpec| {
+                let workers = meshslice::par::threads();
+                tune_resilient(&tuner, &model, setup, chips, &s_values, spec, workers)
+                    .expect("the CLI builds only valid failure specs")
+            };
             // The failure-free plan prices the modeled run length (the
             // horizon failures are drawn over): `steps` nominal steps.
-            let calm = tuner.tune_resilient(&model, setup, chips, &s_values, &FailureSpec::none());
+            let calm = tune(&FailureSpec::none());
             let step0 = calm.best().nominal_block.as_secs() * model.layers as f64;
             let horizon = (steps as f64 * step0).max(1.0);
             println!(
@@ -1476,7 +1483,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             for factor in [4.0, 2.0, 1.0, 0.5, 0.25] {
                 let hours = mtbf_hours * factor;
                 let spec = FailureSpec::chip_mtbf(hours * 3600.0, horizon);
-                let plan = tuner.tune_resilient(&model, setup, chips, &s_values, &spec);
+                let plan = tune(&spec);
                 let best = plan.best();
                 let step_secs = best.nominal_block.as_secs() * model.layers as f64;
                 let ckpt_every = if best.checkpoint_interval_secs.is_finite() && step_secs > 0.0 {
@@ -1658,12 +1665,12 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             }
             if let Some(path) = tunelog {
                 let setup = TrainingSetup::weak_scaling(mesh.num_chips());
-                let (_, log) =
-                    tuner
-                        .tune_on_mesh_logged(&config, setup, mesh)
-                        .ok_or_else(|| {
-                            format!("cannot tune: a pass does not divide over mesh {mesh}")
-                        })?;
+                let workers = meshslice::par::threads();
+                let (_, log) = tuner
+                    .tune_on_mesh_logged(&config, setup, mesh, workers)
+                    .ok_or_else(|| {
+                        format!("cannot tune: a pass does not divide over mesh {mesh}")
+                    })?;
                 println!("\n{log}");
                 std::fs::write(&path, log.to_json().to_string_pretty())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;

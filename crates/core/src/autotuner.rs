@@ -48,7 +48,7 @@ type ScheduleKey = (GemmShape, Dataflow, MeshShape, usize, usize, usize);
 /// results are unchanged bit-for-bit.
 ///
 /// The cache is `Sync`; a single instance can serve all workers of a
-/// [`par::parallel_map`] sweep.
+/// [`par::parallel_map_with`] sweep.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
     map: Mutex<HashMap<ScheduleKey, Arc<Program>>>,
@@ -381,15 +381,9 @@ impl Autotuner {
 
     /// Phase 1: the stationary choice of every FC layer.
     pub fn phase1(&self, model: &LlmConfig, setup: TrainingSetup) -> Vec<(FcLayer, Stationary)> {
-        model
-            .fc_layers()
+        Self::layer_problems(model, setup, None)
             .into_iter()
-            .map(|l| {
-                (
-                    l,
-                    choose_stationary(setup.tokens(), l.input_dim, l.output_dim),
-                )
-            })
+            .map(|(layer, stationary, _)| (layer, stationary))
             .collect()
     }
 
@@ -587,8 +581,8 @@ impl Autotuner {
                 None => {
                     let work = self.estimate_on_mesh(model, setup, mesh_shape).and_then(
                         |(analytic, layers)| {
-                            let passes = plan_passes(&layers);
-                            let block = self.lower_block(mesh_shape, passes, self.cost.config())?;
+                            let passes = self.meshslice_passes(mesh_shape, plan_passes(&layers))?;
+                            let block = lower_block(mesh_shape, passes, self.cost.config())?;
                             Some((analytic, layers, block))
                         },
                     );
@@ -634,21 +628,12 @@ impl Autotuner {
     /// artifact. The chosen candidate per pass is the analytical argmin,
     /// exactly matching [`best_slice_count`](Self::best_slice_count).
     ///
+    /// The candidate simulations fan out over `threads` workers; the log
+    /// is assembled in candidate order from index-placed results, so the
+    /// output is identical at any thread count.
+    ///
     /// Returns `None` if any pass does not divide over the mesh.
     pub fn tune_on_mesh_logged(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        mesh_shape: MeshShape,
-    ) -> Option<(Vec<LayerPlan>, TuneLog)> {
-        self.tune_on_mesh_logged_threads(model, setup, mesh_shape, par::threads())
-    }
-
-    /// [`tune_on_mesh_logged`](Self::tune_on_mesh_logged) with an explicit
-    /// worker count for the candidate simulations. The log is assembled in
-    /// candidate order from index-placed results, so the output is
-    /// identical at any thread count.
-    pub fn tune_on_mesh_logged_threads(
         &self,
         model: &LlmConfig,
         setup: TrainingSetup,
@@ -749,8 +734,7 @@ impl Autotuner {
         cfg: &SimConfig,
     ) -> Option<SimReport> {
         let passes = Self::block_passes(model, setup, requested_s);
-        let block = self.lower_block(mesh_shape, passes, cfg)?;
-        Some(block.run(None, &mut RunScratch::new()))
+        simulate_passes(mesh_shape, self.meshslice_passes(mesh_shape, passes)?, cfg)
     }
 
     /// Simulates the twelve FC GeMMs of tuned layer plans on a mesh under
@@ -765,8 +749,8 @@ impl Autotuner {
         layers: &[LayerPlan],
         cfg: &SimConfig,
     ) -> Option<SimReport> {
-        let block = self.lower_block(mesh_shape, plan_passes(layers), cfg)?;
-        Some(block.run(None, &mut RunScratch::new()))
+        let passes = self.meshslice_passes(mesh_shape, plan_passes(layers))?;
+        simulate_passes(mesh_shape, passes, cfg)
     }
 
     /// The twelve `(problem, requested slice count)` passes of one FC
@@ -781,37 +765,25 @@ impl Autotuner {
             .flat_map(move |(_, _, problems)| problems.map(|p| (p, requested_s)))
     }
 
-    /// Builds the [`LoweredBlock`] of one FC block's `(problem, requested
-    /// slice count)` passes on a mesh under `cfg`, each pass scheduled as
-    /// [`meshslice_for`](Self::meshslice_for) maps its request. `None` if a
-    /// pass does not divide over the mesh or fails to schedule.
-    fn lower_block(
+    /// Maps `(problem, requested slice count)` passes to the MeshSlice
+    /// instance each runs as on a mesh
+    /// ([`meshslice_for`](Self::meshslice_for)), ready for the block
+    /// simulator. `None` if a pass does not divide over the mesh.
+    fn meshslice_passes(
         &self,
         mesh_shape: MeshShape,
         passes: impl IntoIterator<Item = (GemmProblem, usize)>,
-        cfg: &SimConfig,
-    ) -> Option<LoweredBlock> {
-        let mut specs: Vec<(GemmProblem, MeshSlice)> = Vec::with_capacity(12);
-        for (problem, requested_s) in passes {
-            problem.check_divisible(mesh_shape).ok()?;
-            let algo = self.meshslice_for(mesh_shape, problem, requested_s);
-            specs.push((problem, algo));
-        }
-        let slot_of = dedup_slots(&specs);
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), cfg.clone());
-        let mut lowered = Vec::new();
-        for (i, &(problem, algo)) in specs.iter().enumerate() {
-            if slot_of[i] == lowered.len() {
-                let program = algo.schedule(&mesh, problem, cfg.elem_bytes).ok()?;
-                lowered.push(engine.lower_program(&program));
-            }
-        }
-        Some(LoweredBlock {
-            engine,
-            lowered,
-            slot_of,
-        })
+    ) -> Option<Vec<(GemmProblem, MeshSlice)>> {
+        passes
+            .into_iter()
+            .map(|(problem, requested_s)| {
+                problem.check_divisible(mesh_shape).ok()?;
+                Some((
+                    problem,
+                    self.meshslice_for(mesh_shape, problem, requested_s),
+                ))
+            })
+            .collect()
     }
 
     /// Robustness-aware phase 2: scores every (mesh shape, slice count)
@@ -820,35 +792,14 @@ impl Autotuner {
     /// the fault-free analytical model.
     ///
     /// Dataflows still come from phase 1; `s_values` is the requested
-    /// slice-count grid (clamped per pass). Candidates are returned
-    /// sorted, best first.
+    /// slice-count grid (clamped per pass). Candidates are evaluated on
+    /// `threads` workers and placed by input index, so the plan is
+    /// identical at any thread count. Candidates are returned sorted,
+    /// best first.
     ///
     /// # Panics
     ///
     /// Panics if `profiles` is empty or no candidate is feasible.
-    pub fn tune_robust(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        chips: usize,
-        s_values: &[usize],
-        profiles: &[ClusterProfile],
-        objective: RobustObjective,
-    ) -> RobustPlan {
-        self.tune_robust_threads(
-            model,
-            setup,
-            chips,
-            s_values,
-            profiles,
-            objective,
-            par::threads(),
-        )
-    }
-
-    /// [`tune_robust`](Self::tune_robust) with an explicit worker count.
-    /// Candidates are evaluated independently and results placed by input
-    /// index, so the plan is identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     pub fn tune_robust_threads(
         &self,
@@ -894,7 +845,8 @@ impl Autotuner {
     /// Simulates one FC block at a requested slice count under the
     /// fault-free config *and* under every perturbation draw, returning
     /// `(nominal, per-draw)` makespans — the building block of
-    /// [`tune_robust`](Self::tune_robust) and of sweep experiments.
+    /// [`tune_robust_threads`](Self::tune_robust_threads) and of sweep
+    /// experiments.
     ///
     /// The block is scheduled and lowered once per distinct pass spec and
     /// replayed per draw with run state recycled through `scratch`
@@ -911,8 +863,8 @@ impl Autotuner {
         profiles: &[ClusterProfile],
         scratch: &mut RunScratch,
     ) -> Option<(Duration, Vec<Duration>)> {
-        let passes = Self::block_passes(model, setup, s);
-        let block = self.lower_block(mesh_shape, passes, self.cost.config())?;
+        let passes = self.meshslice_passes(mesh_shape, Self::block_passes(model, setup, s))?;
+        let block = lower_block(mesh_shape, passes, self.cost.config())?;
         let nominal = block.run(None, scratch).makespan();
         let per_draw = profiles
             .iter()
@@ -946,7 +898,7 @@ impl Autotuner {
     }
 }
 
-/// How [`Autotuner::tune_robust`] aggregates per-draw makespans into one
+/// How [`Autotuner::tune_robust_threads`] aggregates per-draw makespans into one
 /// candidate score.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RobustObjective {
@@ -1013,7 +965,7 @@ impl RobustCandidate {
     }
 }
 
-/// The result of [`Autotuner::tune_robust`]: all feasible candidates,
+/// The result of [`Autotuner::tune_robust_threads`]: all feasible candidates,
 /// scored and sorted (best first).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RobustPlan {
@@ -1036,6 +988,11 @@ impl RobustPlan {
 /// price the block under any number of fault profiles. Identical programs
 /// under an identical config produce identical reports, so each distinct
 /// report is fanned out to every pass that repeats it.
+///
+/// This is the one "schedule each pass → lower → run → merge serially"
+/// path: every MeshSlice search and simulation, and
+/// [`simulate_fc_step`](crate::training::simulate_fc_step) for all seven
+/// GeMM families, goes through it.
 struct LoweredBlock {
     /// Engine on the block's mesh under the block's config.
     engine: Engine,
@@ -1067,6 +1024,43 @@ fn plan_passes(layers: &[LayerPlan]) -> impl Iterator<Item = (GemmProblem, usize
     layers
         .iter()
         .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)))
+}
+
+/// Builds the [`LoweredBlock`] of a `(problem, algorithm)` pass list on a
+/// mesh under `cfg`, scheduling and lowering each distinct spec once.
+/// `None` if a pass fails to schedule.
+fn lower_block<A: DistributedGemm + PartialEq>(
+    mesh_shape: MeshShape,
+    passes: impl IntoIterator<Item = (GemmProblem, A)>,
+    cfg: &SimConfig,
+) -> Option<LoweredBlock> {
+    let specs: Vec<(GemmProblem, A)> = passes.into_iter().collect();
+    let slot_of = dedup_slots(&specs);
+    let mesh = Torus2d::from_shape(mesh_shape);
+    let engine = Engine::new(mesh.clone(), cfg.clone());
+    let mut lowered = Vec::new();
+    for (i, (problem, algo)) in specs.iter().enumerate() {
+        if slot_of[i] == lowered.len() {
+            let program = algo.schedule(&mesh, *problem, cfg.elem_bytes).ok()?;
+            lowered.push(engine.lower_program(&program));
+        }
+    }
+    Some(LoweredBlock {
+        engine,
+        lowered,
+        slot_of,
+    })
+}
+
+/// Simulates a `(problem, algorithm)` pass list once under `cfg` through
+/// its [`LoweredBlock`]: bit-for-bit the per-pass `Engine::run` +
+/// [`SimReport::merge_serial`] loop. `None` if a pass fails to schedule.
+pub(crate) fn simulate_passes<A: DistributedGemm + PartialEq>(
+    mesh_shape: MeshShape,
+    passes: impl IntoIterator<Item = (GemmProblem, A)>,
+    cfg: &SimConfig,
+) -> Option<SimReport> {
+    Some(lower_block(mesh_shape, passes, cfg)?.run(None, &mut RunScratch::new()))
 }
 
 /// Maps each element to the position of its first occurrence within the
@@ -1200,7 +1194,8 @@ mod tests {
             let assign = pod.project(&p.view).unwrap();
             let mesh = assign.torus.shape();
             let (_, layers) = tuner.estimate_on_mesh(&model, setup, mesh).unwrap();
-            let block = tuner.lower_block(mesh, plan_passes(&layers), cfg).unwrap();
+            let passes = tuner.meshslice_passes(mesh, plan_passes(&layers)).unwrap();
+            let block = lower_block(mesh, passes, cfg).unwrap();
             let t = block.run(Some(&assign.profile), &mut RunScratch::new());
             assert!(t.makespan() > plan.simulated_block_time, "plane {}", p);
         }
@@ -1308,7 +1303,7 @@ mod tests {
         let model = tiny();
         let setup = TrainingSetup::weak_scaling(4);
         let mesh = MeshShape::new(2, 2);
-        let (layers, log) = tuner.tune_on_mesh_logged(&model, setup, mesh).unwrap();
+        let (layers, log) = tuner.tune_on_mesh_logged(&model, setup, mesh, 1).unwrap();
         assert_eq!(layers.len(), 4);
         // Every (layer, pass) contributed at least the S=1 candidate, and
         // exactly one candidate per (layer, pass) is marked chosen.
@@ -1343,7 +1338,7 @@ mod tests {
         let model = tiny();
         let setup = TrainingSetup::weak_scaling(4);
         let mesh = MeshShape::new(2, 2);
-        let (layers, _) = tuner.tune_on_mesh_logged(&model, setup, mesh).unwrap();
+        let (layers, _) = tuner.tune_on_mesh_logged(&model, setup, mesh, 1).unwrap();
         let (_, expected) = tuner.estimate_on_mesh(&model, setup, mesh).unwrap();
         for (got, want) in layers.iter().zip(&expected) {
             for (g, w) in got.passes.iter().zip(&want.passes) {
@@ -1383,13 +1378,14 @@ mod tests {
         let tuner = Autotuner::new(SimConfig::tpu_v4());
         let setup = TrainingSetup::weak_scaling(4);
         let profiles = vec![ClusterProfile::ideal(4); 2];
-        let plan = tuner.tune_robust(
+        let plan = tuner.tune_robust_threads(
             &tiny(),
             setup,
             4,
             &[1, 2],
             &profiles,
             RobustObjective::Worst,
+            1,
         );
         assert!(!plan.candidates.is_empty());
         for c in &plan.candidates {
@@ -1405,7 +1401,15 @@ mod tests {
         let tuner = Autotuner::new(SimConfig::tpu_v4());
         let setup = TrainingSetup::weak_scaling(4);
         let profiles = vec![ClusterProfile::ideal(4).with_compute_slowdown(0, 2.0)];
-        let plan = tuner.tune_robust(&tiny(), setup, 4, &[1, 2], &profiles, RobustObjective::P95);
+        let plan = tuner.tune_robust_threads(
+            &tiny(),
+            setup,
+            4,
+            &[1, 2],
+            &profiles,
+            RobustObjective::P95,
+            1,
+        );
         let best = plan.best();
         assert!(
             best.score > best.nominal,

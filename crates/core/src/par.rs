@@ -24,16 +24,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the worker count used by [`parallel_map`] (the CLI's
+/// Overrides the ambient worker count [`threads`] reports (the CLI's
 /// `--threads N`). Passing 0 clears the override, falling back to
 /// `MESHSLICE_THREADS` and then the machine's available parallelism.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// The worker count [`parallel_map`] will use: the [`set_threads`]
-/// override if set, else `MESHSLICE_THREADS` if set and positive, else
-/// [`std::thread::available_parallelism`] (1 if unknown).
+/// The ambient worker count callers pass to [`parallel_map_with`]: the
+/// [`set_threads`] override if set, else `MESHSLICE_THREADS` if set and
+/// positive, else [`std::thread::available_parallelism`] (1 if unknown).
 pub fn threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
@@ -51,22 +51,12 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on the ambient worker count ([`threads`]),
-/// returning results in input order.
+/// Maps `f` over `items` on `num_threads` workers, returning results in
+/// input order.
 ///
 /// Deterministic by construction: output slot `i` always holds
 /// `f(&items[i])`, so any thread count — including 1 — yields a `Vec`
 /// identical to `items.iter().map(f).collect()`.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_threads(threads(), items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count.
 pub fn parallel_map_threads<T, R, F>(num_threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

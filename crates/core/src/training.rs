@@ -11,14 +11,12 @@
 
 use std::fmt;
 
-use meshslice_gemm::{
-    Cannon, Collective, Dataflow, DistributedGemm, Fsdp, GemmProblem, OneDimTp, Summa, Wang,
-};
+use meshslice_gemm::{Cannon, Collective, Dataflow, Fsdp, GemmProblem, OneDimTp, Summa, Wang};
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{Duration, Engine, SimConfig, SimReport};
 use meshslice_tensor::GemmShape;
 
-use crate::autotuner::{Autotuner, LayerPlan};
+use crate::autotuner::{simulate_passes, Autotuner};
 use crate::costmodel::CostModel;
 use crate::llm::{LlmConfig, TrainingSetup};
 
@@ -106,7 +104,9 @@ impl FcStepResult {
 }
 
 /// Simulates one block's twelve FC GeMMs with the given algorithm, using
-/// per-algorithm tuned mesh shapes and parameters.
+/// per-algorithm tuned mesh shapes and parameters. Every algorithm runs
+/// through the autotuner's one block path: each distinct pass is
+/// scheduled and lowered once, and the twelve reports merge serially.
 ///
 /// Returns `None` when the algorithm cannot run this configuration at all
 /// (e.g. Cannon on a non-square chip count).
@@ -118,76 +118,72 @@ pub fn simulate_fc_step(
     cfg: &SimConfig,
 ) -> Option<FcStepResult> {
     let tuner = Autotuner::new(cfg.clone());
-    match algorithm {
+    // Cannon and the 1D baselines run every FC GeMM output-stationary; the
+    // 1D ones with a cost-model-tuned unroll factor per GeMM.
+    let os_problems = || {
+        model
+            .fc_gemms(setup)
+            .into_iter()
+            .map(|g| GemmProblem::new(g.shape, Dataflow::Os))
+    };
+    let one_d_unrolls = || {
+        let (cm, eb) = (tuner.cost_model(), cfg.elem_bytes);
+        os_problems().map(move |p| (p, tune_one_d_unroll(cm, chips, p.shape, algorithm, eb)))
+    };
+    let one_d_mesh = MeshShape::new(chips, 1);
+    let (mesh_shape, report) = match algorithm {
         Algorithm::MeshSlice => {
             let plan = tuner.tune(model, setup, chips);
-            Some(FcStepResult {
-                algorithm,
-                mesh_shape: plan.mesh_shape,
-                report: tuner.simulate_plan(plan.mesh_shape, &plan.layers, cfg)?,
-            })
+            let report = tuner.simulate_plan(plan.mesh_shape, &plan.layers, cfg)?;
+            (plan.mesh_shape, report)
         }
         Algorithm::Collective => {
-            let (mesh_shape, layers) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, _| {
+            let (mesh, passes) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, _| {
                 Some(cm.collective_algo_time(mesh, p, cm.config().elem_bytes))
             })?;
-            let mesh = Torus2d::from_shape(mesh_shape);
-            let reports = run_plan(&mesh, cfg, &layers, |_, _| Box::new(Collective))?;
-            Some(result(algorithm, mesh_shape, reports))
+            let passes = passes.into_iter().map(|(p, _)| (p, Collective));
+            (mesh, simulate_passes(mesh, passes, cfg)?)
         }
         Algorithm::Wang => {
-            let (mesh_shape, layers) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, s| {
+            let (mesh, passes) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, s| {
                 Some(cm.wang_time(mesh, p, s, cm.config().elem_bytes))
             })?;
-            let mesh = Torus2d::from_shape(mesh_shape);
-            let reports = run_plan(&mesh, cfg, &layers, |_, s| {
-                Box::new(Wang::new().with_unroll(s))
-            })?;
-            Some(result(algorithm, mesh_shape, reports))
+            let passes = passes
+                .into_iter()
+                .map(|(p, s)| (p, Wang::new().with_unroll(s)));
+            (mesh, simulate_passes(mesh, passes, cfg)?)
         }
         Algorithm::Summa => {
-            let (mesh_shape, layers) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, s| {
+            let (mesh, passes) = tune_mesh(&tuner, model, setup, chips, |cm, mesh, p, s| {
                 let panels = summa_panels(mesh, p, s)?;
                 Some(cm.summa_time(mesh, p, panels, cm.config().elem_bytes))
             })?;
-            let mesh = Torus2d::from_shape(mesh_shape);
-            let reports = run_plan(&mesh, cfg, &layers, |problem, s| {
-                let panels = summa_panels(mesh_shape, problem, s)
-                    .expect("tuning already validated the panel count");
-                Box::new(Summa::new(panels))
-            })?;
-            Some(result(algorithm, mesh_shape, reports))
+            let passes = passes.into_iter().map(|(p, s)| {
+                let panels =
+                    summa_panels(mesh, p, s).expect("tuning already validated the panel count");
+                (p, Summa::new(panels))
+            });
+            (mesh, simulate_passes(mesh, passes, cfg)?)
         }
         Algorithm::Cannon => {
-            let mesh_shape = MeshShape::square(chips)?;
-            let mesh = Torus2d::from_shape(mesh_shape);
-            // Cannon is OS-only: every pass runs output-stationary.
-            let mut reports = Vec::new();
-            for g in model.fc_gemms(setup) {
-                let problem = GemmProblem::new(g.shape, Dataflow::Os);
-                let program = Cannon.schedule(&mesh, problem, cfg.elem_bytes).ok()?;
-                reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&program));
-            }
-            Some(result(algorithm, mesh_shape, reports))
+            let mesh = MeshShape::square(chips)?;
+            let passes = os_problems().map(|p| (p, Cannon));
+            (mesh, simulate_passes(mesh, passes, cfg)?)
         }
-        Algorithm::OneDimTp | Algorithm::Fsdp => {
-            let mesh_shape = MeshShape::new(chips, 1);
-            let mesh = Torus2d::from_shape(mesh_shape);
-            let cm = CostModel::new(cfg.clone());
-            let mut reports = Vec::new();
-            for g in model.fc_gemms(setup) {
-                let problem = GemmProblem::new(g.shape, Dataflow::Os);
-                let unroll = tune_one_d_unroll(&cm, chips, g.shape, algorithm, cfg.elem_bytes);
-                let algo: Box<dyn DistributedGemm> = match algorithm {
-                    Algorithm::OneDimTp => Box::new(OneDimTp::with_unroll(unroll)),
-                    _ => Box::new(Fsdp::with_unroll(unroll)),
-                };
-                let program = algo.schedule(&mesh, problem, cfg.elem_bytes).ok()?;
-                reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&program));
-            }
-            Some(result(algorithm, mesh_shape, reports))
+        Algorithm::OneDimTp => {
+            let passes = one_d_unrolls().map(|(p, u)| (p, OneDimTp::with_unroll(u)));
+            (one_d_mesh, simulate_passes(one_d_mesh, passes, cfg)?)
         }
-    }
+        Algorithm::Fsdp => {
+            let passes = one_d_unrolls().map(|(p, u)| (p, Fsdp::with_unroll(u)));
+            (one_d_mesh, simulate_passes(one_d_mesh, passes, cfg)?)
+        }
+    };
+    Some(FcStepResult {
+        algorithm,
+        mesh_shape,
+        report,
+    })
 }
 
 /// Simulates one block's twelve FC GeMMs as a *single fused program*: the
@@ -257,59 +253,34 @@ pub fn end_to_end(
     }
 }
 
-fn result(algorithm: Algorithm, mesh_shape: MeshShape, reports: Vec<SimReport>) -> FcStepResult {
-    FcStepResult {
-        algorithm,
-        mesh_shape,
-        report: SimReport::merge_serial(&reports),
-    }
-}
-
-/// Runs the twelve GeMMs of a layer plan, constructing the algorithm per
-/// pass from its problem and tuned slice count.
-fn run_plan(
-    mesh: &Torus2d,
-    cfg: &SimConfig,
-    layers: &[LayerPlan],
-    make: impl Fn(GemmProblem, usize) -> Box<dyn DistributedGemm>,
-) -> Option<Vec<SimReport>> {
-    let mut reports = Vec::new();
-    for layer in layers {
-        for pass in &layer.passes {
-            let algo = make(pass.problem, pass.slice_count);
-            let program = algo.schedule(mesh, pass.problem, cfg.elem_bytes).ok()?;
-            reports.push(Engine::new(mesh.clone(), cfg.clone()).run(&program));
-        }
-    }
-    Some(reports)
-}
-
 /// Per-algorithm mesh-shape tuning: evaluates every candidate mesh with
 /// the algorithm's own cost estimator (the per-pass MeshSlice slice count
 /// is still tuned first, since the paper derives the baselines' iteration
-/// counts from it).
+/// counts from it). Returns the winning mesh and its twelve
+/// `(problem, tuned MeshSlice S)` passes.
 fn tune_mesh(
     tuner: &Autotuner,
     model: &LlmConfig,
     setup: TrainingSetup,
     chips: usize,
     estimate: impl Fn(&CostModel, MeshShape, GemmProblem, usize) -> Option<Duration>,
-) -> Option<(MeshShape, Vec<LayerPlan>)> {
+) -> Option<(MeshShape, Vec<(GemmProblem, usize)>)> {
     let cm = tuner.cost_model();
     Autotuner::candidate_meshes(chips)
         .into_iter()
         .filter_map(|mesh| {
             let (_, layers) = tuner.estimate_on_mesh(model, setup, mesh)?;
-            let total = layers
+            let passes: Vec<(GemmProblem, usize)> = layers
                 .iter()
-                .flat_map(|l| l.passes)
-                .try_fold(Duration::ZERO, |total, pass| {
-                    Some(total + estimate(cm, mesh, pass.problem, pass.slice_count)?)
-                })?;
-            Some((total, mesh, layers))
+                .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)))
+                .collect();
+            let total = passes.iter().try_fold(Duration::ZERO, |total, &(p, s)| {
+                Some(total + estimate(cm, mesh, p, s)?)
+            })?;
+            Some((total, mesh, passes))
         })
         .min_by_key(|&(total, _, _)| total)
-        .map(|(_, mesh, layers)| (mesh, layers))
+        .map(|(_, mesh, passes)| (mesh, passes))
 }
 
 /// SUMMA's panel count: the smallest multiple of `lcm(Pr, Pc)` that is at

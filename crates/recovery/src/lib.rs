@@ -12,13 +12,11 @@
 //!   failure. The result is a [`RecoveryReport`] whose buckets account
 //!   every wall-clock second and whose [`goodput`](RecoveryReport::goodput)
 //!   is exactly 1 for a failure-free, checkpoint-free run.
-//! - [`ResilientTuning`] extends the
-//!   [`Autotuner`] with
-//!   [`tune_resilient`](ResilientTuning::tune_resilient): jointly pick
-//!   the (mesh, slice count) plan *and* the checkpoint interval that
-//!   maximize expected goodput under a failure spec, reusing the
-//!   deterministic parallel-sweep infrastructure (results are placed by
-//!   input index, so plans are bit-identical at any thread count).
+//! - [`tune_resilient`] drives an [`Autotuner`] to jointly pick the
+//!   (mesh, slice count) plan *and* the checkpoint interval that maximize
+//!   expected goodput under a failure spec, reusing the deterministic
+//!   parallel-sweep infrastructure (results are placed by input index, so
+//!   plans are bit-identical at any thread count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +25,7 @@ use meshslice::autotuner::Autotuner;
 use meshslice::checkpoint::{expected_goodput, young_daly_interval, CheckpointModel};
 use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::par;
-use meshslice_faults::{FailureDraw, FailureSpec};
+use meshslice_faults::{FailureDraw, FailureSpec, FaultSpecError};
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{degraded_torus_profile, Duration, RunScratch};
 
@@ -308,7 +306,7 @@ impl RepairModel {
 }
 
 /// One (mesh, slice count, checkpoint interval) candidate of
-/// [`ResilientTuning::tune_resilient`], scored by expected goodput.
+/// [`tune_resilient`], scored by expected goodput.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilientCandidate {
     /// The cluster mesh shape.
@@ -336,7 +334,7 @@ impl ResilientCandidate {
     }
 }
 
-/// The ranked outcome of [`ResilientTuning::tune_resilient`].
+/// The ranked outcome of [`tune_resilient`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilientPlan {
     /// Every feasible candidate, best (highest expected goodput) first.
@@ -350,94 +348,61 @@ impl ResilientPlan {
     }
 }
 
-/// Goodput-aware autotuning under a permanent-failure spec.
-pub trait ResilientTuning {
-    /// Jointly picks the (mesh shape, slice count) plan and the
-    /// checkpoint interval maximizing expected goodput under `spec`,
-    /// sweeping [`Autotuner::candidate_meshes`] × `s_values`.
-    ///
-    /// Per candidate: one fault-free and one degraded-torus block
-    /// simulation (sharing schedules and run scratch, as
-    /// [`Autotuner::simulate_block_draws`] does), a
-    /// [`CheckpointModel`] priced from the candidate's own memory
-    /// footprint, and a Young–Daly interval refined over a small
-    /// neighborhood. The expected goodput folds in the probability-
-    /// weighted degraded-mode slowdown over the spec's horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` is invalid or no candidate is feasible.
-    fn tune_resilient(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        chips: usize,
-        s_values: &[usize],
-        spec: &FailureSpec,
-    ) -> ResilientPlan;
-
-    /// [`tune_resilient`](Self::tune_resilient) with an explicit worker
-    /// count. Candidates are evaluated independently and placed by input
-    /// index, so the plan is bit-identical at any thread count.
-    fn tune_resilient_threads(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        chips: usize,
-        s_values: &[usize],
-        spec: &FailureSpec,
-        threads: usize,
-    ) -> ResilientPlan;
-}
-
-impl ResilientTuning for Autotuner {
-    fn tune_resilient(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        chips: usize,
-        s_values: &[usize],
-        spec: &FailureSpec,
-    ) -> ResilientPlan {
-        self.tune_resilient_threads(model, setup, chips, s_values, spec, par::threads())
+/// Goodput-aware autotuning under a permanent-failure spec: jointly
+/// picks the (mesh shape, slice count) plan and the checkpoint interval
+/// maximizing expected goodput under `spec`, sweeping
+/// [`Autotuner::candidate_meshes`] × `s_values`.
+///
+/// Per candidate: one fault-free and one degraded-torus block simulation
+/// (sharing schedules and run scratch, as
+/// [`Autotuner::simulate_block_draws`] does), a [`CheckpointModel`] priced
+/// from the candidate's own memory footprint, and a Young–Daly interval
+/// refined over a small neighborhood. The expected goodput folds in the
+/// probability-weighted degraded-mode slowdown over the spec's horizon.
+///
+/// Candidates are evaluated on `threads` workers and placed by input
+/// index, so the plan is bit-identical at any thread count.
+///
+/// # Errors
+///
+/// Returns the [`FaultSpecError`] of an invalid `spec`.
+///
+/// # Panics
+///
+/// Panics if no candidate is feasible.
+pub fn tune_resilient(
+    tuner: &Autotuner,
+    model: &LlmConfig,
+    setup: TrainingSetup,
+    chips: usize,
+    s_values: &[usize],
+    spec: &FailureSpec,
+    threads: usize,
+) -> Result<ResilientPlan, FaultSpecError> {
+    spec.validate()?;
+    let mut pairs = Vec::new();
+    for mesh in Autotuner::candidate_meshes(chips) {
+        for &s in s_values {
+            pairs.push((mesh, s));
+        }
     }
-
-    fn tune_resilient_threads(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        chips: usize,
-        s_values: &[usize],
-        spec: &FailureSpec,
-        threads: usize,
-    ) -> ResilientPlan {
-        if let Err(e) = spec.validate() {
-            panic!("{e}");
-        }
-        let mut pairs = Vec::new();
-        for mesh in Autotuner::candidate_meshes(chips) {
-            for &s in s_values {
-                pairs.push((mesh, s));
-            }
-        }
-        let evaluated =
-            par::parallel_map_with(threads, &pairs, RunScratch::new, |scratch, &(mesh, s)| {
-                eval_resilient_candidate(self, model, setup, mesh, s, spec, scratch)
-            });
-        let mut candidates: Vec<ResilientCandidate> = evaluated.into_iter().flatten().collect();
-        assert!(
-            !candidates.is_empty(),
-            "no feasible (mesh, slice count) candidate for this model"
-        );
-        candidates.sort_by(|a, b| {
-            b.expected_goodput
-                .total_cmp(&a.expected_goodput)
-                .then(a.nominal_block.cmp(&b.nominal_block))
-                .then(a.mesh_shape.rows().cmp(&b.mesh_shape.rows()))
-                .then(a.requested_s.cmp(&b.requested_s))
+    let evaluated =
+        par::parallel_map_with(threads, &pairs, RunScratch::new, |scratch, &(mesh, s)| {
+            eval_resilient_candidate(tuner, model, setup, mesh, s, spec, scratch)
         });
-        ResilientPlan { candidates }
-    }
+    let mut candidates: Vec<ResilientCandidate> = evaluated.into_iter().flatten().collect();
+    assert!(
+        !candidates.is_empty(),
+        "no feasible (mesh, slice count) candidate for this model"
+    );
+    candidates.sort_by(|a, b| {
+        b.expected_goodput
+            .total_cmp(&a.expected_goodput)
+            .then(a.nominal_block.cmp(&b.nominal_block))
+            .then(a.mesh_shape.rows().cmp(&b.mesh_shape.rows()))
+            .then(a.requested_s.cmp(&b.requested_s))
+    });
+    Ok(ResilientPlan { candidates })
 }
 
 /// The chip whose death the degraded-torus pricing assumes: a fixed,
@@ -656,16 +621,29 @@ mod tests {
         let setup = TrainingSetup::weak_scaling(4);
         let tuner = Autotuner::new(meshslice_sim::SimConfig::tpu_v4());
         let spec = FailureSpec::chip_mtbf(3600.0, 86_400.0);
-        let plan = tuner.tune_resilient(&model, setup, 4, &[1, 2], &spec);
+        let plan = tune_resilient(&tuner, &model, setup, 4, &[1, 2], &spec, 1).unwrap();
         let best = plan.best();
         assert!(best.expected_goodput > 0.0 && best.expected_goodput < 1.0);
         assert!(best.checkpoint_interval_secs.is_finite());
         assert!(best.degraded_ratio() >= 1.0);
 
         // No failures -> goodput exactly 1, never checkpoint.
-        let calm = tuner.tune_resilient(&model, setup, 4, &[1, 2], &FailureSpec::none());
+        let calm = tune_resilient(&tuner, &model, setup, 4, &[1, 2], &FailureSpec::none(), 1);
+        let calm = calm.unwrap();
         assert_eq!(calm.best().expected_goodput, 1.0);
         assert!(calm.best().checkpoint_interval_secs.is_infinite());
+    }
+
+    #[test]
+    fn tune_resilient_rejects_an_invalid_spec() {
+        let tuner = Autotuner::new(meshslice_sim::SimConfig::tpu_v4());
+        let setup = TrainingSetup::weak_scaling(4);
+        let spec = FailureSpec::chip_mtbf(-1.0, 10.0);
+        let got = tune_resilient(&tuner, &LlmConfig::gpt3(), setup, 4, &[1], &spec, 1);
+        assert!(
+            matches!(got, Err(FaultSpecError::Mtbf(m)) if m == -1.0),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -404,7 +404,7 @@ fn cap_class(max_batch: usize) -> usize {
 /// layouts fails fast.
 ///
 /// The cache is `Sync`; a single instance can serve all workers of a
-/// [`par::parallel_map`] sweep.
+/// [`par::parallel_map_with`] sweep.
 pub struct CostTableCache {
     cfg: SimConfig,
     profile: CostProfile,

@@ -612,9 +612,8 @@ impl Search<'_> {
     }
 }
 
-/// Serving-specific tuning, grafted onto [`Autotuner`] the same way
-/// `meshslice-recovery` grafts `tune_robust` — the core crate stays free
-/// of serving concerns.
+/// Serving-specific tuning, grafted onto [`Autotuner`] as an extension
+/// trait so the core crate stays free of serving concerns.
 pub trait ServingTuning {
     /// Tunes a serving fleet of `total_chips` for `model` under
     /// `arrivals`, targeting a TTFT p99 of `slo_p99_ttft_ms`, scoring

@@ -36,13 +36,14 @@ fn main() {
     );
     println!();
 
-    let plan = tuner.tune_robust(
+    let plan = tuner.tune_robust_threads(
         &model,
         setup,
         chips,
         &[1, 2, 4, 8],
         &profiles,
         RobustObjective::P95,
+        meshslice::par::threads(),
     );
     let mut t = Table::new(vec![
         "mesh".into(),

@@ -1,13 +1,18 @@
 //! The autotuner owns three decisions that every simulation and search
 //! path shares: the slice-count rule (`meshslice_for`), the block
-//! simulation of tuned plans (`simulate_plan`), and the memory-constrained
-//! mesh search (`tune_within_memory`). These tests pin each one against a
-//! rule or reference written out from the public API only.
+//! simulation of tuned plans (`simulate_plan`, and `simulate_fc_step` for
+//! all seven GeMM families), and the memory-constrained mesh search
+//! (`tune_within_memory`). These tests pin each one against a rule or
+//! reference written out from the public API only.
 
 use meshslice::autotuner::{Autotuner, LayerPlan, TunePlan};
 use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::memory::training_footprint;
-use meshslice::{Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice, SimConfig};
+use meshslice::training::{simulate_fc_step, summa_panels, Algorithm};
+use meshslice::{
+    Cannon, Collective, Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice,
+    SimConfig, Summa, Wang,
+};
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{ClusterProfile, SimReport};
 use rand::rngs::StdRng;
@@ -217,4 +222,142 @@ fn tune_within_memory_is_the_first_minimum_over_fitting_meshes() {
         excluded_winner > 0,
         "no budget excluded an unconstrained winner"
     );
+}
+
+/// Schedules each `(problem, algorithm)` pass on its own mesh engine, runs
+/// it, and merges the reports serially. `None` if a pass fails to
+/// schedule.
+fn per_pass_block<A: DistributedGemm>(
+    mesh_shape: MeshShape,
+    passes: impl IntoIterator<Item = (GemmProblem, A)>,
+    cfg: &SimConfig,
+) -> Option<SimReport> {
+    let mesh = Torus2d::from_shape(mesh_shape);
+    let reports: Option<Vec<SimReport>> = passes
+        .into_iter()
+        .map(|(problem, algo)| {
+            let program = algo.schedule(&mesh, problem, cfg.elem_bytes).ok()?;
+            Some(Engine::new(mesh.clone(), cfg.clone()).run(&program))
+        })
+        .collect();
+    Some(SimReport::merge_serial(&reports?))
+}
+
+/// The per-pass public-API reference of `simulate_fc_step` for the 2D
+/// algorithms on the mesh the step ran on: tuned slice counts from
+/// `estimate_on_mesh`, baseline iteration counts derived from them (Wang's
+/// unroll is `S`, SUMMA's panels come from `summa_panels`), and Cannon
+/// running every FC GeMM output-stationary.
+fn fc_step_reference(
+    tuner: &Autotuner,
+    model: &LlmConfig,
+    setup: TrainingSetup,
+    algorithm: Algorithm,
+    mesh: MeshShape,
+    cfg: &SimConfig,
+) -> Option<SimReport> {
+    let layers = || Some(tuner.estimate_on_mesh(model, setup, mesh)?.1);
+    let passes = || -> Option<Vec<(GemmProblem, usize)>> {
+        let passes = layers()?.into_iter().flat_map(|l| l.passes);
+        Some(passes.map(|p| (p.problem, p.slice_count)).collect())
+    };
+    match algorithm {
+        Algorithm::MeshSlice => per_pass_reference(tuner, mesh, &layers()?, cfg),
+        Algorithm::Collective => per_pass_block(
+            mesh,
+            passes()?.into_iter().map(|(p, _)| (p, Collective)),
+            cfg,
+        ),
+        Algorithm::Wang => per_pass_block(
+            mesh,
+            passes()?
+                .into_iter()
+                .map(|(p, s)| (p, Wang::new().with_unroll(s))),
+            cfg,
+        ),
+        Algorithm::Summa => {
+            let summa: Option<Vec<_>> = passes()?
+                .into_iter()
+                .map(|(p, s)| Some((p, Summa::new(summa_panels(mesh, p, s)?))))
+                .collect();
+            per_pass_block(mesh, summa?, cfg)
+        }
+        Algorithm::Cannon => per_pass_block(
+            mesh,
+            model
+                .fc_gemms(setup)
+                .into_iter()
+                .map(|g| (GemmProblem::new(g.shape, Dataflow::Os), Cannon)),
+            cfg,
+        ),
+        Algorithm::OneDimTp | Algorithm::Fsdp => unreachable!("1D steps are pinned by value"),
+    }
+}
+
+/// `(makespan, comm total)` bits of the 1D baselines' FC steps, in case
+/// order: model × chips (Tiny on 4, 8, 16; GPT-3 on 16), then config
+/// (ideal, straggler), then algorithm (1DTP, FSDP). Their unroll counts
+/// are tuned privately, so these are recorded values, not a reference.
+const ONE_D_PINS: [(u64, u64); 16] = [
+    (0x3f430f9759e0127c, 0x3f6b7b832dcc17e6), // Tiny, 4 chips
+    (0x3f3858aea679078c, 0x3f6108bd2b1202ee),
+    (0x3f43cad44398dcf9, 0x3f6b7b832dcc17e6),
+    (0x3f39733f61e26b32, 0x3f6108bd2b1202ee),
+    (0x3f52ae74485b93dd, 0x3f90080c8561b89d), // Tiny, 8 chips
+    (0x3f46a4623dc352e1, 0x3f83244b6c15a419),
+    (0x3f530a1895554ac5, 0x3f90080c8561b89d),
+    (0x3f471c687e74c0c6, 0x3f83244b6c15a419),
+    (0x3f628a0513dfe5e6, 0x3fb12d31fc9f8ef4), // Tiny, 16 chips
+    (0x3f55d4bb7c95b0cf, 0x3fa41e02fbee6155),
+    (0x3f62c1b2b3e2668b, 0x3fb12d31fc9f8ef4),
+    (0x3f560ce74b27ce76, 0x3fa41e02fbee6155),
+    (0x3fb5e3cb19b87d1f, 0x40022f459d4ce3e1), // GPT-3, 16 chips
+    (0x3fb8176c55ea8ff6, 0x400551b437b7ea1f),
+    (0x3fbc58f7c9edafbe, 0x40022f459d4ce3e1),
+    (0x3fbc3c1dbe7501df, 0x400551b437b7ea1f),
+];
+
+#[test]
+fn simulate_fc_step_matches_per_pass_simulation() {
+    let mut cases: Vec<(LlmConfig, usize)> = [4, 8, 16].into_iter().map(|c| (tiny(), c)).collect();
+    cases.push((LlmConfig::gpt3(), 16));
+    let mut pins = ONE_D_PINS.iter();
+    let mut simulated = 0;
+    for (model, chips) in cases {
+        let setup = TrainingSetup::weak_scaling(chips);
+        let straggler = ClusterProfile::ideal(chips).with_compute_slowdown(0, 2.0);
+        let configs = [
+            ("ideal", SimConfig::tpu_v4()),
+            ("straggler", SimConfig::tpu_v4().with_faults(straggler)),
+        ];
+        for (label, cfg) in configs {
+            let tuner = Autotuner::new(cfg.clone());
+            for algorithm in Algorithm::ALL {
+                let case = format!("{algorithm} for {} on {chips} chips, {label}", model.name);
+                let got = simulate_fc_step(&model, setup, chips, algorithm, &cfg);
+                if let Algorithm::OneDimTp | Algorithm::Fsdp = algorithm {
+                    let got = got.unwrap_or_else(|| panic!("{case}: infeasible"));
+                    assert_eq!(got.mesh_shape, MeshShape::new(chips, 1), "{case}");
+                    let bits = (
+                        got.report.makespan().as_secs().to_bits(),
+                        got.report.totals().comm_total().as_secs().to_bits(),
+                    );
+                    assert_eq!(Some(&bits), pins.next(), "{case}");
+                    simulated += 1;
+                    continue;
+                }
+                let Some(got) = got else {
+                    assert_eq!(algorithm, Algorithm::Cannon, "{case}: infeasible");
+                    assert!(MeshShape::square(chips).is_none(), "{case}");
+                    continue;
+                };
+                let want =
+                    fc_step_reference(&tuner, &model, setup, algorithm, got.mesh_shape, &cfg);
+                assert_eq!(Some(got.report), want, "{case} on {}", got.mesh_shape);
+                simulated += 1;
+            }
+        }
+    }
+    assert!(pins.next().is_none(), "unused 1D pins");
+    assert!(simulated >= 50, "only {simulated} steps simulated");
 }

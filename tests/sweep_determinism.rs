@@ -7,7 +7,7 @@ use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::{Dataflow, DistributedGemm, GemmProblem, GemmShape, MeshShape, MeshSlice};
 use meshslice_faults::{FailureSpec, FaultSpec, JitterModel};
 use meshslice_mesh::Torus2d;
-use meshslice_recovery::ResilientTuning;
+use meshslice_recovery::tune_resilient;
 use meshslice_sim::{Engine, RunScratch, SimConfig};
 
 fn tiny() -> LlmConfig {
@@ -58,7 +58,8 @@ fn tune_resilient_is_thread_count_invariant() {
     let plans: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            tuner.tune_resilient_threads(&model, setup, chips, &[1, 2, 4], &spec, threads)
+            tune_resilient(&tuner, &model, setup, chips, &[1, 2, 4], &spec, threads)
+                .expect("valid failure spec")
         })
         .collect();
     assert_eq!(plans[0], plans[1], "2 threads diverge from serial");
@@ -75,7 +76,7 @@ fn logged_tuning_is_thread_count_invariant() {
         .iter()
         .map(|&threads| {
             tuner
-                .tune_on_mesh_logged_threads(&model, setup, mesh, threads)
+                .tune_on_mesh_logged(&model, setup, mesh, threads)
                 .expect("tiny model divides a 2x2 mesh")
         })
         .collect();
