@@ -5,8 +5,8 @@
 //!
 //! The legacy loop below re-schedules and re-lowers every pass for every
 //! fault draw with a fresh engine per run — the algorithm the seed's
-//! `tune_robust` used. The tuned path (`tune_robust_threads`) lowers each
-//! distinct pass spec once per candidate, replays the lowered graphs
+//! robust tuner used. The tuned path (`tune_robust_threads`) lowers each
+//! distinct pass spec once per search, replays the lowered graphs
 //! across draws with recycled run state, and fans candidates out across
 //! worker threads. Both paths must agree bit for bit; any divergence
 //! exits nonzero so CI can gate on it.
@@ -28,7 +28,7 @@ use meshslice_sim::{ClusterProfile, Duration, Engine, RunScratch};
 use meshslice_telemetry::Json;
 use meshslice_tensor::GemmShape;
 
-/// Wall-clock of `tune_robust` on this workload at the v0 seed commit
+/// Wall-clock of the robust tuner on this workload at the v0 seed commit
 /// (2209972), measured on the same container as the committed artifact.
 /// The in-binary legacy loop below under-states the seed's cost because
 /// it shares the engine-level improvements (wake queue, event layout);
@@ -59,7 +59,7 @@ fn workload() -> Workload {
 
 /// The seed's algorithm: schedule + lower + fresh engine for every
 /// (candidate, draw) pair. Returns the same per-candidate scores as
-/// `tune_robust` for the cross-check.
+/// `tune_robust_threads` for the cross-check.
 fn legacy_scores(
     tuner: &Autotuner,
     w: &Workload,

@@ -15,115 +15,24 @@
 //! mesh shapes and iteration counts) so the evaluation comparisons are
 //! fair, as required by §4.2.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::hash::Hash;
+use std::sync::atomic::{self, AtomicUsize};
 use std::sync::{Arc, Mutex};
 
-use meshslice_gemm::{Dataflow, DistributedGemm, GemmError, GemmProblem, MeshSlice};
+use meshslice_gemm::{Dataflow, DistributedGemm, GemmProblem, MeshSlice};
 use meshslice_mesh::{ChipId, MeshPlane, MeshShape, MeshView, Torus2d, MAX_AXES};
 use meshslice_sim::{
-    ClusterProfile, Duration, Engine, LoweredProgram, PodProfile, Program, RunScratch, SimConfig,
-    SimReport,
+    ClusterProfile, Duration, Engine, LoweredProgram, PodProfile, RunScratch, SimConfig, SimReport,
 };
-use meshslice_telemetry::{TuneCandidate, TuneLog};
+use meshslice_telemetry::{percentile, TuneCandidate, TuneLog};
 use meshslice_tensor::slice::SliceSpec;
 use meshslice_tensor::GemmShape;
 
 use crate::costmodel::CostModel;
 use crate::llm::{FcLayer, LlmConfig, Pass, TrainingSetup};
 use crate::par;
-
-/// Cache key of one scheduled MeshSlice program: everything
-/// [`MeshSlice::schedule`] depends on.
-type ScheduleKey = (GemmShape, Dataflow, MeshShape, usize, usize, usize);
-
-/// A keyed cache of scheduled MeshSlice [`Program`]s.
-///
-/// Scheduling is a pure function of
-/// `(problem shape, dataflow, mesh, S, block, elem_bytes)`, so sweeps that
-/// revisit the same candidate — the serving tuner prices every batch
-/// bucket of every (mesh, S) layout — can share one cache and schedule
-/// each program exactly once. Cache hits
-/// return the identical [`Program`] a fresh schedule would build, so
-/// results are unchanged bit-for-bit.
-///
-/// The cache is `Sync`; a single instance can serve all workers of a
-/// [`par::parallel_map_with`] sweep.
-#[derive(Debug, Default)]
-pub struct ScheduleCache {
-    map: Mutex<HashMap<ScheduleKey, Arc<Program>>>,
-    hits: AtomicUsize,
-    builds: AtomicUsize,
-}
-
-impl ScheduleCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached programs.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("schedule cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Programs scheduled from scratch so far (successful builds,
-    /// including the losers of insert races).
-    pub fn builds(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Returns the cached program for this candidate, scheduling (and
-    /// caching) it on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GemmError`] from [`MeshSlice::schedule`]; failures are
-    /// not cached.
-    pub fn schedule(
-        &self,
-        mesh: &Torus2d,
-        problem: GemmProblem,
-        slice_count: usize,
-        block: usize,
-        elem_bytes: usize,
-    ) -> Result<Arc<Program>, GemmError> {
-        let key = (
-            problem.shape,
-            problem.dataflow,
-            mesh.shape(),
-            slice_count,
-            block,
-            elem_bytes,
-        );
-        if let Some(hit) = self.map.lock().expect("schedule cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
-        }
-        // Build outside the lock: scheduling is the expensive part, and
-        // a duplicate build under a race yields the identical program.
-        let program =
-            Arc::new(MeshSlice::new(slice_count, block).schedule(mesh, problem, elem_bytes)?);
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        Ok(self
-            .map
-            .lock()
-            .expect("schedule cache poisoned")
-            .entry(key)
-            .or_insert(program)
-            .clone())
-    }
-}
 
 /// Which matrix of `Y = X·W` stays stationary (the rows of Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -546,11 +455,12 @@ impl Autotuner {
     /// ranked by simulated block time; ties keep the first plane in
     /// enumeration order, so the result is deterministic.
     ///
-    /// Congruent planes share work: the analytic tuning and the block's
-    /// scheduled, lowered programs are built once per logical mesh shape,
-    /// and the block is simulated once per distinct projected profile on
-    /// that shape (every clean plane projects to the same ideal profile).
-    /// The plan is bit-for-bit the one tuning each plane afresh gives.
+    /// Planes are candidates of one [`simulated_search`] keyed by (logical
+    /// mesh shape, projected profile): the block is simulated once per
+    /// distinct key (every clean plane of a shape projects to the same
+    /// ideal profile), and congruent planes share its lowered programs
+    /// through the search's [`SpecMemo`]. The plan is bit-for-bit the one
+    /// tuning each plane afresh gives.
     ///
     /// On an ideal pod every congruent plane prices identically and the
     /// winner is simply the best plane *shape* (e.g. the 4×4 planes of a
@@ -563,62 +473,40 @@ impl Autotuner {
         setup: TrainingSetup,
         pod: &PodProfile,
     ) -> Option<PodTunePlan> {
-        // Work congruent planes share: the analytic plan and lowered block
-        // per logical mesh shape (`None` if infeasible), and the block
-        // makespan per (mesh shape, projected profile).
-        type Tuned = (Duration, Vec<LayerPlan>, LoweredBlock);
-        let mut tuned: Vec<(MeshShape, Option<Tuned>)> = Vec::new();
-        let mut makespans: Vec<(MeshShape, ClusterProfile, Duration)> = Vec::new();
-        let mut best: Option<PodTunePlan> = None;
-        let mut scratch = RunScratch::new();
-        for plane in MeshView::full(pod.shape()).planes() {
-            let Ok(assign) = pod.project(&plane.view) else {
-                continue;
-            };
-            let mesh_shape = assign.torus.shape();
-            let k = match tuned.iter().position(|(m, _)| *m == mesh_shape) {
-                Some(k) => k,
-                None => {
-                    let work = self.estimate_on_mesh(model, setup, mesh_shape).and_then(
-                        |(analytic, layers)| {
-                            let passes = self.meshslice_passes(mesh_shape, plan_passes(&layers))?;
-                            let block = lower_block(mesh_shape, passes, self.cost.config())?;
-                            Some((analytic, layers, block))
-                        },
-                    );
-                    tuned.push((mesh_shape, work));
-                    tuned.len() - 1
-                }
-            };
-            let Some((analytic, layers, block)) = &tuned[k].1 else {
-                continue;
-            };
-            let seen = makespans
-                .iter()
-                .find(|(m, p, _)| *m == mesh_shape && *p == assign.profile);
-            let simulated = match seen {
-                Some(&(_, _, t)) => t,
-                None => {
-                    let t = block.run(Some(&assign.profile), &mut scratch).makespan();
-                    makespans.push((mesh_shape, assign.profile, t));
-                    t
-                }
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| simulated < b.simulated_block_time)
-            {
-                best = Some(PodTunePlan {
-                    plane,
-                    mesh_shape,
-                    physical_chips: assign.physical,
-                    layers: layers.clone(),
-                    estimated_block_time: *analytic,
-                    simulated_block_time: simulated,
-                });
-            }
-        }
-        best
+        let planes: Vec<_> = MeshView::full(pod.shape())
+            .planes()
+            .into_iter()
+            .filter_map(|plane| Some((pod.project(&plane.view).ok()?, plane)))
+            .collect();
+        let keys: Vec<(MeshShape, &ClusterProfile)> = planes
+            .iter()
+            .map(|(assign, _)| (assign.torus.shape(), &assign.profile))
+            .collect();
+        let ranked = simulated_search(
+            self.cost.config(),
+            1,
+            &keys,
+            |&(mesh_shape, profile), memo, scratch| {
+                let (analytic, layers) = self.estimate_on_mesh(model, setup, mesh_shape)?;
+                let block = self.meshslice_block(memo, mesh_shape, plan_passes(&layers))?;
+                Some((
+                    block.run(Some(profile), scratch).makespan(),
+                    analytic,
+                    layers,
+                ))
+            },
+            |a, b| a.0.cmp(&b.0),
+        );
+        let (i, (simulated, analytic, layers)) = ranked.into_iter().next()?;
+        let (assign, plane) = planes.into_iter().nth(i)?;
+        Some(PodTunePlan {
+            plane,
+            mesh_shape: assign.torus.shape(),
+            physical_chips: assign.physical,
+            layers,
+            estimated_block_time: analytic,
+            simulated_block_time: simulated,
+        })
     }
 
     /// Phase 2 on a fixed mesh, with full cost-model attribution: every
@@ -628,9 +516,10 @@ impl Autotuner {
     /// artifact. The chosen candidate per pass is the analytical argmin,
     /// exactly matching [`best_slice_count`](Self::best_slice_count).
     ///
-    /// The candidate simulations fan out over `threads` workers; the log
-    /// is assembled in candidate order from index-placed results, so the
-    /// output is identical at any thread count.
+    /// Candidates are keyed by (problem, S) in one [`simulated_search`]:
+    /// mirrored layers log the same simulation under different labels, and
+    /// the search runs it once on `threads` workers and places it by index,
+    /// so the log is in candidate order and identical at any thread count.
     ///
     /// Returns `None` if any pass does not divide over the mesh.
     pub fn tune_on_mesh_logged(
@@ -642,9 +531,10 @@ impl Autotuner {
     ) -> Option<(Vec<LayerPlan>, TuneLog)> {
         let eb = self.cost.config().elem_bytes;
         let (_, layers) = self.estimate_on_mesh(model, setup, mesh_shape)?;
-        // Stage 1 (cheap, serial): enumerate every logged candidate — each
-        // pass's legal slice counts plus the S = 1 fallback.
-        let mut cands: Vec<(String, GemmProblem, usize, bool)> = Vec::new();
+        // Every logged candidate: each pass's legal slice counts plus the
+        // S = 1 fallback, with its label and whether the plan chose it.
+        let mut keys: Vec<(GemmProblem, usize)> = Vec::new();
+        let mut labels: Vec<(String, bool)> = Vec::new();
         for layer in &layers {
             for plan in &layer.passes {
                 let mut candidates = self.legal_slice_counts(mesh_shape, plan.problem);
@@ -652,49 +542,30 @@ impl Autotuner {
                     candidates.insert(0, 1);
                 }
                 for s in candidates {
-                    cands.push((
+                    keys.push((plan.problem, s));
+                    labels.push((
                         format!("{}/{}", layer.layer.name, plan.pass),
-                        plan.problem,
-                        s,
                         s == plan.slice_count,
                     ));
                 }
             }
         }
-        // Stage 2: simulate every *distinct* (problem, S) once — mirrored
-        // layers log the same simulations under different labels. The
-        // distinct runs are independent, so they fan out across the worker
-        // pool (one scratch per worker); results come back in candidate
-        // order and are fanned back out to every duplicate.
-        let pairs: Vec<(GemmProblem, usize)> = cands
-            .iter()
-            .map(|&(_, problem, s, _)| (problem, s))
-            .collect();
-        let slot_of = dedup_slots(&pairs);
-        let mut distinct: Vec<(GemmProblem, usize)> = Vec::new();
-        for (i, &t) in pairs.iter().enumerate() {
-            if slot_of[i] == distinct.len() {
-                distinct.push(t);
-            }
-        }
-        let mesh = Torus2d::from_shape(mesh_shape);
-        let engine = Engine::new(mesh.clone(), self.cost.config().clone());
-        let distinct_sims = par::parallel_map_with(
+        let sims = simulated_search(
+            self.cost.config(),
             threads,
-            &distinct,
-            RunScratch::new,
-            |scratch, &(problem, s)| {
-                let algo = self.meshslice_for(mesh_shape, problem, s);
-                let program = algo.schedule(&mesh, problem, eb).ok()?;
-                Some(engine.run_lowered_with_scratch(&engine.lower_program(&program), scratch))
+            &keys,
+            |&(problem, s), memo, scratch| {
+                let block = self.meshslice_block(memo, mesh_shape, [(problem, s)])?;
+                Some(block.run(None, scratch))
             },
+            |_, _| Ordering::Equal,
         );
-        let sims: Vec<Option<SimReport>> =
-            slot_of.iter().map(|&k| distinct_sims[k].clone()).collect();
-        // Stage 3: assemble the log in candidate order.
+        if sims.len() < keys.len() {
+            return None;
+        }
         let mut log = TuneLog::default();
-        for ((label, problem, s, chosen), sim) in cands.into_iter().zip(sims) {
-            let report = sim?;
+        for ((i, report), (label, chosen)) in sims.into_iter().zip(labels) {
+            let (problem, s) = keys[i];
             log.push(TuneCandidate {
                 mesh_rows: mesh_shape.rows(),
                 mesh_cols: mesh_shape.cols(),
@@ -733,8 +604,9 @@ impl Autotuner {
         requested_s: usize,
         cfg: &SimConfig,
     ) -> Option<SimReport> {
-        let passes = Self::block_passes(model, setup, requested_s);
-        simulate_passes(mesh_shape, self.meshslice_passes(mesh_shape, passes)?, cfg)
+        let memo = SpecMemo::new(cfg.clone());
+        let block = self.fc_block(&memo, model, setup, mesh_shape, requested_s)?;
+        Some(block.run(None, &mut RunScratch::new()))
     }
 
     /// Simulates the twelve FC GeMMs of tuned layer plans on a mesh under
@@ -749,32 +621,39 @@ impl Autotuner {
         layers: &[LayerPlan],
         cfg: &SimConfig,
     ) -> Option<SimReport> {
-        let passes = self.meshslice_passes(mesh_shape, plan_passes(layers))?;
-        simulate_passes(mesh_shape, passes, cfg)
+        let memo = SpecMemo::new(cfg.clone());
+        let block = self.meshslice_block(&memo, mesh_shape, plan_passes(layers))?;
+        Some(block.run(None, &mut RunScratch::new()))
     }
 
-    /// The twelve `(problem, requested slice count)` passes of one FC
-    /// block at a uniform requested slice count.
-    fn block_passes(
+    /// One FC block at a uniform requested slice count, lowered through
+    /// `memo` (see [`meshslice_block`](Self::meshslice_block)). `None` if
+    /// a pass does not divide over the mesh.
+    pub fn fc_block(
+        &self,
+        memo: &SpecMemo,
         model: &LlmConfig,
         setup: TrainingSetup,
+        mesh_shape: MeshShape,
         requested_s: usize,
-    ) -> impl Iterator<Item = (GemmProblem, usize)> {
-        Self::layer_problems(model, setup, None)
+    ) -> Option<LoweredBlock> {
+        let passes = Self::layer_problems(model, setup, None)
             .into_iter()
-            .flat_map(move |(_, _, problems)| problems.map(|p| (p, requested_s)))
+            .flat_map(|(_, _, problems)| problems.map(|p| (p, requested_s)));
+        self.meshslice_block(memo, mesh_shape, passes)
     }
 
-    /// Maps `(problem, requested slice count)` passes to the MeshSlice
-    /// instance each runs as on a mesh
-    /// ([`meshslice_for`](Self::meshslice_for)), ready for the block
-    /// simulator. `None` if a pass does not divide over the mesh.
-    fn meshslice_passes(
+    /// Lowers `(problem, requested slice count)` passes on a mesh through
+    /// `memo`, each run as the MeshSlice instance
+    /// [`meshslice_for`](Self::meshslice_for) picks. `None` if a pass does
+    /// not divide over the mesh or fails to schedule.
+    pub fn meshslice_block(
         &self,
+        memo: &SpecMemo,
         mesh_shape: MeshShape,
         passes: impl IntoIterator<Item = (GemmProblem, usize)>,
-    ) -> Option<Vec<(GemmProblem, MeshSlice)>> {
-        passes
+    ) -> Option<LoweredBlock> {
+        let passes = passes
             .into_iter()
             .map(|(problem, requested_s)| {
                 problem.check_divisible(mesh_shape).ok()?;
@@ -783,7 +662,8 @@ impl Autotuner {
                     self.meshslice_for(mesh_shape, problem, requested_s),
                 ))
             })
-            .collect()
+            .collect::<Option<Vec<_>>>()?;
+        memo.block(mesh_shape, &passes)
     }
 
     /// Robustness-aware phase 2: scores every (mesh shape, slice count)
@@ -792,10 +672,9 @@ impl Autotuner {
     /// the fault-free analytical model.
     ///
     /// Dataflows still come from phase 1; `s_values` is the requested
-    /// slice-count grid (clamped per pass). Candidates are evaluated on
-    /// `threads` workers and placed by input index, so the plan is
-    /// identical at any thread count. Candidates are returned sorted,
-    /// best first.
+    /// slice-count grid (clamped per pass). Candidates are scored by one
+    /// [`simulated_search`] on `threads` workers, so the plan is identical
+    /// at any thread count. Candidates are returned sorted, best first.
     ///
     /// # Panics
     ///
@@ -815,86 +694,49 @@ impl Autotuner {
             !profiles.is_empty(),
             "robust tuning needs at least one perturbation draw"
         );
-        let mut pairs = Vec::new();
-        for mesh in Self::candidate_meshes(chips) {
-            for &s in s_values {
-                pairs.push((mesh, s));
-            }
-        }
-        let evaluated =
-            par::parallel_map_with(threads, &pairs, RunScratch::new, |scratch, &(mesh, s)| {
-                self.eval_robust_candidate(model, setup, mesh, s, profiles, objective, scratch)
-            });
-        let mut candidates: Vec<RobustCandidate> = evaluated.into_iter().flatten().collect();
+        let candidates: Vec<RobustCandidate> = simulated_search(
+            self.cost.config(),
+            threads,
+            &Self::mesh_slice_grid(chips, s_values),
+            |&(mesh_shape, s), memo, scratch| {
+                let block = self.fc_block(memo, model, setup, mesh_shape, s)?;
+                let (nominal, per_draw) = block.makespans(profiles, scratch);
+                Some(RobustCandidate {
+                    mesh_shape,
+                    requested_s: s,
+                    nominal,
+                    score: objective.score(&per_draw),
+                    per_draw,
+                })
+            },
+            |a, b| {
+                a.score
+                    .cmp(&b.score)
+                    .then(a.nominal.cmp(&b.nominal))
+                    .then(a.requested_s.cmp(&b.requested_s))
+            },
+        )
+        .into_iter()
+        .map(|(_, c)| c)
+        .collect();
         assert!(
             !candidates.is_empty(),
             "no feasible (mesh, slice count) candidate for this model"
         );
-        candidates.sort_by(|a, b| {
-            a.score
-                .cmp(&b.score)
-                .then(a.nominal.cmp(&b.nominal))
-                .then(a.requested_s.cmp(&b.requested_s))
-        });
         RobustPlan {
             objective,
             candidates,
         }
     }
 
-    /// Simulates one FC block at a requested slice count under the
-    /// fault-free config *and* under every perturbation draw, returning
-    /// `(nominal, per-draw)` makespans — the building block of
-    /// [`tune_robust_threads`](Self::tune_robust_threads) and of sweep
-    /// experiments.
-    ///
-    /// The block is scheduled and lowered once per distinct pass spec and
-    /// replayed per draw with run state recycled through `scratch`
-    /// (lowering does not depend on [`SimConfig::faults`]). Makespans are
-    /// bit-for-bit those of calling
-    /// [`simulate_block`](Self::simulate_block) once per draw. `None` if
-    /// the block is infeasible on the mesh.
-    pub fn simulate_block_draws(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        mesh_shape: MeshShape,
-        s: usize,
-        profiles: &[ClusterProfile],
-        scratch: &mut RunScratch,
-    ) -> Option<(Duration, Vec<Duration>)> {
-        let passes = self.meshslice_passes(mesh_shape, Self::block_passes(model, setup, s))?;
-        let block = lower_block(mesh_shape, passes, self.cost.config())?;
-        let nominal = block.run(None, scratch).makespan();
-        let per_draw = profiles
-            .iter()
-            .map(|p| block.run(Some(p), scratch).makespan())
-            .collect();
-        Some((nominal, per_draw))
-    }
-
-    /// Scores one (mesh, S) candidate via
-    /// [`simulate_block_draws`](Self::simulate_block_draws).
-    #[allow(clippy::too_many_arguments)]
-    fn eval_robust_candidate(
-        &self,
-        model: &LlmConfig,
-        setup: TrainingSetup,
-        mesh_shape: MeshShape,
-        s: usize,
-        profiles: &[ClusterProfile],
-        objective: RobustObjective,
-        scratch: &mut RunScratch,
-    ) -> Option<RobustCandidate> {
-        let (nominal, per_draw) =
-            self.simulate_block_draws(model, setup, mesh_shape, s, profiles, scratch)?;
-        Some(RobustCandidate {
-            mesh_shape,
-            requested_s: s,
-            nominal,
-            score: objective.score(&per_draw),
-            per_draw,
-        })
+    /// The (mesh shape, requested slice count) grid of the simulated
+    /// tuners: every [`candidate_meshes`](Self::candidate_meshes) shape
+    /// crossed with `s_values`, meshes outer.
+    pub fn mesh_slice_grid(chips: usize, s_values: &[usize]) -> Vec<(MeshShape, usize)> {
+        Self::candidate_meshes(chips)
+            .into_iter()
+            .flat_map(|mesh| s_values.iter().map(move |&s| (mesh, s)))
+            .collect()
     }
 }
 
@@ -924,10 +766,9 @@ impl RobustObjective {
                 samples.iter().map(|d| d.as_secs()).sum::<f64>() / samples.len() as f64,
             ),
             RobustObjective::P95 => {
-                let mut sorted: Vec<Duration> = samples.to_vec();
-                sorted.sort();
-                let idx = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-                sorted[idx]
+                let mut secs: Vec<f64> = samples.iter().map(|d| d.as_secs()).collect();
+                secs.sort_by(f64::total_cmp);
+                Duration::from_secs(percentile(&secs, 0.95))
             }
         }
     }
@@ -982,31 +823,113 @@ impl RobustPlan {
     }
 }
 
-/// One FC block's pass list on one mesh with each *distinct* pass spec
-/// scheduled and lowered once: mirrored layers repeat specs, and lowering
-/// does not depend on [`SimConfig::faults`], so the same lowered graphs
-/// price the block under any number of fault profiles. Identical programs
-/// under an identical config produce identical reports, so each distinct
-/// report is fanned out to every pass that repeats it.
+/// The lowered-spec memo of one simulated search: maps (mesh shape,
+/// problem, algorithm) to the [`LoweredProgram`] its schedule lowers to
+/// under the memo's [`SimConfig`], so every candidate, plane, severity row
+/// or cost-table bucket that repeats a spec schedules and lowers it once.
+/// Lowering does not depend on [`SimConfig::faults`], so one memo serves
+/// runs under any fault profile, and a hit returns the program a fresh
+/// lowering builds — results are unchanged bit for bit.
 ///
-/// This is the one "schedule each pass → lower → run → merge serially"
-/// path: every MeshSlice search and simulation, and
+/// A memo lives for one [`simulated_search`] call or one serving
+/// cost-table cache, never longer. It is `Sync`: every worker of a search
+/// shares it.
+pub struct SpecMemo<A = MeshSlice> {
+    cfg: SimConfig,
+    lowered: Mutex<HashMap<(MeshShape, GemmProblem, A), Arc<LoweredProgram>>>,
+    hits: AtomicUsize,
+    builds: AtomicUsize,
+}
+
+impl<A: DistributedGemm + Clone + Eq + Hash> SpecMemo<A> {
+    /// An empty memo lowering under `cfg`.
+    pub fn new(cfg: SimConfig) -> Self {
+        SpecMemo {
+            cfg,
+            lowered: Mutex::new(HashMap::new()),
+            hits: AtomicUsize::new(0),
+            builds: AtomicUsize::new(0),
+        }
+    }
+
+    /// `(hits, builds)`: lookups served from the memo, and specs lowered
+    /// afresh (including the losers of insert races).
+    pub fn stats(&self) -> (usize, usize) {
+        (
+            self.hits.load(atomic::Ordering::Relaxed),
+            self.builds.load(atomic::Ordering::Relaxed),
+        )
+    }
+
+    /// The [`LoweredBlock`] of a `(problem, algorithm)` pass list on a
+    /// mesh: each distinct spec looked up in (or scheduled and lowered
+    /// into) the memo. `None` if a pass fails to schedule; failures are
+    /// not memoized.
+    pub fn block(
+        &self,
+        mesh_shape: MeshShape,
+        passes: &[(GemmProblem, A)],
+    ) -> Option<LoweredBlock> {
+        let (distinct, slot_of) = dedup_slots(passes);
+        let engine = Engine::new(Torus2d::from_shape(mesh_shape), self.cfg.clone());
+        let lowered = distinct
+            .into_iter()
+            .map(|(problem, algo)| self.lowered(&engine, *problem, algo))
+            .collect::<Option<_>>()?;
+        Some(LoweredBlock {
+            engine,
+            lowered,
+            slot_of,
+        })
+    }
+
+    fn lowered(
+        &self,
+        engine: &Engine,
+        problem: GemmProblem,
+        algo: &A,
+    ) -> Option<Arc<LoweredProgram>> {
+        let key = (engine.mesh().shape(), problem, algo.clone());
+        if let Some(hit) = self.lowered.lock().expect("spec memo poisoned").get(&key) {
+            self.hits.fetch_add(1, atomic::Ordering::Relaxed);
+            return Some(hit.clone());
+        }
+        // Schedule and lower outside the lock: that is the expensive
+        // part, and a duplicate build under a race is the same program.
+        let program = algo
+            .schedule(engine.mesh(), problem, self.cfg.elem_bytes)
+            .ok()?;
+        let lowered = Arc::new(engine.lower_program(&program));
+        self.builds.fetch_add(1, atomic::Ordering::Relaxed);
+        let mut memo = self.lowered.lock().expect("spec memo poisoned");
+        Some(memo.entry(key).or_insert(lowered).clone())
+    }
+}
+
+/// One pass list on one mesh, each *distinct* spec lowered once through
+/// a [`SpecMemo`]. Identical programs under an identical config produce
+/// identical reports, so each distinct report is fanned out to every
+/// pass that repeats it (mirrored layers repeat specs).
+///
+/// This is the one "schedule → lower → run → merge serially" path: every
+/// simulated search, the block simulators, the serving cost tables and
 /// [`simulate_fc_step`](crate::training::simulate_fc_step) for all seven
-/// GeMM families, goes through it.
-struct LoweredBlock {
-    /// Engine on the block's mesh under the block's config.
+/// GeMM families go through it.
+pub struct LoweredBlock {
+    /// Engine on the block's mesh under the memo's config.
     engine: Engine,
     /// The lowered program of each distinct spec, in first-appearance order.
-    lowered: Vec<LoweredProgram>,
+    lowered: Vec<Arc<LoweredProgram>>,
     /// `slot_of[i]` indexes `lowered` for the block's `i`-th pass.
     slot_of: Vec<usize>,
 }
 
 impl LoweredBlock {
-    /// Runs each distinct program under `faults` (the block config's own
+    /// Runs each distinct program under `faults` (the memo config's own
     /// profile if `None`), recycling run state through `scratch`, and
-    /// merges the full pass list serially.
-    fn run(&self, faults: Option<&ClusterProfile>, scratch: &mut RunScratch) -> SimReport {
+    /// merges the full pass list serially: bit-for-bit the per-pass
+    /// `Engine::run` + [`SimReport::merge_serial`] loop.
+    pub fn run(&self, faults: Option<&ClusterProfile>, scratch: &mut RunScratch) -> SimReport {
         let faulted = faults.map(|p| self.engine.with_faults(p.clone()));
         let engine = faulted.as_ref().unwrap_or(&self.engine);
         let distinct: Vec<SimReport> = self
@@ -1017,6 +940,56 @@ impl LoweredBlock {
         let reports: Vec<SimReport> = self.slot_of.iter().map(|&k| distinct[k].clone()).collect();
         SimReport::merge_serial(&reports)
     }
+
+    /// The block's makespan under the memo's config, and under each of
+    /// `profiles` in order.
+    pub fn makespans(
+        &self,
+        profiles: &[ClusterProfile],
+        scratch: &mut RunScratch,
+    ) -> (Duration, Vec<Duration>) {
+        let nominal = self.run(None, scratch).makespan();
+        let per_draw = profiles
+            .iter()
+            .map(|p| self.run(Some(p), scratch).makespan())
+            .collect();
+        (nominal, per_draw)
+    }
+}
+
+/// The one simulated search loop. `keys` are the enumerated candidates,
+/// `score` prices one of them with the search's [`SpecMemo`] (lowering
+/// under `cfg`) and a worker's [`RunScratch`] — `None` if it is
+/// infeasible — and `rank` totally orders the scores.
+///
+/// Each distinct key is scored once on `threads` workers (one scratch
+/// each, one memo for all), and its score is placed at the index of every
+/// key that repeats it, so the outcome is identical at any thread count.
+/// Infeasible candidates are dropped and the rest sorted stably by `rank`:
+/// the result is `(candidate index, score)` pairs, best first.
+pub fn simulated_search<K, R>(
+    cfg: &SimConfig,
+    threads: usize,
+    keys: &[K],
+    score: impl Fn(&K, &SpecMemo, &mut RunScratch) -> Option<R> + Sync,
+    rank: impl Fn(&R, &R) -> Ordering,
+) -> Vec<(usize, R)>
+where
+    K: PartialEq + Sync,
+    R: Clone + Send,
+{
+    let (distinct, slot_of) = dedup_slots(keys);
+    let memo = SpecMemo::new(cfg.clone());
+    let scores = par::parallel_map_with(threads, &distinct, RunScratch::new, |scratch, key| {
+        score(key, &memo, scratch)
+    });
+    let mut ranked: Vec<(usize, R)> = slot_of
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, k)| Some((i, scores[k].clone()?)))
+        .collect();
+    ranked.sort_by(|a, b| rank(&a.1, &b.1));
+    ranked
 }
 
 /// The `(problem, tuned slice count)` passes of layer plans, in order.
@@ -1026,59 +999,33 @@ fn plan_passes(layers: &[LayerPlan]) -> impl Iterator<Item = (GemmProblem, usize
         .flat_map(|l| l.passes.map(|p| (p.problem, p.slice_count)))
 }
 
-/// Builds the [`LoweredBlock`] of a `(problem, algorithm)` pass list on a
-/// mesh under `cfg`, scheduling and lowering each distinct spec once.
-/// `None` if a pass fails to schedule.
-fn lower_block<A: DistributedGemm + PartialEq>(
-    mesh_shape: MeshShape,
-    passes: impl IntoIterator<Item = (GemmProblem, A)>,
-    cfg: &SimConfig,
-) -> Option<LoweredBlock> {
-    let specs: Vec<(GemmProblem, A)> = passes.into_iter().collect();
-    let slot_of = dedup_slots(&specs);
-    let mesh = Torus2d::from_shape(mesh_shape);
-    let engine = Engine::new(mesh.clone(), cfg.clone());
-    let mut lowered = Vec::new();
-    for (i, (problem, algo)) in specs.iter().enumerate() {
-        if slot_of[i] == lowered.len() {
-            let program = algo.schedule(&mesh, *problem, cfg.elem_bytes).ok()?;
-            lowered.push(engine.lower_program(&program));
-        }
-    }
-    Some(LoweredBlock {
-        engine,
-        lowered,
-        slot_of,
-    })
-}
-
 /// Simulates a `(problem, algorithm)` pass list once under `cfg` through
-/// its [`LoweredBlock`]: bit-for-bit the per-pass `Engine::run` +
-/// [`SimReport::merge_serial`] loop. `None` if a pass fails to schedule.
-pub(crate) fn simulate_passes<A: DistributedGemm + PartialEq>(
+/// a fresh memo's [`LoweredBlock`]. `None` if a pass fails to schedule.
+pub(crate) fn simulate_passes<A: DistributedGemm + Clone + Eq + Hash>(
     mesh_shape: MeshShape,
     passes: impl IntoIterator<Item = (GemmProblem, A)>,
     cfg: &SimConfig,
 ) -> Option<SimReport> {
-    Some(lower_block(mesh_shape, passes, cfg)?.run(None, &mut RunScratch::new()))
+    let passes: Vec<_> = passes.into_iter().collect();
+    let block = SpecMemo::new(cfg.clone()).block(mesh_shape, &passes)?;
+    Some(block.run(None, &mut RunScratch::new()))
 }
 
-/// Maps each element to the position of its first occurrence within the
-/// list of *distinct* elements (in first-appearance order): `slot_of[i]`
-/// indexes a deduplicated side list. Quadratic, for short spec lists.
-fn dedup_slots<T: PartialEq>(specs: &[T]) -> Vec<usize> {
-    let mut slot_of: Vec<usize> = Vec::with_capacity(specs.len());
-    let mut distinct = 0;
-    for i in 0..specs.len() {
-        match (0..i).find(|&j| specs[j] == specs[i]) {
-            Some(j) => slot_of.push(slot_of[j]),
+/// Splits a list into its distinct elements, in first-appearance order,
+/// and each element's slot among them. Quadratic, for short lists.
+fn dedup_slots<T: PartialEq>(items: &[T]) -> (Vec<&T>, Vec<usize>) {
+    let mut distinct: Vec<&T> = Vec::new();
+    let slot_of = items
+        .iter()
+        .map(|item| match distinct.iter().position(|d| *d == item) {
+            Some(k) => k,
             None => {
-                slot_of.push(distinct);
-                distinct += 1;
+                distinct.push(item);
+                distinct.len() - 1
             }
-        }
-    }
-    slot_of
+        })
+        .collect();
+    (distinct, slot_of)
 }
 
 /// The two local extents MeshSlice slices, per dataflow (mirrors
@@ -1194,9 +1141,11 @@ mod tests {
             let assign = pod.project(&p.view).unwrap();
             let mesh = assign.torus.shape();
             let (_, layers) = tuner.estimate_on_mesh(&model, setup, mesh).unwrap();
-            let passes = tuner.meshslice_passes(mesh, plan_passes(&layers)).unwrap();
-            let block = lower_block(mesh, passes, cfg).unwrap();
-            let t = block.run(Some(&assign.profile), &mut RunScratch::new());
+            let memo = SpecMemo::new(cfg.clone());
+            let block = tuner.meshslice_block(&memo, mesh, plan_passes(&layers));
+            let t = block
+                .unwrap()
+                .run(Some(&assign.profile), &mut RunScratch::new());
             assert!(t.makespan() > plan.simulated_block_time, "plane {}", p);
         }
     }

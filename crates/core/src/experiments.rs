@@ -5,12 +5,14 @@
 //! them in printable harnesses. `DESIGN.md` maps every paper figure/table
 //! to its driver, and `EXPERIMENTS.md` records paper-vs-measured values.
 
+use std::cmp::Ordering;
+
 use meshslice_gemm::{Dataflow, DistributedGemm, GemmProblem};
 use meshslice_mesh::{MeshShape, Torus2d};
-use meshslice_sim::{Duration, Engine, RunScratch, SimConfig, SimReport};
+use meshslice_sim::{Duration, Engine, SimConfig, SimReport};
 use meshslice_tensor::GemmShape;
 
-use crate::autotuner::{pass_problems, Autotuner, RobustObjective, Stationary};
+use crate::autotuner::{pass_problems, simulated_search, Autotuner, RobustObjective, Stationary};
 use crate::llm::{LlmConfig, TrainingSetup};
 use crate::par;
 use crate::training::{simulate_fc_step, Algorithm};
@@ -641,11 +643,9 @@ pub fn straggler_sensitivity(
     let chips = mesh_shape.num_chips();
     let setup = TrainingSetup::weak_scaling(chips);
     let tuner = Autotuner::new(cfg.clone());
-    // Each severity row shares one profile sample; the (severity, S) cells
-    // are then independent: fan them out over the sweep workers (results
-    // are placed by input index, so the grid order — severities outer,
-    // slice counts inner — is identical at any thread count). Within a
-    // cell, the block is scheduled and lowered once and replayed per draw.
+    // Each severity row shares one profile sample. Cells come back in grid
+    // order (severities outer, slice counts inner), and the rows share the
+    // search's lowered programs: each slice count's block is lowered once.
     let profiles_by_row: Vec<_> = severities
         .iter()
         .map(|&severity| {
@@ -653,29 +653,29 @@ pub fn straggler_sensitivity(
                 .sample_profiles(chips, base_seed, num_seeds)
         })
         .collect();
-    let mut cells = Vec::new();
-    for (row, &severity) in severities.iter().enumerate() {
-        for &s in s_values {
-            cells.push((row, severity, s));
-        }
-    }
-    par::parallel_map_with(
+    let cells: Vec<(usize, usize)> = (0..severities.len())
+        .flat_map(|row| s_values.iter().map(move |&s| (row, s)))
+        .collect();
+    let points = simulated_search(
+        cfg,
         par::threads(),
         &cells,
-        RunScratch::new,
-        |scratch, &(row, severity, s)| {
+        |&(row, s), memo, scratch| {
             let (nominal, draws) = tuner
-                .simulate_block_draws(model, setup, mesh_shape, s, &profiles_by_row[row], scratch)
-                .expect("grid mesh must divide the model's FC GeMMs");
-            StragglerPoint {
-                severity,
+                .fc_block(memo, model, setup, mesh_shape, s)
+                .expect("grid mesh must divide the model's FC GeMMs")
+                .makespans(&profiles_by_row[row], scratch);
+            Some(StragglerPoint {
+                severity: severities[row],
                 requested_s: s,
                 nominal,
                 p95: RobustObjective::P95.score(&draws),
                 worst: RobustObjective::Worst.score(&draws),
-            }
+            })
         },
-    )
+        |_, _| Ordering::Equal,
+    );
+    points.into_iter().map(|(_, p)| p).collect()
 }
 
 #[cfg(test)]

@@ -272,12 +272,6 @@ impl LlmConfig {
         seen
     }
 
-    /// Total FC GeMM FLOPs of one training step (all blocks, all passes).
-    pub fn fc_step_flops(&self, setup: TrainingSetup) -> u64 {
-        let per_block: u64 = self.fc_gemms(setup).iter().map(|g| g.shape.flops()).sum();
-        per_block * self.layers as u64
-    }
-
     /// Analytical per-block time of the non-FC operations on `chips`
     /// accelerators, covering forward and backward.
     ///

@@ -33,7 +33,7 @@ use crate::problem::{Dataflow, GemmProblem};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Cannon;
 
 impl DistributedGemm for Cannon {

@@ -37,7 +37,7 @@ use crate::problem::{Dataflow, GemmProblem};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Collective;
 
 #[cfg(test)]

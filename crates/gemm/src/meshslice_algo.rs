@@ -42,7 +42,7 @@ use crate::problem::{Dataflow, GemmProblem};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MeshSlice {
     slice_count: usize,
     block: usize,

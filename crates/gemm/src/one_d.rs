@@ -31,14 +31,14 @@ use crate::problem::{Dataflow, GemmProblem};
 
 /// 1D tensor parallelism with sequence parallelism (the most popular TP
 /// method for LLMs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct OneDimTp {
     unroll: Option<usize>,
 }
 
 /// Fully-sharded data parallelism: the weight matrix is sharded and
 /// gathered right before use.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Fsdp {
     unroll: Option<usize>,
 }

@@ -38,7 +38,7 @@ use crate::problem::{Dataflow, GemmProblem};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Summa {
     panels: usize,
 }

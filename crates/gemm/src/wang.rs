@@ -21,7 +21,7 @@ use crate::plan::{DataOp, MatKind, MatmulStep, Plan, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// Which direction's collective Wang decomposes into SendRecv exchanges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum WangOverlap {
     /// Pick the direction with the larger traffic cost (hide the big one).
     #[default]
@@ -50,7 +50,7 @@ pub enum WangOverlap {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Wang {
     overlap: WangOverlap,
     unroll: Option<usize>,

@@ -21,10 +21,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use meshslice::autotuner::Autotuner;
+use meshslice::autotuner::{simulated_search, Autotuner, LoweredBlock};
 use meshslice::checkpoint::{expected_goodput, young_daly_interval, CheckpointModel};
 use meshslice::llm::{LlmConfig, TrainingSetup};
-use meshslice::par;
 use meshslice_faults::{FailureDraw, FailureSpec, FaultSpecError};
 use meshslice_mesh::{MeshShape, Torus2d};
 use meshslice_sim::{degraded_torus_profile, Duration, RunScratch};
@@ -353,15 +352,14 @@ impl ResilientPlan {
 /// maximizing expected goodput under `spec`, sweeping
 /// [`Autotuner::candidate_meshes`] × `s_values`.
 ///
-/// Per candidate: one fault-free and one degraded-torus block simulation
-/// (sharing schedules and run scratch, as
-/// [`Autotuner::simulate_block_draws`] does), a [`CheckpointModel`] priced
-/// from the candidate's own memory footprint, and a Young–Daly interval
-/// refined over a small neighborhood. The expected goodput folds in the
+/// Per candidate: one fault-free and one degraded-torus replay of its FC
+/// block ([`Autotuner::fc_block`]), a [`CheckpointModel`] priced from the
+/// candidate's own memory footprint, and a Young–Daly interval refined
+/// over a small neighborhood. The expected goodput folds in the
 /// probability-weighted degraded-mode slowdown over the spec's horizon.
 ///
-/// Candidates are evaluated on `threads` workers and placed by input
-/// index, so the plan is bit-identical at any thread count.
+/// Candidates are scored by one [`simulated_search`] on `threads`
+/// workers, so the plan is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -380,28 +378,31 @@ pub fn tune_resilient(
     threads: usize,
 ) -> Result<ResilientPlan, FaultSpecError> {
     spec.validate()?;
-    let mut pairs = Vec::new();
-    for mesh in Autotuner::candidate_meshes(chips) {
-        for &s in s_values {
-            pairs.push((mesh, s));
-        }
-    }
-    let evaluated =
-        par::parallel_map_with(threads, &pairs, RunScratch::new, |scratch, &(mesh, s)| {
-            eval_resilient_candidate(tuner, model, setup, mesh, s, spec, scratch)
-        });
-    let mut candidates: Vec<ResilientCandidate> = evaluated.into_iter().flatten().collect();
+    let candidates: Vec<ResilientCandidate> = simulated_search(
+        tuner.cost_model().config(),
+        threads,
+        &Autotuner::mesh_slice_grid(chips, s_values),
+        |&(mesh, s), memo, scratch| {
+            let block = tuner.fc_block(memo, model, setup, mesh, s)?;
+            Some(price_resilient_candidate(
+                model, setup, mesh, s, spec, &block, scratch,
+            ))
+        },
+        |a, b| {
+            b.expected_goodput
+                .total_cmp(&a.expected_goodput)
+                .then(a.nominal_block.cmp(&b.nominal_block))
+                .then(a.mesh_shape.rows().cmp(&b.mesh_shape.rows()))
+                .then(a.requested_s.cmp(&b.requested_s))
+        },
+    )
+    .into_iter()
+    .map(|(_, c)| c)
+    .collect();
     assert!(
         !candidates.is_empty(),
         "no feasible (mesh, slice count) candidate for this model"
     );
-    candidates.sort_by(|a, b| {
-        b.expected_goodput
-            .total_cmp(&a.expected_goodput)
-            .then(a.nominal_block.cmp(&b.nominal_block))
-            .then(a.mesh_shape.rows().cmp(&b.mesh_shape.rows()))
-            .then(a.requested_s.cmp(&b.requested_s))
-    });
     Ok(ResilientPlan { candidates })
 }
 
@@ -411,19 +412,18 @@ fn priced_dead_chip(num_chips: usize) -> usize {
     num_chips / 2
 }
 
-fn eval_resilient_candidate(
-    tuner: &Autotuner,
+fn price_resilient_candidate(
     model: &LlmConfig,
     setup: TrainingSetup,
     mesh: MeshShape,
     s: usize,
     spec: &FailureSpec,
+    block: &LoweredBlock,
     scratch: &mut RunScratch,
-) -> Option<ResilientCandidate> {
+) -> ResilientCandidate {
     let torus = Torus2d::from_shape(mesh);
     let degraded_profile = degraded_torus_profile(&torus, priced_dead_chip(mesh.num_chips()));
-    let (nominal, per_draw) =
-        tuner.simulate_block_draws(model, setup, mesh, s, &[degraded_profile], scratch)?;
+    let (nominal, per_draw) = block.makespans(&[degraded_profile], scratch);
     let degraded = per_draw[0];
 
     // A training step touches every transformer block once.
@@ -465,7 +465,7 @@ fn eval_resilient_candidate(
         }
     }
 
-    Some(ResilientCandidate {
+    ResilientCandidate {
         mesh_shape: mesh,
         requested_s: s,
         nominal_block: nominal,
@@ -473,7 +473,7 @@ fn eval_resilient_candidate(
         checkpoint_interval_secs: best_interval,
         checkpoint_secs: c,
         expected_goodput: best_goodput,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -336,11 +336,6 @@ impl ServingDowntime {
             ("failovers", Json::Num(self.failovers as f64)),
         ])
     }
-
-    /// Total downtime attributed to the chip death, seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.detection_secs + self.restore_secs + self.reprefill_secs + self.degraded_extra_secs
-    }
 }
 
 /// Everything a fleet run reports: the latency order statistics, the

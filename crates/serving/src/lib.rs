@@ -91,9 +91,8 @@ pub use chaos::{
     ChaosSpec, DeathEvent, RouterPolicy, ShedPolicy, BACKOFF_CAP_FACTOR, DEFAULT_SHED_TTFT_FACTOR,
 };
 pub use costs::{
-    build_replica_costs, build_replica_costs_with, BucketCost, CostProfile, CostTableCache,
-    EmptyCostTable, PhaseCostTable, ReplicaCosts, CACHED_BATCH_CAP, MAX_PREFILL_TOKENS,
-    NOMINAL_KV_CONTEXT,
+    build_replica_costs, BucketCost, CostProfile, CostTableCache, EmptyCostTable, PhaseCostTable,
+    ReplicaCosts, CACHED_BATCH_CAP, MAX_PREFILL_TOKENS, NOMINAL_KV_CONTEXT,
 };
 pub use fleet::{
     simulate_fleet, simulate_fleet_threads, simulate_fleet_traced, ChipDeath, FleetReport,

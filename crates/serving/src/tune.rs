@@ -57,6 +57,7 @@ use meshslice::autotuner::Autotuner;
 use meshslice::llm::LlmConfig;
 use meshslice::par;
 use meshslice::{MeshShape, SimConfig};
+use meshslice_telemetry::percentile;
 
 use crate::arrival::{ArrivalSpec, Request};
 use crate::chaos::{ChaosSpec, RouterPolicy, ShedPolicy};
@@ -324,13 +325,6 @@ impl ResilientServingPlan {
     pub fn best(&self) -> &ResilientServingCandidate {
         &self.candidates[0]
     }
-}
-
-/// Nearest-rank lower percentile: the value at the `frac` quantile
-/// counting from the worst, over an ascending-sorted slice.
-fn percentile_from_worst(sorted_asc: &[f64], frac: f64) -> f64 {
-    let k = ((frac * sorted_asc.len() as f64).ceil() as usize).max(1) - 1;
-    sorted_asc[k]
 }
 
 /// One simulation the fast path actually runs: a set of grid entries
@@ -828,7 +822,7 @@ impl ServingTuning for Autotuner {
                     replicas: unit.replicas,
                     max_batch: unit.max_batch,
                     worst_goodput: goodputs[0],
-                    p95_goodput: percentile_from_worst(&goodputs, 0.05),
+                    p95_goodput: percentile(&goodputs, 0.05),
                     mean_goodput: goodputs.iter().sum::<f64>() / draws as f64,
                     worst_slo_attainment: drawn
                         .iter()
@@ -1193,21 +1187,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.contains("at least one chaos draw"), "{err}");
-    }
-
-    #[test]
-    fn percentile_from_worst_is_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile_from_worst(&v, 0.05), 1.0);
-        assert_eq!(percentile_from_worst(&v, 0.5), 3.0);
-        assert_eq!(percentile_from_worst(&v, 1.0), 5.0);
-        assert_eq!(percentile_from_worst(&[7.0], 0.05), 7.0);
-        // Nearest rank ⌈0.05·n⌉ is 1 — the worst draw — for every
-        // n ≤ 20, and 2 — the second-worst draw — from n = 21.
-        let twenty: Vec<f64> = (0..20).map(f64::from).collect();
-        assert_eq!(percentile_from_worst(&twenty, 0.05), 0.0);
-        let twenty_one: Vec<f64> = (0..21).map(f64::from).collect();
-        assert_eq!(percentile_from_worst(&twenty_one, 0.05), 1.0);
     }
 
     #[test]

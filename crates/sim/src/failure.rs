@@ -62,11 +62,6 @@ pub enum FailureOutcome {
 }
 
 impl FailureOutcome {
-    /// Whether the run was interrupted.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, FailureOutcome::Aborted(_))
-    }
-
     /// The abort record, if the run was interrupted.
     pub fn aborted(&self) -> Option<&AbortInfo> {
         match self {

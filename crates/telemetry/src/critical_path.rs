@@ -252,20 +252,6 @@ impl CriticalPath {
         acc.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.index().cmp(&b.0.index())));
         acc
     }
-
-    /// Critical-path time per program operation, sorted by descending
-    /// duration.
-    pub fn by_op(&self) -> Vec<(OpId, f64)> {
-        let mut acc: Vec<(OpId, f64)> = Vec::new();
-        for s in &self.segments {
-            match acc.iter_mut().find(|(o, _)| *o == s.op) {
-                Some((_, d)) => *d += s.duration(),
-                None => acc.push((s.op, s.duration())),
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.index().cmp(&b.0.index())));
-        acc
-    }
 }
 
 /// Per-node slack: how much later each node could have finished without

@@ -184,20 +184,6 @@ impl RunMetrics {
         self
     }
 
-    /// Mean compute-lane utilization across chips.
-    pub fn mean_compute_utilization(&self) -> f64 {
-        let (sum, n) = self
-            .lanes
-            .iter()
-            .filter(|l| l.lane == 0)
-            .fold((0.0, 0usize), |(s, n), l| (s + l.utilization, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Serializes to the JSON artifact (schema `schemas/metrics.schema.json`).
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![

@@ -114,6 +114,12 @@ mod tests {
         assert_eq!(percentile(&v, 0.99), 99.0);
         assert_eq!(percentile(&v, 1.0), 100.0);
         assert_eq!(percentile(&v, 0.0), 1.0);
+        // Nearest rank ⌈0.05·n⌉ is 1 — the smallest sample — for every
+        // n ≤ 20, and 2 from n = 21 (the chaos tuner's p95 goodput).
+        let twenty: Vec<f64> = (0..20).map(f64::from).collect();
+        assert_eq!(percentile(&twenty, 0.05), 0.0);
+        let twenty_one: Vec<f64> = (0..21).map(f64::from).collect();
+        assert_eq!(percentile(&twenty_one, 0.05), 1.0);
     }
 
     #[test]

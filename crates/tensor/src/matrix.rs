@@ -128,11 +128,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -324,11 +319,6 @@ impl Matrix {
         for v in &mut self.data {
             *v *= factor;
         }
-    }
-
-    /// Sets every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 }
 

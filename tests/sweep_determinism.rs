@@ -2,7 +2,7 @@
 //! of the parallel drivers, and bit-identical reports from scratch reuse
 //! and pre-lowered replay.
 
-use meshslice::autotuner::{Autotuner, RobustObjective};
+use meshslice::autotuner::{Autotuner, RobustObjective, SpecMemo};
 use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::{Dataflow, DistributedGemm, GemmProblem, GemmShape, MeshShape, MeshSlice};
 use meshslice_faults::{FailureSpec, FaultSpec, JitterModel};
@@ -125,8 +125,9 @@ fn block_draws_match_per_draw_block_simulations() {
     let mut scratch = RunScratch::new();
     for s in [1usize, 2, 4] {
         let (nominal, per_draw) = tuner
-            .simulate_block_draws(&model, setup, mesh, s, &profiles, &mut scratch)
-            .expect("tiny model divides a 2x2 mesh");
+            .fc_block(&SpecMemo::new(base.clone()), &model, setup, mesh, s)
+            .expect("tiny model divides a 2x2 mesh")
+            .makespans(&profiles, &mut scratch);
         let expected_nominal = tuner
             .simulate_block(&model, setup, mesh, s, &base)
             .unwrap()
