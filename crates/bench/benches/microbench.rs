@@ -9,7 +9,7 @@ use meshslice_collectives::{all_gather, reduce_scatter};
 use meshslice_faults::FaultSpec;
 use meshslice_gemm::{Collective, Dataflow, DistributedGemm, GemmProblem, MeshSlice};
 use meshslice_mesh::{CommAxis, Torus2d};
-use meshslice_sim::{ClusterProfile, Engine, RunScratch, SimConfig};
+use meshslice_sim::{ClusterProfile, Engine, RunScratch, SimConfig, TimelineRecorder};
 use meshslice_tensor::gemm::matmul;
 use meshslice_tensor::slice::{slice_cols, SliceSpec};
 use meshslice_tensor::{GemmShape, Matrix};
@@ -75,6 +75,17 @@ fn bench_sim_engine(c: &mut Criterion) {
     });
 }
 
+/// The first pass of GPT-3's QKV layer under weak scaling on `mesh`,
+/// with the autotuner's MeshSlice at (up to) S = 8.
+fn gpt3_qkv_pass(mesh: &Torus2d, cfg: &SimConfig) -> (MeshSlice, GemmProblem) {
+    let tokens = TrainingSetup::weak_scaling(mesh.num_chips()).tokens();
+    let qkv = LlmConfig::gpt3().fc_layers()[0];
+    let stationary = choose_stationary(tokens, qkv.input_dim, qkv.output_dim);
+    let problem = pass_problems(stationary, tokens, qkv.input_dim, qkv.output_dim)[0];
+    let algo = Autotuner::new(cfg.clone()).meshslice_for(mesh.shape(), problem, 8);
+    (algo, problem)
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     // Per-layer cost of reaching the simulator: one GPT-3 FC pass (the
     // first pass of the QKV layer, weak scaling) on 4x4 at S = 8. The
@@ -82,11 +93,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // the full node graph.
     let mesh = Torus2d::new(4, 4);
     let cfg = SimConfig::tpu_v4();
-    let tokens = TrainingSetup::weak_scaling(16).tokens();
-    let qkv = LlmConfig::gpt3().fc_layers()[0];
-    let stationary = choose_stationary(tokens, qkv.input_dim, qkv.output_dim);
-    let problem = pass_problems(stationary, tokens, qkv.input_dim, qkv.output_dim)[0];
-    let algo = Autotuner::new(cfg.clone()).meshslice_for(mesh.shape(), problem, 8);
+    let (algo, problem) = gpt3_qkv_pass(&mesh, &cfg);
     let engine = Engine::new(mesh.clone(), cfg.clone());
     let faulted = engine.with_faults(ClusterProfile::ideal(16).with_compute_slowdown(5, 1.5));
     let program = algo.schedule(&mesh, problem, cfg.elem_bytes).unwrap();
@@ -104,6 +111,27 @@ fn bench_pipeline(c: &mut Criterion) {
             faulted.run_lowered_with_scratch(&lowered, &mut scratch)
         })
     });
+    // The event loop alone on the full graph: the same pass pre-lowered
+    // at paper scale, replayed under one 1.5x straggler. Divide by the
+    // printed node count for the per-node cost.
+    for side in [8, 16] {
+        let mesh = Torus2d::new(side, side);
+        let (algo, problem) = gpt3_qkv_pass(&mesh, &cfg);
+        let engine = Engine::new(mesh.clone(), cfg.clone());
+        let chips = mesh.num_chips();
+        let faulted =
+            engine.with_faults(ClusterProfile::ideal(chips).with_compute_slowdown(5, 1.5));
+        let lowered = engine.lower_program(&algo.schedule(&mesh, problem, cfg.elem_bytes).unwrap());
+        // The first faulted run lowers the full graph; time the replays.
+        faulted.run_lowered_with_scratch(&lowered, &mut scratch);
+        let nodes = TimelineRecorder::new(&lowered).into_timeline().nodes.len();
+        println!("  (faulted_run_gpt3_fc_{side}x{side}_s8 replays {nodes} nodes)");
+        group.bench_function(&format!("faulted_run_gpt3_fc_{side}x{side}_s8"), |b| {
+            b.iter(|| {
+                faulted.run_lowered_with_scratch(std::hint::black_box(&lowered), &mut scratch)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -15,7 +15,7 @@ use crate::perturb::ClusterProfile;
 use crate::program::Program;
 use crate::quotient;
 use crate::report::{SimReport, TimeBreakdown};
-use crate::time::Duration;
+use crate::time::{Duration, Time};
 
 /// Executes [`Program`]s on a simulated cluster.
 ///
@@ -85,6 +85,12 @@ pub(crate) struct Executable {
     deps_left_init: Vec<u32>,
     /// Nodes with no dependencies, in index order.
     roots: Vec<usize>,
+    /// Each node's sync class: the index of its synchronization delay
+    /// among the graph's first [`SYNC_CLASSES`] distinct ones, or
+    /// [`NO_SYNC_CLASS`] (no delay, or a rarer one).
+    sync_class: Vec<u8>,
+    /// Number of sync classes in use.
+    sync_classes: usize,
     /// Chips whose state a run of this graph keeps (1 for a
     /// representative).
     chips: usize,
@@ -93,15 +99,27 @@ pub(crate) struct Executable {
 impl Executable {
     fn new(graph: ExecGraph, chips: usize) -> Self {
         let n = graph.nodes.len();
-        let deps_left_init: Vec<u32> = (0..n).map(|i| graph.deps(i).len() as u32).collect();
-        // Reverse the flat dependency buffer: count dependents,
-        // prefix-sum, then fill in dependent order.
+        // One pass over the nodes: dependency counts, roots, sync
+        // classes, and each node's dependent count (in `dep_starts`,
+        // shifted by one for the prefix sum below).
+        let mut deps_left_init = Vec::with_capacity(n);
+        let mut roots = Vec::new();
+        let mut delays: Vec<u64> = Vec::new();
+        let mut sync_class = Vec::with_capacity(n);
         let mut dep_starts = vec![0u32; n + 1];
-        for i in 0..n {
-            for &d in graph.deps(i) {
+        for (i, node) in graph.nodes.iter().enumerate() {
+            let deps = graph.deps(i);
+            deps_left_init.push(deps.len() as u32);
+            if deps.is_empty() {
+                roots.push(i);
+            }
+            for &d in deps {
                 dep_starts[d as usize + 1] += 1;
             }
+            sync_class.push(sync_class_of(node.sync, &mut delays));
         }
+        // Reverse the flat dependency buffer: prefix-sum the counts, then
+        // fill in dependent order.
         for i in 0..n {
             dep_starts[i + 1] += dep_starts[i];
         }
@@ -113,15 +131,34 @@ impl Executable {
                 cursor[d as usize] += 1;
             }
         }
-        let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
         Executable {
             graph,
             dep_starts,
             dep_targets,
             deps_left_init,
             roots,
+            sync_class,
+            sync_classes: delays.len(),
             chips,
         }
+    }
+}
+
+/// The sync class of a node with synchronization delay `sync`, given the
+/// distinct delays classed so far (`delays`, as bits), which it may
+/// extend.
+fn sync_class_of(sync: f64, delays: &mut Vec<u64>) -> u8 {
+    if sync <= 0.0 {
+        return NO_SYNC_CLASS;
+    }
+    let bits = sync.to_bits();
+    match delays.iter().position(|&d| d == bits) {
+        Some(c) => c as u8,
+        None if delays.len() < SYNC_CLASSES => {
+            delays.push(bits);
+            delays.len() as u8 - 1
+        }
+        None => NO_SYNC_CLASS,
     }
 }
 
@@ -174,7 +211,10 @@ pub struct RunScratch {
     /// Fluid channels: one HBM per chip, then the shared fabric in
     /// logical-mesh mode. A channel's index is its wake slot.
     hbm: Vec<HbmChannel>,
-    heap: BinaryHeap<Reverse<(crate::time::Time, u64, Event)>>,
+    heap: BinaryHeap<Reverse<(EventKey, Event)>>,
+    /// Pending [`Event::SyncDone`]s of the nodes of each sync class, in
+    /// key order (see [`Run::schedule_sync`]).
+    syncs: Vec<VecDeque<(EventKey, u32)>>,
     /// Pending channel wake-ups, one replaceable slot per channel (the
     /// fabric's slot is the chip count). Kept out of `heap` so channel
     /// reconfigurations replace their wake instead of piling stale entries.
@@ -215,9 +255,51 @@ fn add_copies(acc: &mut f64, x: f64, copies: usize) {
     }
 }
 
-/// Heap events are ordered by (time, sequence); the sequence is unique, so
-/// the derived `Ord` on `Event` is never consulted — it exists only so the
-/// payload can live directly in the heap tuple (no side-table indirection).
+/// An event's place in the run's total order: its time, mapped so that
+/// unsigned order is [`Time`]'s order, in the high 64 bits and its
+/// sequence number in the low 64. One integer compare replaces a
+/// `total_cmp` plus a tie-break on every heap step.
+type EventKey = u128;
+
+/// How many distinct synchronization delays get a FIFO of their own.
+/// A program's ring steps share a handful (two per GPT-3 FC pass); the
+/// nodes of rarer delays go through the event heap.
+const SYNC_CLASSES: usize = 8;
+
+/// The sync class of a node whose delay has no FIFO.
+const NO_SYNC_CLASS: u8 = u8::MAX;
+
+/// Sorts after every key [`event_key`] makes (it would decode to a NaN
+/// time): the head of an empty queue.
+const NO_EVENT: EventKey = EventKey::MAX;
+
+/// The key of an event at `t` seconds that takes sequence number `seq`.
+///
+/// # Panics
+///
+/// Panics if `t` is negative or not finite, as [`Time::from_secs`] does.
+#[inline]
+fn event_key(t: f64, seq: u64) -> EventKey {
+    let bits = Time::from_secs(t).as_secs().to_bits();
+    // `f64::total_cmp` as an unsigned order: set the sign bit of a
+    // non-negative time, flip every bit of a negative one. `from_secs`
+    // admits one negative value, -0.0, which thus keys just below +0.0,
+    // where `Time::cmp` sorts it.
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63);
+    (EventKey::from(ordered) << 64) | EventKey::from(seq)
+}
+
+/// The time, in seconds, that [`event_key`] packed into `key`.
+#[inline]
+fn key_time(key: EventKey) -> f64 {
+    let ordered = (key >> 64) as u64;
+    f64::from_bits(ordered ^ ((((!ordered as i64) >> 63) as u64) | 1 << 63))
+}
+
+/// Heap events are ordered by their [`EventKey`]; the sequence number in
+/// it is unique, so the derived `Ord` on `Event` is never consulted — it
+/// exists only so the payload can live directly in the heap tuple (no
+/// side-table indirection).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// The post-resource synchronization delay elapsed.
@@ -253,6 +335,14 @@ struct FailCtx {
     fired: bool,
 }
 
+/// Where the event loop's next event comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    Heap,
+    Wake,
+    Sync(usize),
+}
+
 /// Per-node lifecycle state. The busy-interval start is not carried here —
 /// it is always `busy_start_time[node]`, written when the node goes busy —
 /// so the enum stays 2 bytes and the phase array cache-resident.
@@ -282,16 +372,15 @@ const WAKE_ABSENT: u32 = u32::MAX;
 /// Dispatch order is bit-identical to pushing every wake onto the shared
 /// heap: each update takes the next global sequence number exactly as a
 /// pushed event would, so the surviving (latest) wake keeps the same
-/// (time, seq) key it would have had there — and the superseded entries
-/// this queue drops were version-mismatched no-ops.
+/// key it would have had there — and the superseded entries this queue
+/// drops were version-mismatched no-ops.
 #[derive(Clone, Debug, Default)]
 struct WakeQueue {
-    /// Per-slot pending key; meaningful only while `pos[slot] != ABSENT`.
-    time: Vec<crate::time::Time>,
-    seq: Vec<u64>,
+    /// Per-slot version of the pending wake.
     version: Vec<u64>,
-    /// Slot ids ordered as a binary min-heap by (time, seq).
-    heap: Vec<u32>,
+    /// Pending (key, slot) entries, a binary min-heap by key. Keys sit
+    /// in the entries, so a sift reads no side table.
+    heap: Vec<(EventKey, u32)>,
     /// Slot → position in `heap`, or [`WAKE_ABSENT`].
     pos: Vec<u32>,
 }
@@ -299,90 +388,91 @@ struct WakeQueue {
 impl WakeQueue {
     /// Empties the queue and sizes it for `slots` channels.
     fn reset(&mut self, slots: usize) {
-        refill(&mut self.time, slots, crate::time::Time::ZERO);
-        refill(&mut self.seq, slots, 0);
         refill(&mut self.version, slots, 0);
         self.heap.clear();
         refill(&mut self.pos, slots, WAKE_ABSENT);
     }
 
-    fn key(&self, slot: u32) -> (crate::time::Time, u64) {
-        (self.time[slot as usize], self.seq[slot as usize])
-    }
-
     /// Inserts or replaces the pending wake of `slot`.
-    fn set(&mut self, slot: usize, time: crate::time::Time, seq: u64, version: u64) {
-        self.time[slot] = time;
-        self.seq[slot] = seq;
+    fn set(&mut self, slot: usize, key: EventKey, version: u64) {
         self.version[slot] = version;
         let p = self.pos[slot];
         if p == WAKE_ABSENT {
-            self.pos[slot] = self.heap.len() as u32;
-            self.heap.push(slot as u32);
+            self.heap.push((key, slot as u32));
             self.sift_up(self.heap.len() - 1);
         } else {
             let p = p as usize;
-            if !self.sift_up(p) {
+            let earlier = key < self.heap[p].0;
+            self.heap[p].0 = key;
+            if earlier {
+                self.sift_up(p);
+            } else {
                 self.sift_down(p);
             }
         }
     }
 
-    /// The smallest pending (time, seq) key, if any wake is pending.
-    fn peek(&self) -> Option<(crate::time::Time, u64)> {
-        self.heap.first().map(|&s| self.key(s))
+    /// The smallest pending key, or [`NO_EVENT`] if no wake is pending.
+    fn peek(&self) -> EventKey {
+        self.heap.first().map_or(NO_EVENT, |e| e.0)
     }
 
     /// Removes and returns the earliest wake as (slot, version).
     fn pop(&mut self) -> (usize, u64) {
-        let slot = self.heap[0] as usize;
-        self.pos[slot] = WAKE_ABSENT;
         let last = self.heap.pop().expect("pop on empty wake queue");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0);
-        }
+        let slot = match self.heap.first_mut() {
+            Some(head) => {
+                let slot = std::mem::replace(head, last).1 as usize;
+                self.sift_down(0);
+                slot
+            }
+            None => last.1 as usize,
+        };
+        self.pos[slot] = WAKE_ABSENT;
         (slot, self.version[slot])
     }
 
-    /// Moves the entry at heap position `p` up; returns whether it moved.
-    fn sift_up(&mut self, mut p: usize) -> bool {
-        let mut moved = false;
-        while p > 0 {
-            let parent = (p - 1) / 2;
-            if self.key(self.heap[p]) < self.key(self.heap[parent]) {
-                self.heap.swap(p, parent);
-                self.pos[self.heap[p] as usize] = p as u32;
-                self.pos[self.heap[parent] as usize] = parent as u32;
-                p = parent;
-                moved = true;
-            } else {
-                break;
-            }
-        }
-        moved
+    /// Places `entry` at heap position `p` and records where it went.
+    fn place(&mut self, p: usize, entry: (EventKey, u32)) {
+        self.heap[p] = entry;
+        self.pos[entry.1 as usize] = p as u32;
     }
 
-    fn sift_down(&mut self, mut p: usize) {
-        loop {
-            let l = 2 * p + 1;
-            let r = l + 1;
-            let mut smallest = p;
-            if l < self.heap.len() && self.key(self.heap[l]) < self.key(self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.key(self.heap[r]) < self.key(self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == p {
+    /// Moves the entry at heap position `p` up to its place.
+    fn sift_up(&mut self, mut p: usize) {
+        let entry = self.heap[p];
+        while p > 0 {
+            let parent = (p - 1) / 2;
+            if entry.0 >= self.heap[parent].0 {
                 break;
             }
-            self.heap.swap(p, smallest);
-            self.pos[self.heap[p] as usize] = p as u32;
-            self.pos[self.heap[smallest] as usize] = smallest as u32;
-            p = smallest;
+            self.place(p, self.heap[parent]);
+            p = parent;
         }
+        self.place(p, entry);
+    }
+
+    /// Moves the entry at heap position `p` down to its place.
+    fn sift_down(&mut self, mut p: usize) {
+        let entry = self.heap[p];
+        let len = self.heap.len();
+        loop {
+            let l = 2 * p + 1;
+            if l >= len {
+                break;
+            }
+            let child = if l + 1 < len && self.heap[l + 1].0 < self.heap[l].0 {
+                l + 1
+            } else {
+                l
+            };
+            if entry.0 <= self.heap[child].0 {
+                break;
+            }
+            self.place(p, self.heap[child]);
+            p = child;
+        }
+        self.place(p, entry);
     }
 }
 
@@ -394,6 +484,8 @@ struct Run<'a, O> {
     graph: &'a ExecGraph,
     /// The graph's nodes.
     nodes: &'a [Node],
+    /// Each node's sync class (see [`Executable`]).
+    sync_class: &'a [u8],
     /// Active variability profile. `None` when the config carries no
     /// profile *or* an ideal one — the fault hooks then cost nothing and
     /// the simulation is bit-for-bit the unperturbed one.
@@ -674,6 +766,11 @@ impl Engine {
             }
         };
         scratch.heap.clear();
+        scratch.syncs.truncate(exe.sync_classes);
+        for q in &mut scratch.syncs {
+            q.clear();
+        }
+        scratch.syncs.resize_with(exe.sync_classes, VecDeque::new);
         scratch.wakes.reset(chips + 1);
         for buf in &mut scratch.done_pool {
             buf.clear();
@@ -686,6 +783,7 @@ impl Engine {
         let mut run = Run {
             graph: &exe.graph,
             nodes: &exe.graph.nodes,
+            sync_class: &exe.sync_class,
             profile,
             s: std::mem::take(scratch),
             dep_starts: &exe.dep_starts,
@@ -731,31 +829,48 @@ impl Engine {
                 run.ready(i, 0.0);
             }
         }
-        // Two sources of events, one total order: the shared heap and the
-        // per-channel wake queue draw sequence numbers from the same
-        // counter, so comparing their head (time, seq) keys dispatches in
-        // exactly the order a single combined heap would.
+        // Several sources of events, one total order: the shared heap,
+        // the per-channel wake queue and the sync-class FIFOs draw
+        // sequence numbers from the same counter, so taking the least of
+        // their head keys dispatches in exactly the order a single
+        // combined heap would. Keys are unique, so only an empty source
+        // ties the [`NO_EVENT`] sentinel.
         loop {
             // A detected failure stops the cluster: events past the
             // detection instant are never dispatched.
             if run.aborted.is_some() {
                 break;
             }
-            let main_key = run.s.heap.peek().map(|Reverse((t, s, _))| (*t, *s));
+            let mut key = run.s.heap.peek().map_or(NO_EVENT, |Reverse((k, _))| *k);
+            let mut source = Source::Heap;
             let wake_key = run.s.wakes.peek();
-            let take_wake = match (main_key, wake_key) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(m), Some(w)) => w < m,
-            };
-            if take_wake {
-                let (t, _) = wake_key.expect("checked");
-                let (slot, version) = run.s.wakes.pop();
-                run.wake(slot, version, t.as_secs());
-            } else {
-                let Reverse((t, _, event)) = run.s.heap.pop().expect("checked");
-                run.dispatch(event, t.as_secs());
+            if wake_key < key {
+                key = wake_key;
+                source = Source::Wake;
+            }
+            for (class, q) in run.s.syncs.iter().enumerate() {
+                if let Some(&(k, _)) = q.front() {
+                    if k < key {
+                        key = k;
+                        source = Source::Sync(class);
+                    }
+                }
+            }
+            let t = key_time(key);
+            match source {
+                _ if key == NO_EVENT => break,
+                Source::Heap => {
+                    let Reverse((_, event)) = run.s.heap.pop().expect("checked");
+                    run.dispatch(event, t);
+                }
+                Source::Wake => {
+                    let (slot, version) = run.s.wakes.pop();
+                    run.wake(slot, version, t);
+                }
+                Source::Sync(class) => {
+                    let (_, node) = run.s.syncs[class].pop_front().expect("checked");
+                    run.dispatch(Event::SyncDone(node as usize), t);
+                }
             }
         }
         let abort = match &failure {
@@ -807,9 +922,25 @@ impl Engine {
 impl<O: EngineObserver> Run<'_, O> {
     fn schedule(&mut self, t: f64, event: Event) {
         self.seq += 1;
-        self.s
-            .heap
-            .push(Reverse((crate::time::Time::from_secs(t), self.seq, event)));
+        self.s.heap.push(Reverse((event_key(t, self.seq), event)));
+    }
+
+    /// Schedules `node`'s [`Event::SyncDone`] at `t` (the current instant
+    /// plus its sync delay), through its sync class's FIFO when it has
+    /// one. A FIFO stays in key order with no sifting: the current
+    /// instant never decreases, rounding `now + delay` is monotone in
+    /// `now` for one delay, and sequence numbers only grow.
+    fn schedule_sync(&mut self, node: usize, t: f64) {
+        match self.sync_class[node] {
+            NO_SYNC_CLASS => self.schedule(t, Event::SyncDone(node)),
+            class => {
+                self.seq += 1;
+                let key = event_key(t, self.seq);
+                let q = &mut self.s.syncs[class as usize];
+                debug_assert!(q.back().is_none_or(|&(k, _)| k < key));
+                q.push_back((key, node as u32));
+            }
+        }
     }
 
     /// Whether `node` lives on the dead chip of a fired failure.
@@ -828,13 +959,19 @@ impl<O: EngineObserver> Run<'_, O> {
     }
 
     /// Settles channel `slot` up to `t` and completes the flows that
-    /// finished. Completion buffers come from a pool because completing a
-    /// node can recursively settle more channels. Forced inline, like
+    /// finished; a no-op when the channel was already settled at `t` (as
+    /// when several nodes go busy on one chip at one instant), and no
+    /// more than an advance when no flow finished.
+    /// Completion buffers come from a pool because completing a node can
+    /// recursively settle more channels. Forced inline, like
     /// `reschedule`: without it the wake and busy paths of the event loop
     /// measurably slow down.
     #[inline(always)]
     fn settle(&mut self, slot: usize, t: f64) {
-        self.s.hbm[slot].advance(t);
+        let channel = &mut self.s.hbm[slot];
+        if channel.is_settled_at(t) || !channel.advance(t) {
+            return;
+        }
         let mut done = self.s.done_pool.pop().unwrap_or_default();
         self.s.hbm[slot].take_completed_into(&mut done);
         for &node in &done {
@@ -935,13 +1072,11 @@ impl<O: EngineObserver> Run<'_, O> {
 
     /// Replaces the pending wake of a channel slot, consuming the next
     /// global sequence number exactly as [`schedule`](Self::schedule)
-    /// would — the surviving wake's (time, seq) key matches what a shared
-    /// heap push would have produced.
+    /// would — the surviving wake's key matches what a shared heap push
+    /// would have produced.
     fn schedule_wake(&mut self, slot: usize, t: f64, version: u64) {
         self.seq += 1;
-        self.s
-            .wakes
-            .set(slot, crate::time::Time::from_secs(t), self.seq, version);
+        self.s.wakes.set(slot, event_key(t, self.seq), version);
     }
 
     /// Replaces the pending wake of channel `slot` with its next flow
@@ -1052,7 +1187,7 @@ impl<O: EngineObserver> Run<'_, O> {
         let sync = self.nodes[node].sync;
         if sync > 0.0 {
             self.s.phase[node] = Phase::Syncing;
-            self.schedule(t + sync, Event::SyncDone(node));
+            self.schedule_sync(node, t + sync);
         } else {
             self.begin_busy(node, t);
         }
@@ -1997,5 +2132,63 @@ mod tests {
             crate::ChipFailure { chip: 9, at: 1.0 },
             1e-3,
         );
+    }
+
+    /// A non-negative finite f64 from raw bits: the whole range, zero,
+    /// subnormals and `f64::MAX` included.
+    fn non_negative_finite(bits: u64) -> f64 {
+        f64::from_bits(bits % f64::INFINITY.to_bits())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Packed keys order events exactly as `(Time::cmp, seq)` did, and
+        /// give the time back bit for bit. `pick` makes a quarter of the
+        /// pairs ties and a quarter adjacent floats.
+        #[test]
+        fn packed_keys_order_like_time_then_seq(
+            a_bits in proptest::prelude::any::<u64>(),
+            b_bits in proptest::prelude::any::<u64>(),
+            pick in 0u8..4,
+            sa in proptest::prelude::any::<u64>(),
+            sb in proptest::prelude::any::<u64>(),
+        ) {
+            let a = non_negative_finite(a_bits);
+            let b = match pick {
+                0 => a,
+                1 => non_negative_finite(a.to_bits() + 1),
+                _ => non_negative_finite(b_bits),
+            };
+            let want = (Time::from_secs(a), sa).cmp(&(Time::from_secs(b), sb));
+            proptest::prop_assert_eq!(event_key(a, sa).cmp(&event_key(b, sb)), want);
+            proptest::prop_assert_eq!(key_time(event_key(a, sa)).to_bits(), a.to_bits());
+            proptest::prop_assert!(event_key(a, sa) < NO_EVENT);
+        }
+    }
+
+    #[test]
+    fn negative_zero_keys_where_time_sorts_it() {
+        // `Time::from_secs` admits -0.0, and `Time::cmp` (a total order)
+        // puts it just below +0.0: so does its key, whatever the seqs.
+        assert!(Time::from_secs(-0.0) < Time::from_secs(0.0));
+        assert!(event_key(-0.0, u64::MAX) < event_key(0.0, 0));
+        assert!(event_key(-0.0, 7) < event_key(-0.0, 8));
+        assert!(event_key(0.0, u64::MAX) < event_key(f64::from_bits(1), 0));
+        assert_eq!(key_time(event_key(-0.0, 3)).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(key_time(event_key(0.0, 3)).to_bits(), 0.0f64.to_bits());
+        assert!(event_key(f64::MAX, u64::MAX) < NO_EVENT);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid time")]
+    fn keys_reject_negative_times() {
+        event_key(-f64::MIN_POSITIVE, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid time")]
+    fn keys_reject_nan() {
+        event_key(f64::NAN, 0);
     }
 }

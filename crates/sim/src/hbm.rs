@@ -24,16 +24,27 @@ struct Flow {
     rate: f64,
 }
 
+/// The water-filling order: by rate cap, ties by node id.
+fn fill_order(a: &Flow, b: &Flow) -> std::cmp::Ordering {
+    a.cap.total_cmp(&b.cap).then(a.node.cmp(&b.node))
+}
+
 /// One chip's shared HBM channel.
 #[derive(Clone, Debug)]
 pub(crate) struct HbmChannel {
     capacity: f64,
+    /// The active flows, kept in [`fill_order`] so that
+    /// [`recompute`](Self::recompute) is one pass with no sort.
     flows: Vec<Flow>,
     last_update: f64,
+    /// The instant the channel was last settled at: by
+    /// [`take_completed_into`], or by an [`advance`](Self::advance) after
+    /// which no flow had finished. Settling again at this instant
+    /// changes nothing. NaN, which equals no instant, when unknown.
+    ///
+    /// [`take_completed_into`]: Self::take_completed_into
+    settled_at: f64,
     version: u64,
-    /// Scratch index buffer for the water-filling sort, reused across
-    /// [`recompute`](Self::recompute) calls to avoid per-event allocation.
-    order: Vec<usize>,
 }
 
 impl HbmChannel {
@@ -48,8 +59,8 @@ impl HbmChannel {
             capacity,
             flows: Vec::new(),
             last_update: 0.0,
+            settled_at: f64::NAN,
             version: 0,
-            order: Vec::new(),
         }
     }
 
@@ -72,6 +83,7 @@ impl HbmChannel {
         self.capacity = capacity;
         self.flows.clear();
         self.last_update = 0.0;
+        self.settled_at = f64::NAN;
         self.version = 0;
     }
 
@@ -81,15 +93,28 @@ impl HbmChannel {
         self.version
     }
 
-    /// Applies the current rates over `now − last_update`.
+    /// Whether the channel is already settled at `now`: an
+    /// [`advance`](Self::advance) to `now` followed by
+    /// [`take_completed_into`](Self::take_completed_into) would change
+    /// nothing — no time passes, and no flow is already complete.
+    pub(crate) fn is_settled_at(&self, now: f64) -> bool {
+        self.settled_at == now
+    }
+
+    /// Applies the current rates over `now − last_update`, and returns
+    /// whether some flow has finished: if none has, the channel is now
+    /// settled at `now` and [`take_completed_into`] would find nothing.
     ///
     /// # Panics
     ///
     /// Panics if time moves backwards by more than rounding error.
-    pub(crate) fn advance(&mut self, now: f64) {
+    ///
+    /// [`take_completed_into`]: Self::take_completed_into
+    pub(crate) fn advance(&mut self, now: f64) -> bool {
         let dt = now - self.last_update;
         assert!(dt > -1e-12, "HBM channel time went backwards by {dt}");
         let dt = dt.max(0.0);
+        let mut finished = false;
         for f in &mut self.flows {
             // The engine settles a channel no later than its earliest flow
             // completion, so a flow may overshoot its bytes only by the
@@ -102,8 +127,13 @@ impl HbmChannel {
                 f.rate * dt
             );
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            finished |= f.remaining <= COMPLETION_EPS;
         }
         self.last_update = now;
+        if !finished {
+            self.settled_at = now;
+        }
+        finished
     }
 
     /// Adds a flow of `bytes` with individual rate cap `cap`, starting now.
@@ -117,12 +147,18 @@ impl HbmChannel {
     pub(crate) fn add_flow(&mut self, node: usize, bytes: f64, cap: f64) -> u64 {
         assert!(bytes > 0.0, "flow must carry bytes");
         assert!(cap > 0.0, "flow cap must be positive");
-        self.flows.push(Flow {
+        if bytes <= COMPLETION_EPS {
+            // The next settle completes this flow at once.
+            self.settled_at = f64::NAN;
+        }
+        let flow = Flow {
             node,
             remaining: bytes,
             cap,
             rate: 0.0,
-        });
+        };
+        let at = self.flows.partition_point(|f| fill_order(f, &flow).is_lt());
+        self.flows.insert(at, flow);
         self.recompute();
         self.version += 1;
         self.version
@@ -133,22 +169,24 @@ impl HbmChannel {
     /// rates if any were removed. Returns the new version.
     pub(crate) fn take_completed_into(&mut self, done: &mut Vec<usize>) -> u64 {
         let before = done.len();
-        let mut i = 0;
-        while i < self.flows.len() {
-            if self.flows[i].remaining <= COMPLETION_EPS {
-                let flow = self.flows.swap_remove(i);
-                debug_assert!((0.0..=COMPLETION_EPS).contains(&flow.remaining));
-                done.push(flow.node);
-            } else {
-                i += 1;
+        self.flows.retain(|f| {
+            let finished = f.remaining <= COMPLETION_EPS;
+            if finished {
+                debug_assert!((0.0..=COMPLETION_EPS).contains(&f.remaining));
+                done.push(f.node);
             }
-        }
+            !finished
+        });
         if done.len() > before {
             self.recompute();
             self.version += 1;
         }
-        // Deterministic completion order regardless of swap_remove.
-        done[before..].sort_unstable();
+        // Completions in node order, whatever the fill order.
+        if done.len() > before + 1 {
+            done[before..].sort_unstable();
+        }
+        // Every flow left has more than `COMPLETION_EPS` bytes to go.
+        self.settled_at = self.last_update;
         self.version
     }
 
@@ -180,6 +218,7 @@ impl HbmChannel {
             }
         }
         if changed {
+            self.flows.sort_unstable_by(fill_order);
             self.recompute();
             self.version += 1;
         }
@@ -198,29 +237,31 @@ impl HbmChannel {
             .min_by(f64::total_cmp)
     }
 
-    /// Water-filling rate allocation: each flow gets
+    /// Water-filling rate allocation: each flow, in [`fill_order`], gets
     /// `min(cap, fair share of remaining capacity)`, with the slack of
-    /// cap-limited flows redistributed to the others.
+    /// cap-limited flows redistributed to the others. A lone flow thus
+    /// runs at `min(cap, capacity)`.
+    ///
+    /// The fair share is a division, and the divisions form one serial
+    /// chain; two cases skip it with the same result. The last flow's
+    /// share is the remaining capacity itself (`x / 1.0` is `x`), and a
+    /// cap below the share by far more than rounding error (checked
+    /// without dividing) is the minimum.
     fn recompute(&mut self) {
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend(0..self.flows.len());
-        order.sort_by(|&a, &b| {
-            self.flows[a]
-                .cap
-                .total_cmp(&self.flows[b].cap)
-                .then(self.flows[a].node.cmp(&self.flows[b].node))
-        });
         let mut remaining_capacity = self.capacity;
-        let mut left = order.len();
-        for &idx in &order {
-            let fair = remaining_capacity / left as f64;
-            let rate = self.flows[idx].cap.min(fair);
-            self.flows[idx].rate = rate;
-            remaining_capacity -= rate;
+        let mut left = self.flows.len();
+        for f in &mut self.flows {
+            let n = left as f64;
+            f.rate = if left == 1 {
+                f.cap.min(remaining_capacity)
+            } else if f.cap * n < remaining_capacity * (1.0 - 1e-9) {
+                f.cap
+            } else {
+                f.cap.min(remaining_capacity / n)
+            };
+            remaining_capacity -= f.rate;
             left -= 1;
         }
-        self.order = order;
         debug_assert!(
             self.flows.iter().all(|f| f.rate <= f.cap),
             "a flow runs above its cap"
@@ -350,5 +391,45 @@ mod tests {
         // Identity retune: no version bump.
         let v2 = ch.retune_caps(|node| (node == 0).then_some(5.0));
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn lone_flow_runs_at_the_lesser_of_cap_and_capacity() {
+        let mut ch = HbmChannel::new(100.0);
+        ch.add_flow(0, 50.0, 400.0);
+        assert_eq!(ch.rate_of(0), 100.0);
+        ch.retune_caps(|_| Some(30.0));
+        assert_eq!(ch.rate_of(0), 30.0);
+    }
+
+    #[test]
+    fn simultaneous_completions_come_back_in_node_order() {
+        // Fill order (by cap) puts node 5 before node 2; both finish at 1 s.
+        let mut ch = HbmChannel::new(100.0);
+        ch.add_flow(5, 10.0, 10.0);
+        ch.add_flow(2, 20.0, 20.0);
+        ch.advance(1.0);
+        assert_eq!(ch.take_completed().0, vec![2, 5]);
+    }
+
+    #[test]
+    fn a_channel_is_settled_only_where_it_was_last_settled() {
+        let mut ch = HbmChannel::new(100.0);
+        assert!(!ch.is_settled_at(0.0), "a fresh channel was never settled");
+        ch.add_flow(0, 100.0, 50.0);
+        ch.advance(1.0);
+        ch.take_completed();
+        assert!(ch.is_settled_at(1.0));
+        assert!(!ch.is_settled_at(1.5));
+        // A new flow with bytes to go leaves nothing to complete at 1 s…
+        ch.add_flow(1, 100.0, 50.0);
+        assert!(ch.is_settled_at(1.0));
+        // …but one already within the completion slack does.
+        ch.add_flow(2, COMPLETION_EPS / 2.0, 50.0);
+        assert!(!ch.is_settled_at(1.0));
+        assert_eq!(ch.take_completed().0, vec![2]);
+        assert!(ch.is_settled_at(1.0));
+        ch.reset(100.0);
+        assert!(!ch.is_settled_at(0.0) && !ch.is_settled_at(1.0));
     }
 }
