@@ -111,6 +111,23 @@ fn bench_pipeline(c: &mut Criterion) {
             faulted.run_lowered_with_scratch(&lowered, &mut scratch)
         })
     });
+    // The fault-free path a tuner takes per candidate, at growing mesh
+    // sizes: schedule the pass, then lower its one-chip quotient.
+    for side in [4, 8, 16] {
+        let mesh = Torus2d::new(side, side);
+        let (algo, problem) = gpt3_qkv_pass(&mesh, &cfg);
+        let engine = Engine::new(mesh.clone(), cfg.clone());
+        group.bench_function(
+            &format!("schedule_and_lower_gpt3_fc_{side}x{side}_s8"),
+            |b| {
+                b.iter(|| {
+                    let program =
+                        algo.schedule(&mesh, std::hint::black_box(problem), cfg.elem_bytes);
+                    engine.lower_program(&program.unwrap())
+                })
+            },
+        );
+    }
     // The event loop alone on the full graph: the same pass pre-lowered
     // at paper scale, replayed under one 1.5x straggler. Divide by the
     // printed node count for the per-node cost.

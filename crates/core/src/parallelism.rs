@@ -219,10 +219,10 @@ pub fn simulate_plan(
             ..cfg.clone()
         };
         let shard = plan.dp_traffic / 2 / (plan.dp as u64 - 1).max(1) * plan.dp as u64;
-        let mut b = ProgramBuilder::new(&ring);
+        let mut b = ProgramBuilder::spmd(&ring);
         let rds = b.next_tag();
         let ag = b.next_tag();
-        for chip in ring.chips() {
+        for chip in b.chips() {
             let r = b.collective(
                 chip,
                 rds,

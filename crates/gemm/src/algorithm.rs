@@ -5,23 +5,24 @@ use meshslice_sim::Program;
 use meshslice_tensor::shard::ShardGrid;
 
 use crate::error::GemmError;
-use crate::plan::{Plan, FUNCTIONAL_ELEM_BYTES};
+use crate::plan::{Plan, PlanBuilder, Reg, FUNCTIONAL_ELEM_BYTES};
 use crate::problem::GemmProblem;
 
 /// A distributed GeMM algorithm: MeshSlice or one of the baselines.
 ///
-/// Implementations provide one lowering — [`DistributedGemm::plan`] —
-/// that emits a data-annotated [`Plan`]. Both execution modes derive
-/// from it:
+/// Implementations provide one emission — [`DistributedGemm::emit`] —
+/// that writes the algorithm's ops and data annotations into a
+/// [`PlanBuilder`]. Every execution mode records that one emission:
 ///
+/// - [`DistributedGemm::plan`] records every chip's ops and their data
+///   annotations as a [`Plan`];
 /// - [`DistributedGemm::execute`] interprets the plan functionally
 ///   (really moving and multiplying matrix shards, for correctness
 ///   testing at small scale);
-/// - [`DistributedGemm::schedule`] strips the data annotations and hands
-///   the lowered [`Program`] to the timing simulator (priced at full LLM
-///   scale).
+/// - [`DistributedGemm::schedule`] records the timing-simulation
+///   [`Program`] alone (priced at full LLM scale).
 ///
-/// Because both walk the same lowered op DAG, the schedule the simulator
+/// Because all of them walk the same emission, the schedule the simulator
 /// prices is the computation that is verified numerically — the two
 /// cannot drift.
 ///
@@ -38,11 +39,34 @@ pub trait DistributedGemm {
     /// Returns the same error `plan` would.
     fn check(&self, mesh: &Torus2d, problem: GemmProblem) -> Result<(), GemmError>;
 
-    /// Lowers the algorithm to one data-annotated plan.
+    /// Emits the algorithm into `pb` (built for the target mesh) and
+    /// returns the register holding the result shard grid.
+    ///
+    /// Every op goes inside a `for chip in pb.chips()` loop whose body
+    /// emits the same ops for every chip, so that
+    /// [`schedule`](Self::schedule) can record chip 0's copy alone (see
+    /// [`ProgramBuilder::spmd`](meshslice_sim::ProgramBuilder::spmd)).
+    /// An algorithm whose chips run different op lists overrides
+    /// `schedule`.
     ///
     /// `elem_bytes` is the storage size of a matrix element (2 for bf16);
     /// it affects only the op byte counts the simulator prices, never the
     /// data annotations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GemmError`] if the mesh, dataflow, or dimensions are
+    /// unsupported.
+    fn emit(
+        &self,
+        pb: &mut PlanBuilder,
+        problem: GemmProblem,
+        elem_bytes: usize,
+    ) -> Result<Reg, GemmError>;
+
+    /// Lowers the algorithm to one data-annotated plan.
+    ///
+    /// `elem_bytes` is the storage size of a matrix element (2 for bf16).
     ///
     /// # Errors
     ///
@@ -53,7 +77,9 @@ pub trait DistributedGemm {
         mesh: &Torus2d,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError>;
+    ) -> Result<Plan, GemmError> {
+        Plan::build(mesh, |pb| self.emit(pb, problem, elem_bytes))
+    }
 
     /// Checks that `a` and `b` match the shard layout this algorithm
     /// expects for the problem.
@@ -97,8 +123,14 @@ pub trait DistributedGemm {
             .interpret(a, b)
     }
 
-    /// Builds the timing-simulation task DAG by lowering the plan and
-    /// erasing its data annotations.
+    /// Builds the timing-simulation task DAG: the plan's [`Program`]
+    /// without its data annotations.
+    ///
+    /// The program is an SPMD template (chip 0's ops; see
+    /// [`ProgramBuilder::spmd`](meshslice_sim::ProgramBuilder::spmd)), so
+    /// scheduling costs one chip's emission and the engine lowers its
+    /// fault-free representative straight from it. It equals
+    /// `plan(..).into_program()` op for op.
     ///
     /// `elem_bytes` is the storage size of a matrix element (2 for bf16).
     ///
@@ -112,7 +144,7 @@ pub trait DistributedGemm {
         problem: GemmProblem,
         elem_bytes: usize,
     ) -> Result<Program, GemmError> {
-        Ok(self.plan(mesh, problem, elem_bytes)?.into_program())
+        Plan::spmd_program(mesh, |pb| self.emit(pb, problem, elem_bytes))
     }
 }
 

@@ -7,12 +7,12 @@
 //! paper highlights.
 
 use meshslice_mesh::{Coord, LinkDir, Torus2d};
-use meshslice_sim::OpId;
+use meshslice_sim::{OpId, Program};
 use meshslice_tensor::GemmShape;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::GemmError;
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// Cannon's algorithm. Output-stationary only; square meshes only.
@@ -55,106 +55,116 @@ impl DistributedGemm for Cannon {
         problem.check_divisible(mesh.shape())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let p = mesh.rows();
         let shape = problem.shape;
         let a_bytes = problem.a_shard_bytes(mesh.shape(), elem_bytes);
         let b_bytes = problem.b_shard_bytes(mesh.shape(), elem_bytes);
         let local = GemmShape::new(shape.m / p, shape.n / p, shape.k / p);
-        Plan::build(mesh, |pb| {
-            let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
-            let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
-            let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
-            let a = pb.input_a(a_rows, a_cols);
-            let b = pb.input_b(b_rows, b_cols);
-            let c = pb.zeros(c_rows, c_cols);
-            for chip in mesh.chips() {
-                let coord = mesh.coord_of(chip);
-                let (i, j) = (coord.row(), coord.col());
-                // The A shard resident on this chip after the skew plus t
-                // systolic rotations is A_{i, j+i+t}; likewise B_{i+j+t, j}.
-                let a_home = |t: usize| mesh.chip_at(Coord::new(i, (j + i + t) % p));
-                let b_home = |t: usize| mesh.chip_at(Coord::new((i + j + t) % p, j));
-                // Skew prologue: row i rotates A left i times; column j rotates
-                // B up j times. Pure extra traffic before any compute.
-                let mut a_prev: Option<OpId> = None;
-                for r in 0..i {
-                    let deps: Vec<OpId> = a_prev.into_iter().collect();
-                    let sr = pb.sim().send_recv(chip, LinkDir::ColMinus, a_bytes, &deps);
+        let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
+        let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
+        let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
+        let a = pb.input_a(a_rows, a_cols);
+        let b = pb.input_b(b_rows, b_cols);
+        let c = pb.zeros(c_rows, c_cols);
+        for chip in mesh.chips() {
+            let coord = mesh.coord_of(chip);
+            let (i, j) = (coord.row(), coord.col());
+            // The A shard resident on this chip after the skew plus t
+            // systolic rotations is A_{i, j+i+t}; likewise B_{i+j+t, j}.
+            let a_home = |t: usize| mesh.chip_at(Coord::new(i, (j + i + t) % p));
+            let b_home = |t: usize| mesh.chip_at(Coord::new((i + j + t) % p, j));
+            // Skew prologue: row i rotates A left i times; column j rotates
+            // B up j times. Pure extra traffic before any compute.
+            let mut a_prev: Option<OpId> = None;
+            for r in 0..i {
+                let deps: Vec<OpId> = a_prev.into_iter().collect();
+                let sr = pb.sim().send_recv(chip, LinkDir::ColMinus, a_bytes, &deps);
+                pb.attach(
+                    sr,
+                    DataOp::Carries {
+                        tile: TileRead::whole(a, mesh.chip_at(Coord::new(i, (j + r + 1) % p))),
+                    },
+                );
+                a_prev = Some(sr);
+            }
+            let mut b_prev: Option<OpId> = None;
+            for r in 0..j {
+                let deps: Vec<OpId> = b_prev.into_iter().collect();
+                let sr = pb.sim().send_recv(chip, LinkDir::RowMinus, b_bytes, &deps);
+                pb.attach(
+                    sr,
+                    DataOp::Carries {
+                        tile: TileRead::whole(b, mesh.chip_at(Coord::new((i + r + 1) % p, j))),
+                    },
+                );
+                b_prev = Some(sr);
+            }
+            // Systolic steps: GeMM t uses the shards delivered by shift
+            // t − 1 (the skew for t = 0); shift t overlaps with GeMM t.
+            for step in 0..p {
+                let mut deps: Vec<OpId> = Vec::new();
+                deps.extend(a_prev);
+                deps.extend(b_prev);
+                let gemm = pb.sim().gemm(chip, local, &deps);
+                pb.attach(
+                    gemm,
+                    DataOp::Compute {
+                        steps: vec![MatmulStep {
+                            kind: MatKind::Ab,
+                            lhs: TileRead::whole(a, a_home(step)),
+                            rhs: TileRead::whole(b, b_home(step)),
+                            dst: c,
+                            dst_chip: chip,
+                            dst_off: (0, 0),
+                        }],
+                    },
+                );
+                if step + 1 < p {
+                    let a_deps: Vec<OpId> = a_prev.into_iter().collect();
+                    let sr = pb
+                        .sim()
+                        .send_recv(chip, LinkDir::ColMinus, a_bytes, &a_deps);
                     pb.attach(
                         sr,
                         DataOp::Carries {
-                            tile: TileRead::whole(a, mesh.chip_at(Coord::new(i, (j + r + 1) % p))),
+                            tile: TileRead::whole(a, a_home(step + 1)),
                         },
                     );
                     a_prev = Some(sr);
-                }
-                let mut b_prev: Option<OpId> = None;
-                for r in 0..j {
-                    let deps: Vec<OpId> = b_prev.into_iter().collect();
-                    let sr = pb.sim().send_recv(chip, LinkDir::RowMinus, b_bytes, &deps);
+                    let b_deps: Vec<OpId> = b_prev.into_iter().collect();
+                    let sr = pb
+                        .sim()
+                        .send_recv(chip, LinkDir::RowMinus, b_bytes, &b_deps);
                     pb.attach(
                         sr,
                         DataOp::Carries {
-                            tile: TileRead::whole(b, mesh.chip_at(Coord::new((i + r + 1) % p, j))),
+                            tile: TileRead::whole(b, b_home(step + 1)),
                         },
                     );
                     b_prev = Some(sr);
                 }
-                // Systolic steps: GeMM t uses the shards delivered by shift
-                // t − 1 (the skew for t = 0); shift t overlaps with GeMM t.
-                for step in 0..p {
-                    let mut deps: Vec<OpId> = Vec::new();
-                    deps.extend(a_prev);
-                    deps.extend(b_prev);
-                    let gemm = pb.sim().gemm(chip, local, &deps);
-                    pb.attach(
-                        gemm,
-                        DataOp::Compute {
-                            steps: vec![MatmulStep {
-                                kind: MatKind::Ab,
-                                lhs: TileRead::whole(a, a_home(step)),
-                                rhs: TileRead::whole(b, b_home(step)),
-                                dst: c,
-                                dst_chip: chip,
-                                dst_off: (0, 0),
-                            }],
-                        },
-                    );
-                    if step + 1 < p {
-                        let a_deps: Vec<OpId> = a_prev.into_iter().collect();
-                        let sr = pb
-                            .sim()
-                            .send_recv(chip, LinkDir::ColMinus, a_bytes, &a_deps);
-                        pb.attach(
-                            sr,
-                            DataOp::Carries {
-                                tile: TileRead::whole(a, a_home(step + 1)),
-                            },
-                        );
-                        a_prev = Some(sr);
-                        let b_deps: Vec<OpId> = b_prev.into_iter().collect();
-                        let sr = pb
-                            .sim()
-                            .send_recv(chip, LinkDir::RowMinus, b_bytes, &b_deps);
-                        pb.attach(
-                            sr,
-                            DataOp::Carries {
-                                tile: TileRead::whole(b, b_home(step + 1)),
-                            },
-                        );
-                        b_prev = Some(sr);
-                    }
-                }
             }
-            Ok(c)
-        })
+        }
+        Ok(c)
+    }
+
+    /// Op by op: chip `(i, j)`'s skew prologue shifts `i` and `j` times,
+    /// so the chips run different op lists and there is no template.
+    fn schedule(
+        &self,
+        mesh: &Torus2d,
+        problem: GemmProblem,
+        elem_bytes: usize,
+    ) -> Result<Program, GemmError> {
+        Ok(self.plan(mesh, problem, elem_bytes)?.into_program())
     }
 }
 

@@ -16,7 +16,7 @@ use meshslice_tensor::Matrix;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::GemmError;
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// The Collective 2D GeMM algorithm.
@@ -54,201 +54,200 @@ impl DistributedGemm for Collective {
         problem.check_divisible(mesh.shape())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let shape = problem.shape;
         let (pr, pc) = (mesh.rows(), mesh.cols());
-        Plan::build(mesh, |pb| {
-            let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
-            let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
-            let a = pb.input_a(a_rows, a_cols);
-            let b = pb.input_b(b_rows, b_cols);
-            match problem.dataflow {
-                Dataflow::Os => {
-                    // A_i* = AG_col(A_ij); B_*j = AG_row(B_ij); C_ij = A_i* B_*j.
-                    let ga = pb.gathered(a, problem.a_axis().unwrap());
-                    let gb = pb.gathered(b, problem.b_axis().unwrap());
-                    let local = GemmShape::new(shape.m / pr, shape.n / pc, shape.k);
-                    let c = pb.zeros(local.m, local.n);
-                    let ag_a_act = pb.action(DataOp::AllGather {
-                        src: a,
-                        dst: ga,
-                        axis: problem.a_axis().unwrap(),
-                    });
-                    let ag_b_act = pb.action(DataOp::AllGather {
-                        src: b,
-                        dst: gb,
-                        axis: problem.b_axis().unwrap(),
-                    });
-                    let tag_a = pb.sim().next_tag();
-                    let tag_b = pb.sim().next_tag();
-                    let a_bytes = problem.a_shard_bytes(mesh.shape(), elem_bytes);
-                    let b_bytes = problem.b_shard_bytes(mesh.shape(), elem_bytes);
-                    for chip in mesh.chips() {
-                        // Bidirectional rings: TPU collectives fully utilize
-                        // the ICI links (both directions at once).
-                        let ag_a = pb.sim().collective(
-                            chip,
-                            tag_a,
-                            CollectiveKind::AllGather,
-                            problem.a_axis().unwrap(),
-                            a_bytes,
-                            2,
-                            &[],
-                        );
-                        pb.anchor(ag_a_act, ag_a);
-                        let ag_b = pb.sim().collective(
-                            chip,
-                            tag_b,
-                            CollectiveKind::AllGather,
-                            problem.b_axis().unwrap(),
-                            b_bytes,
-                            2,
-                            &[],
-                        );
-                        pb.anchor(ag_b_act, ag_b);
-                        let g = pb.sim().gemm(chip, local, &[ag_a, ag_b]);
-                        pb.attach(
-                            g,
-                            DataOp::Compute {
-                                steps: vec![MatmulStep {
-                                    kind: MatKind::Ab,
-                                    lhs: TileRead::whole(ga, chip),
-                                    rhs: TileRead::whole(gb, chip),
-                                    dst: c,
-                                    dst_chip: chip,
-                                    dst_off: (0, 0),
-                                }],
-                            },
-                        );
-                    }
-                    Ok(c)
+        let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
+        let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
+        let a = pb.input_a(a_rows, a_cols);
+        let b = pb.input_b(b_rows, b_cols);
+        match problem.dataflow {
+            Dataflow::Os => {
+                // A_i* = AG_col(A_ij); B_*j = AG_row(B_ij); C_ij = A_i* B_*j.
+                let ga = pb.gathered(a, problem.a_axis().unwrap());
+                let gb = pb.gathered(b, problem.b_axis().unwrap());
+                let local = GemmShape::new(shape.m / pr, shape.n / pc, shape.k);
+                let c = pb.zeros(local.m, local.n);
+                let ag_a_act = pb.action(DataOp::AllGather {
+                    src: a,
+                    dst: ga,
+                    axis: problem.a_axis().unwrap(),
+                });
+                let ag_b_act = pb.action(DataOp::AllGather {
+                    src: b,
+                    dst: gb,
+                    axis: problem.b_axis().unwrap(),
+                });
+                let tag_a = pb.sim().next_tag();
+                let tag_b = pb.sim().next_tag();
+                let a_bytes = problem.a_shard_bytes(mesh.shape(), elem_bytes);
+                let b_bytes = problem.b_shard_bytes(mesh.shape(), elem_bytes);
+                for chip in pb.chips() {
+                    // Bidirectional rings: TPU collectives fully utilize
+                    // the ICI links (both directions at once).
+                    let ag_a = pb.sim().collective(
+                        chip,
+                        tag_a,
+                        CollectiveKind::AllGather,
+                        problem.a_axis().unwrap(),
+                        a_bytes,
+                        2,
+                        &[],
+                    );
+                    pb.anchor(ag_a_act, ag_a);
+                    let ag_b = pb.sim().collective(
+                        chip,
+                        tag_b,
+                        CollectiveKind::AllGather,
+                        problem.b_axis().unwrap(),
+                        b_bytes,
+                        2,
+                        &[],
+                    );
+                    pb.anchor(ag_b_act, ag_b);
+                    let g = pb.sim().gemm(chip, local, &[ag_a, ag_b]);
+                    pb.attach(
+                        g,
+                        DataOp::Compute {
+                            steps: vec![MatmulStep {
+                                kind: MatKind::Ab,
+                                lhs: TileRead::whole(ga, chip),
+                                rhs: TileRead::whole(gb, chip),
+                                dst: c,
+                                dst_chip: chip,
+                                dst_off: (0, 0),
+                            }],
+                        },
+                    );
                 }
-                Dataflow::Ls => {
-                    // B_*j = AG_row(B_ij); C'_i* = A_ij (B_*j)ᵀ; C_ij = RdS_col(C').
-                    let gb = pb.gathered(b, problem.b_axis().unwrap());
-                    let local = GemmShape::new(shape.m / pr, shape.n, shape.k / pc);
-                    let partial = pb.zeros(local.m, local.n);
-                    let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
-                    let c = pb.reg(c_rows, c_cols);
-                    let ag_act = pb.action(DataOp::AllGather {
-                        src: b,
-                        dst: gb,
-                        axis: problem.b_axis().unwrap(),
-                    });
-                    let rds_act = pb.action(DataOp::ReduceScatter {
-                        src: partial,
-                        dst: c,
-                        axis: problem.c_axis().unwrap(),
-                    });
-                    let tag_b = pb.sim().next_tag();
-                    let tag_c = pb.sim().next_tag();
-                    let b_bytes = problem.b_shard_bytes(mesh.shape(), elem_bytes);
-                    let c_bytes = problem.c_shard_bytes(mesh.shape(), elem_bytes);
-                    for chip in mesh.chips() {
-                        let ag_b = pb.sim().collective(
-                            chip,
-                            tag_b,
-                            CollectiveKind::AllGather,
-                            problem.b_axis().unwrap(),
-                            b_bytes,
-                            2,
-                            &[],
-                        );
-                        pb.anchor(ag_act, ag_b);
-                        let gemm = pb.sim().gemm(chip, local, &[ag_b]);
-                        pb.attach(
-                            gemm,
-                            DataOp::Compute {
-                                steps: vec![MatmulStep {
-                                    kind: MatKind::Abt,
-                                    lhs: TileRead::whole(a, chip),
-                                    rhs: TileRead::whole(gb, chip),
-                                    dst: partial,
-                                    dst_chip: chip,
-                                    dst_off: (0, 0),
-                                }],
-                            },
-                        );
-                        let rds = pb.sim().collective(
-                            chip,
-                            tag_c,
-                            CollectiveKind::ReduceScatter,
-                            problem.c_axis().unwrap(),
-                            c_bytes,
-                            2,
-                            &[gemm],
-                        );
-                        pb.anchor(rds_act, rds);
-                    }
-                    Ok(c)
-                }
-                Dataflow::Rs => {
-                    // A_i* = AG_col(A_ij); C'_*j = (A_i*)ᵀ B_ij; C_ij = RdS_row(C').
-                    let ga = pb.gathered(a, problem.a_axis().unwrap());
-                    let local = GemmShape::new(shape.m, shape.n / pc, shape.k / pr);
-                    let partial = pb.zeros(local.m, local.n);
-                    let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
-                    let c = pb.reg(c_rows, c_cols);
-                    let ag_act = pb.action(DataOp::AllGather {
-                        src: a,
-                        dst: ga,
-                        axis: problem.a_axis().unwrap(),
-                    });
-                    let rds_act = pb.action(DataOp::ReduceScatter {
-                        src: partial,
-                        dst: c,
-                        axis: problem.c_axis().unwrap(),
-                    });
-                    let tag_a = pb.sim().next_tag();
-                    let tag_c = pb.sim().next_tag();
-                    let a_bytes = problem.a_shard_bytes(mesh.shape(), elem_bytes);
-                    let c_bytes = problem.c_shard_bytes(mesh.shape(), elem_bytes);
-                    for chip in mesh.chips() {
-                        let ag_a = pb.sim().collective(
-                            chip,
-                            tag_a,
-                            CollectiveKind::AllGather,
-                            problem.a_axis().unwrap(),
-                            a_bytes,
-                            2,
-                            &[],
-                        );
-                        pb.anchor(ag_act, ag_a);
-                        let gemm = pb.sim().gemm(chip, local, &[ag_a]);
-                        pb.attach(
-                            gemm,
-                            DataOp::Compute {
-                                steps: vec![MatmulStep {
-                                    kind: MatKind::Atb,
-                                    lhs: TileRead::whole(ga, chip),
-                                    rhs: TileRead::whole(b, chip),
-                                    dst: partial,
-                                    dst_chip: chip,
-                                    dst_off: (0, 0),
-                                }],
-                            },
-                        );
-                        let rds = pb.sim().collective(
-                            chip,
-                            tag_c,
-                            CollectiveKind::ReduceScatter,
-                            problem.c_axis().unwrap(),
-                            c_bytes,
-                            2,
-                            &[gemm],
-                        );
-                        pb.anchor(rds_act, rds);
-                    }
-                    Ok(c)
-                }
+                Ok(c)
             }
-        })
+            Dataflow::Ls => {
+                // B_*j = AG_row(B_ij); C'_i* = A_ij (B_*j)ᵀ; C_ij = RdS_col(C').
+                let gb = pb.gathered(b, problem.b_axis().unwrap());
+                let local = GemmShape::new(shape.m / pr, shape.n, shape.k / pc);
+                let partial = pb.zeros(local.m, local.n);
+                let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
+                let c = pb.reg(c_rows, c_cols);
+                let ag_act = pb.action(DataOp::AllGather {
+                    src: b,
+                    dst: gb,
+                    axis: problem.b_axis().unwrap(),
+                });
+                let rds_act = pb.action(DataOp::ReduceScatter {
+                    src: partial,
+                    dst: c,
+                    axis: problem.c_axis().unwrap(),
+                });
+                let tag_b = pb.sim().next_tag();
+                let tag_c = pb.sim().next_tag();
+                let b_bytes = problem.b_shard_bytes(mesh.shape(), elem_bytes);
+                let c_bytes = problem.c_shard_bytes(mesh.shape(), elem_bytes);
+                for chip in pb.chips() {
+                    let ag_b = pb.sim().collective(
+                        chip,
+                        tag_b,
+                        CollectiveKind::AllGather,
+                        problem.b_axis().unwrap(),
+                        b_bytes,
+                        2,
+                        &[],
+                    );
+                    pb.anchor(ag_act, ag_b);
+                    let gemm = pb.sim().gemm(chip, local, &[ag_b]);
+                    pb.attach(
+                        gemm,
+                        DataOp::Compute {
+                            steps: vec![MatmulStep {
+                                kind: MatKind::Abt,
+                                lhs: TileRead::whole(a, chip),
+                                rhs: TileRead::whole(gb, chip),
+                                dst: partial,
+                                dst_chip: chip,
+                                dst_off: (0, 0),
+                            }],
+                        },
+                    );
+                    let rds = pb.sim().collective(
+                        chip,
+                        tag_c,
+                        CollectiveKind::ReduceScatter,
+                        problem.c_axis().unwrap(),
+                        c_bytes,
+                        2,
+                        &[gemm],
+                    );
+                    pb.anchor(rds_act, rds);
+                }
+                Ok(c)
+            }
+            Dataflow::Rs => {
+                // A_i* = AG_col(A_ij); C'_*j = (A_i*)ᵀ B_ij; C_ij = RdS_row(C').
+                let ga = pb.gathered(a, problem.a_axis().unwrap());
+                let local = GemmShape::new(shape.m, shape.n / pc, shape.k / pr);
+                let partial = pb.zeros(local.m, local.n);
+                let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
+                let c = pb.reg(c_rows, c_cols);
+                let ag_act = pb.action(DataOp::AllGather {
+                    src: a,
+                    dst: ga,
+                    axis: problem.a_axis().unwrap(),
+                });
+                let rds_act = pb.action(DataOp::ReduceScatter {
+                    src: partial,
+                    dst: c,
+                    axis: problem.c_axis().unwrap(),
+                });
+                let tag_a = pb.sim().next_tag();
+                let tag_c = pb.sim().next_tag();
+                let a_bytes = problem.a_shard_bytes(mesh.shape(), elem_bytes);
+                let c_bytes = problem.c_shard_bytes(mesh.shape(), elem_bytes);
+                for chip in pb.chips() {
+                    let ag_a = pb.sim().collective(
+                        chip,
+                        tag_a,
+                        CollectiveKind::AllGather,
+                        problem.a_axis().unwrap(),
+                        a_bytes,
+                        2,
+                        &[],
+                    );
+                    pb.anchor(ag_act, ag_a);
+                    let gemm = pb.sim().gemm(chip, local, &[ag_a]);
+                    pb.attach(
+                        gemm,
+                        DataOp::Compute {
+                            steps: vec![MatmulStep {
+                                kind: MatKind::Atb,
+                                lhs: TileRead::whole(ga, chip),
+                                rhs: TileRead::whole(b, chip),
+                                dst: partial,
+                                dst_chip: chip,
+                                dst_off: (0, 0),
+                            }],
+                        },
+                    );
+                    let rds = pb.sim().collective(
+                        chip,
+                        tag_c,
+                        CollectiveKind::ReduceScatter,
+                        problem.c_axis().unwrap(),
+                        c_bytes,
+                        2,
+                        &[gemm],
+                    );
+                    pb.anchor(rds_act, rds);
+                }
+                Ok(c)
+            }
+        }
     }
 }
 

@@ -91,7 +91,13 @@ impl From<CycleError> for GemmError {
 impl Error for GemmError {}
 
 /// Checks divisibility, producing a [`GemmError::Indivisible`] otherwise.
-pub(crate) fn ensure_divides(what: &str, dim: usize, by: usize) -> Result<usize, GemmError> {
+/// `what` is formatted only on failure, so passing `format_args!` keeps
+/// the check allocation-free.
+pub(crate) fn ensure_divides(
+    what: impl fmt::Display,
+    dim: usize,
+    by: usize,
+) -> Result<usize, GemmError> {
     if by == 0 || !dim.is_multiple_of(by) {
         Err(GemmError::Indivisible {
             what: what.to_string(),

@@ -19,6 +19,7 @@ use meshslice_tensor::{GemmShape, Matrix};
 use crate::algorithm::DistributedGemm;
 use crate::problem::{Dataflow, GemmProblem};
 use crate::reference;
+use crate::summa::lcm;
 use crate::{Cannon, Collective, Fsdp, MeshSlice, OneDimTp, Summa, Wang, WangOverlap};
 
 /// Schedule elem width used throughout the golden comparisons (bf16).
@@ -247,6 +248,63 @@ fn fsdp_golden_8x1() {
             &b,
             Some(&dense),
         );
+    }
+}
+
+/// Asserts that `algo.schedule`, which records chip 0's ops as an SPMD
+/// template, expands op for op (ops, order, tags, deps) to the program of
+/// `algo.plan`, which records every chip.
+fn template_expands_to_plan(algo: &dyn DistributedGemm, mesh: &Torus2d, problem: GemmProblem) {
+    let what = format!("{} {problem} on {}", algo.name(), mesh.shape());
+    let full = algo.plan(mesh, problem, EB).expect(&what).into_program();
+    let spmd = algo.schedule(mesh, problem, EB).expect(&what);
+    // Both are read off the template before anything expands it.
+    assert_eq!(spmd.len(), full.len(), "{what}: op count");
+    assert_eq!(spmd.total_flops(), full.total_flops(), "{what}: FLOPs");
+    assert!(
+        spmd.ops() == full.ops(),
+        "{what}: template expansion differs"
+    );
+}
+
+#[test]
+fn template_expansion_golden() {
+    let shape = GemmShape::new(96, 96, 96);
+    let meshes = [
+        (1, 1),
+        (1, 4),
+        (4, 1),
+        (2, 4),
+        (4, 2),
+        (2, 3),
+        (3, 3),
+        (4, 4),
+    ];
+    for (rows, cols) in meshes {
+        let mesh = Torus2d::new(rows, cols);
+        let mut algos: Vec<Box<dyn DistributedGemm>> = vec![Box::new(Collective)];
+        for s in [1, 2, 4] {
+            algos.push(Box::new(MeshSlice::new(s, 1)));
+            algos.push(Box::new(Summa::new(s * lcm(rows, cols))));
+            algos.push(Box::new(Wang::new().with_unroll(s)));
+        }
+        for overlap in [WangOverlap::InterRow, WangOverlap::InterCol] {
+            algos.push(Box::new(Wang::with_overlap(overlap)));
+        }
+        for df in Dataflow::ALL {
+            let problem = GemmProblem::new(shape, df);
+            // The 1D baselines run output-stationary on rings (Pc = 1).
+            let mut one_d: Vec<Box<dyn DistributedGemm>> = Vec::new();
+            if cols == 1 && df == Dataflow::Os {
+                for g in [1, 2, 4] {
+                    one_d.push(Box::new(OneDimTp::with_unroll(g)));
+                    one_d.push(Box::new(Fsdp::with_unroll(g)));
+                }
+            }
+            for algo in algos.iter().chain(&one_d) {
+                template_expands_to_plan(algo.as_ref(), &mesh, problem);
+            }
+        }
     }
 }
 

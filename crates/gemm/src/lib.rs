@@ -1,7 +1,8 @@
 //! Distributed GeMM algorithms for 2D tensor parallelism.
 //!
 //! This crate implements the paper's five 2D GeMM algorithms and two 1D
-//! baselines. Each algorithm lowers to **one** data-annotated [`Plan`]
+//! baselines. Each algorithm has **one** emission
+//! ([`DistributedGemm::emit`]), recorded as a data-annotated [`Plan`]
 //! from which both execution modes are derived:
 //!
 //! 1. **functional**: [`Plan::interpret`] walks the plan's data actions
@@ -11,8 +12,11 @@
 //! 2. **timing**: [`Plan::program`] is the algorithm's per-chip task DAG
 //!    (a [`Program`](meshslice_sim::Program)) with the data annotations
 //!    erased, fed to the timing simulator at full LLM scale.
+//!    [`DistributedGemm::schedule`] records the same program as an SPMD
+//!    template — chip 0's ops alone — which the simulator expands only
+//!    when a run needs every chip.
 //!
-//! Because both modes consume the same lowered plan, the schedule the
+//! Because both modes consume the same emission, the schedule the
 //! simulator prices cannot drift from the computation that is
 //! numerically verified.
 //!

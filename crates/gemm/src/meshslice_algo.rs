@@ -15,7 +15,7 @@ use meshslice_tensor::GemmShape;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::{ensure_divides, GemmError};
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, PlanBuilder, Reg, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// The MeshSlice algorithm with slice count `S` and block size `B`.
@@ -81,21 +81,21 @@ impl MeshSlice {
 
     /// The two local extents the slicing applies to, per dataflow:
     /// OS slices `K` on both inputs, LS slices `N`, RS slices `M`.
-    fn sliced_extents(&self, mesh: &Torus2d, problem: GemmProblem) -> [(String, usize); 2] {
+    fn sliced_extents(&self, mesh: &Torus2d, problem: GemmProblem) -> [(&'static str, usize); 2] {
         let GemmShape { m, n, k } = problem.shape;
         let (pr, pc) = (mesh.rows(), mesh.cols());
         match problem.dataflow {
             Dataflow::Os => [
-                ("K/Pc (A sub-shard)".into(), k / pc),
-                ("K/Pr (B sub-shard)".into(), k / pr),
+                ("K/Pc (A sub-shard)", k / pc),
+                ("K/Pr (B sub-shard)", k / pr),
             ],
             Dataflow::Ls => [
-                ("N/Pr (B sub-shard)".into(), n / pr),
-                ("N/Pc (C sub-shard)".into(), n / pc),
+                ("N/Pr (B sub-shard)", n / pr),
+                ("N/Pc (C sub-shard)", n / pc),
             ],
             Dataflow::Rs => [
-                ("M/Pc (A sub-shard)".into(), m / pc),
-                ("M/Pr (C sub-shard)".into(), m / pr),
+                ("M/Pc (A sub-shard)", m / pc),
+                ("M/Pr (C sub-shard)", m / pr),
             ],
         }
     }
@@ -117,21 +117,19 @@ impl DistributedGemm for MeshSlice {
         problem.check_divisible(mesh.shape())?;
         let unit = self.slice_count * self.block;
         for (what, extent) in self.sliced_extents(mesh, problem) {
-            ensure_divides(&format!("{what} by S*B"), extent, unit)?;
+            ensure_divides(format_args!("{what} by S*B"), extent, unit)?;
         }
         Ok(())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
-        Plan::build(mesh, |pb| {
-            self.plan_chained(pb, problem, elem_bytes, &[], &[])
-                .map(|(_, c)| c)
-        })
+    ) -> Result<Reg, GemmError> {
+        self.plan_chained(pb, problem, elem_bytes, &[], &[])
+            .map(|(_, c)| c)
     }
 }
 
@@ -177,7 +175,7 @@ impl MeshSlice {
     }
 
     /// Emits this pass's ops and data annotations into `pb`, returning the
-    /// last partial-GeMM op of every chip and the result register.
+    /// last partial-GeMM op of every emitted chip and the result register.
     pub(crate) fn plan_chained(
         &self,
         pb: &mut PlanBuilder,
@@ -265,7 +263,7 @@ impl MeshSlice {
                         dst: gb,
                         axis: problem.b_axis().unwrap(),
                     });
-                    for chip in mesh.chips() {
+                    for chip in pb.chips() {
                         let a_deps = if slicing {
                             let sc = pb.sim().slice_copy(chip, a_sub, &prefetch_dep(chip));
                             pb.attach(
@@ -364,7 +362,7 @@ impl MeshSlice {
                         dst: scattered,
                         axis: problem.c_axis().unwrap(),
                     });
-                    for chip in mesh.chips() {
+                    for chip in pb.chips() {
                         let b_deps = if slicing {
                             let sc = pb.sim().slice_copy(chip, b_sub, &prefetch_dep(chip));
                             pb.attach(
@@ -460,7 +458,7 @@ impl MeshSlice {
                         dst: scattered,
                         axis: problem.c_axis().unwrap(),
                     });
-                    for chip in mesh.chips() {
+                    for chip in pb.chips() {
                         let a_deps = if slicing {
                             let sc = pb.sim().slice_copy(chip, a_sub, &prefetch_dep(chip));
                             pb.attach(
@@ -531,10 +529,9 @@ impl MeshSlice {
                 }
             }
         }
-        let gemms = last_gemm
-            .into_iter()
-            .map(|g| g.expect("every chip computed at least one partial GeMM"))
-            .collect();
+        // Every emitted chip ran at least one partial GeMM (S >= 1); an
+        // SPMD builder emits chip 0 alone.
+        let gemms = last_gemm.into_iter().flatten().collect();
         Ok((gemms, c))
     }
 }

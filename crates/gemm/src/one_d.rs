@@ -26,7 +26,7 @@ use meshslice_tensor::GemmShape;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::{ensure_divides, GemmError};
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, PlanBuilder, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// 1D tensor parallelism with sequence parallelism (the most popular TP
@@ -140,7 +140,7 @@ fn rotation_plan(
         _ => total,
     };
     let per_group = total / groups;
-    for chip in mesh.chips() {
+    for chip in pb.chips() {
         let own = mesh.coord_of(chip).row();
         // Two independent SendRecv chains, one per direction; each step
         // sends half the traffic of a unidirectional rotation.
@@ -266,12 +266,13 @@ impl DistributedGemm for OneDimTp {
         Ok(())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let n = mesh.rows();
         let GemmShape { m, n: nn, k } = problem.shape;
@@ -280,32 +281,30 @@ impl DistributedGemm for OneDimTp {
         // column block.
         let per_arrival = GemmShape::new(m / n, nn / n, k);
         let unroll = self.unroll;
-        Plan::build(mesh, |pb| {
-            let a = pb.input_a(m / n, k);
-            let b = pb.input_b(k, nn / n);
-            let c = pb.zeros(m, nn / n);
-            let ring = pb.mesh().clone();
-            let panel_home = move |panel: usize| ring.chip_at(Coord::new(panel, 0));
-            let carry = |_chip: ChipId, panel: usize| TileRead::whole(a, panel_home(panel));
-            let step = |chip: ChipId, panel: usize| MatmulStep {
-                kind: MatKind::Ab,
-                lhs: TileRead::whole(a, panel_home(panel)),
-                rhs: TileRead::whole(b, chip),
-                dst: c,
-                dst_chip: chip,
-                dst_off: (panel * (m / n), 0),
-            };
-            rotation_plan(
-                pb,
-                shard_bytes,
-                per_arrival,
-                |s, g| GemmShape::new(s.m * g, s.n, s.k),
-                unroll,
-                &carry,
-                &step,
-            );
-            Ok(c)
-        })
+        let a = pb.input_a(m / n, k);
+        let b = pb.input_b(k, nn / n);
+        let c = pb.zeros(m, nn / n);
+        let ring = pb.mesh().clone();
+        let panel_home = move |panel: usize| ring.chip_at(Coord::new(panel, 0));
+        let carry = |_chip: ChipId, panel: usize| TileRead::whole(a, panel_home(panel));
+        let step = |chip: ChipId, panel: usize| MatmulStep {
+            kind: MatKind::Ab,
+            lhs: TileRead::whole(a, panel_home(panel)),
+            rhs: TileRead::whole(b, chip),
+            dst: c,
+            dst_chip: chip,
+            dst_off: (panel * (m / n), 0),
+        };
+        rotation_plan(
+            pb,
+            shard_bytes,
+            per_arrival,
+            |s, g| GemmShape::new(s.m * g, s.n, s.k),
+            unroll,
+            &carry,
+            &step,
+        );
+        Ok(c)
     }
 }
 
@@ -362,12 +361,13 @@ impl DistributedGemm for Fsdp {
         Ok(())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let n = mesh.rows();
         let GemmShape { m, n: nn, k } = problem.shape;
@@ -375,32 +375,30 @@ impl DistributedGemm for Fsdp {
         // Each arriving weight shard contributes a K/n contraction panel.
         let per_arrival = GemmShape::new(m / n, nn, k / n);
         let unroll = self.unroll;
-        Plan::build(mesh, |pb| {
-            let a = pb.input_a(m / n, k);
-            let b = pb.input_b(k / n, nn);
-            let c = pb.zeros(m / n, nn);
-            let ring = pb.mesh().clone();
-            let panel_home = move |panel: usize| ring.chip_at(Coord::new(panel, 0));
-            let carry = |_chip: ChipId, panel: usize| TileRead::whole(b, panel_home(panel));
-            let step = |chip: ChipId, panel: usize| MatmulStep {
-                kind: MatKind::Ab,
-                lhs: TileRead::region(a, chip, 0, panel * (k / n), m / n, k / n),
-                rhs: TileRead::whole(b, panel_home(panel)),
-                dst: c,
-                dst_chip: chip,
-                dst_off: (0, 0),
-            };
-            rotation_plan(
-                pb,
-                shard_bytes,
-                per_arrival,
-                |s, g| GemmShape::new(s.m, s.n, s.k * g),
-                unroll,
-                &carry,
-                &step,
-            );
-            Ok(c)
-        })
+        let a = pb.input_a(m / n, k);
+        let b = pb.input_b(k / n, nn);
+        let c = pb.zeros(m / n, nn);
+        let ring = pb.mesh().clone();
+        let panel_home = move |panel: usize| ring.chip_at(Coord::new(panel, 0));
+        let carry = |_chip: ChipId, panel: usize| TileRead::whole(b, panel_home(panel));
+        let step = |chip: ChipId, panel: usize| MatmulStep {
+            kind: MatKind::Ab,
+            lhs: TileRead::region(a, chip, 0, panel * (k / n), m / n, k / n),
+            rhs: TileRead::whole(b, panel_home(panel)),
+            dst: c,
+            dst_chip: chip,
+            dst_off: (0, 0),
+        };
+        rotation_plan(
+            pb,
+            shard_bytes,
+            per_arrival,
+            |s, g| GemmShape::new(s.m, s.n, s.k * g),
+            unroll,
+            &carry,
+            &step,
+        );
+        Ok(c)
     }
 }
 

@@ -16,6 +16,11 @@
 //! numerically verified against dense GeMM. There is no second
 //! hand-written executor that could drift.
 //!
+//! The timing-only schedule replays the same emission against an SPMD
+//! [`ProgramBuilder::spmd`]: per-chip loops ([`PlanBuilder::chips`]) run
+//! for chip 0 alone and no annotations are recorded, which yields the
+//! program's template at one chip's cost.
+//!
 //! # Data model
 //!
 //! Plans name data through cluster-wide *registers* ([`Reg`]): a register
@@ -353,6 +358,26 @@ impl Plan {
         })
     }
 
+    /// Runs `emit` against an SPMD builder ([`ProgramBuilder::spmd`]) and
+    /// returns the program alone: chip 0's ops as a template, with no data
+    /// annotations recorded (they name concrete chips).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `emit`'s error.
+    pub(crate) fn spmd_program(
+        mesh: &Torus2d,
+        emit: impl FnOnce(&mut PlanBuilder) -> Result<Reg, GemmError>,
+    ) -> Result<Program, GemmError> {
+        let mut sim = ProgramBuilder::spmd(mesh);
+        let mut pb = PlanBuilder {
+            annotate: false,
+            ..PlanBuilder::new(&mut sim)
+        };
+        emit(&mut pb)?;
+        Ok(sim.build())
+    }
+
     /// The lowered op DAG (data annotations erased) — what the timing
     /// simulator executes.
     pub fn program(&self) -> &Program {
@@ -585,6 +610,8 @@ pub struct PlanBuilder<'a> {
     mesh: Torus2d,
     regs: Vec<RegInfo>,
     actions: Vec<PlanAction>,
+    /// Whether data actions are recorded (not for an SPMD template).
+    annotate: bool,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -596,6 +623,7 @@ impl<'a> PlanBuilder<'a> {
             mesh,
             regs: Vec::new(),
             actions: Vec::new(),
+            annotate: true,
         }
     }
 
@@ -607,6 +635,12 @@ impl<'a> PlanBuilder<'a> {
     /// The wrapped program builder, for op emission.
     pub fn sim(&mut self) -> &mut ProgramBuilder {
         self.sim
+    }
+
+    /// Starts one per-chip emission loop (see [`ProgramBuilder::chips`]):
+    /// every chip in a plan, chip 0 alone in a schedule's template.
+    pub fn chips(&mut self) -> impl Iterator<Item = ChipId> {
+        self.sim.chips()
     }
 
     fn new_reg(&mut self, rows: usize, cols: usize, init: RegInit) -> Reg {
@@ -650,24 +684,30 @@ impl<'a> PlanBuilder<'a> {
     /// spanning the per-chip emission loop).
     pub fn action(&mut self, data: DataOp) -> ActionId {
         let id = ActionId(self.actions.len());
-        self.actions.push(PlanAction {
-            ops: Vec::new(),
-            data,
-        });
+        if self.annotate {
+            self.actions.push(PlanAction {
+                ops: Vec::new(),
+                data,
+            });
+        }
         id
     }
 
     /// Anchors `op` to an existing action.
     pub fn anchor(&mut self, action: ActionId, op: OpId) {
-        self.actions[action.0].ops.push(op);
+        if self.annotate {
+            self.actions[action.0].ops.push(op);
+        }
     }
 
     /// Creates an action anchored to a single op.
     pub fn attach(&mut self, op: OpId, data: DataOp) {
-        self.actions.push(PlanAction {
-            ops: vec![op],
-            data,
-        });
+        if self.annotate {
+            self.actions.push(PlanAction {
+                ops: vec![op],
+                data,
+            });
+        }
     }
 
     fn finish(self) -> (Vec<RegInfo>, Vec<PlanAction>) {

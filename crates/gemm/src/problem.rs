@@ -128,8 +128,8 @@ impl GemmProblem {
             ("B", self.b_dims()),
             ("C", self.c_dims()),
         ] {
-            ensure_divides(&format!("{name} rows by mesh rows"), r, mesh.rows())?;
-            ensure_divides(&format!("{name} cols by mesh cols"), c, mesh.cols())?;
+            ensure_divides(format_args!("{name} rows by mesh rows"), r, mesh.rows())?;
+            ensure_divides(format_args!("{name} cols by mesh cols"), c, mesh.cols())?;
         }
         Ok(())
     }

@@ -12,7 +12,7 @@ use meshslice_tensor::GemmShape;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::{ensure_divides, GemmError};
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// The SUMMA algorithm with `panels` loop iterations.
@@ -99,196 +99,189 @@ impl DistributedGemm for Summa {
         ensure_divides("SUMMA panels by mesh rows", self.panels, mesh.rows())?;
         ensure_divides("SUMMA panels by mesh cols", self.panels, mesh.cols())?;
         let (name, dim) = self.panel_dim(problem);
-        ensure_divides(&format!("{name} by SUMMA panels"), dim, self.panels)?;
+        ensure_divides(format_args!("{name} by SUMMA panels"), dim, self.panels)?;
         Ok(())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let p = self.panels;
         let (pr, pc) = (mesh.rows(), mesh.cols());
         let shape = problem.shape;
         let eb = elem_bytes as u64;
-        Plan::build(mesh, |pb| {
-            let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
-            let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
-            let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
-            let a = pb.input_a(a_rows, a_cols);
-            let b = pb.input_b(b_rows, b_cols);
-            let c = pb.zeros(c_rows, c_cols);
-            for panel in 0..p {
-                // Ring positions of the chips owning this panel.
-                let owner_row = panel / (p / pr);
-                let owner_col = panel / (p / pc);
-                match problem.dataflow {
-                    Dataflow::Os => {
-                        // A' = bcast_col(A_{i,panel}); B' = bcast_row(B_{panel,j});
-                        // C_ij += A'·B'.
-                        let k_p = shape.k / p;
-                        let a_off = panel * k_p - owner_col * (shape.k / pc);
-                        let b_off = panel * k_p - owner_row * (shape.k / pr);
-                        let a_bytes = (shape.m / pr * k_p) as u64 * eb;
-                        let b_bytes = (k_p * shape.n / pc) as u64 * eb;
-                        let local = GemmShape::new(shape.m / pr, shape.n / pc, k_p);
-                        for chip in mesh.chips() {
-                            let coord = mesh.coord_of(chip);
-                            // The broadcast panels live on the owner chips of
-                            // this chip's row and column rings.
-                            let a_tile = TileRead::region(
-                                a,
-                                mesh.chip_at(Coord::new(coord.row(), owner_col)),
-                                0,
-                                a_off,
-                                a_rows,
-                                k_p,
-                            );
-                            let b_tile = TileRead::region(
-                                b,
-                                mesh.chip_at(Coord::new(owner_row, coord.col())),
-                                b_off,
-                                0,
-                                k_p,
-                                b_cols,
-                            );
-                            let bc_a =
-                                pb.sim()
-                                    .pipelined_bcast(chip, CommAxis::InterCol, a_bytes, &[]);
-                            pb.attach(bc_a, DataOp::Carries { tile: a_tile });
-                            let bc_b =
-                                pb.sim()
-                                    .pipelined_bcast(chip, CommAxis::InterRow, b_bytes, &[]);
-                            pb.attach(bc_b, DataOp::Carries { tile: b_tile });
-                            let gemm = pb.sim().gemm(chip, local, &[bc_a, bc_b]);
-                            pb.attach(
-                                gemm,
-                                DataOp::Compute {
-                                    steps: vec![MatmulStep {
-                                        kind: MatKind::Ab,
-                                        lhs: a_tile,
-                                        rhs: b_tile,
-                                        dst: c,
-                                        dst_chip: chip,
-                                        dst_off: (0, 0),
-                                    }],
-                                },
-                            );
-                        }
+        let (a_rows, a_cols) = problem.a_shard_dims(mesh.shape());
+        let (b_rows, b_cols) = problem.b_shard_dims(mesh.shape());
+        let (c_rows, c_cols) = problem.c_shard_dims(mesh.shape());
+        let a = pb.input_a(a_rows, a_cols);
+        let b = pb.input_b(b_rows, b_cols);
+        let c = pb.zeros(c_rows, c_cols);
+        for panel in 0..p {
+            // Ring positions of the chips owning this panel.
+            let owner_row = panel / (p / pr);
+            let owner_col = panel / (p / pc);
+            match problem.dataflow {
+                Dataflow::Os => {
+                    // A' = bcast_col(A_{i,panel}); B' = bcast_row(B_{panel,j});
+                    // C_ij += A'·B'.
+                    let k_p = shape.k / p;
+                    let a_off = panel * k_p - owner_col * (shape.k / pc);
+                    let b_off = panel * k_p - owner_row * (shape.k / pr);
+                    let a_bytes = (shape.m / pr * k_p) as u64 * eb;
+                    let b_bytes = (k_p * shape.n / pc) as u64 * eb;
+                    let local = GemmShape::new(shape.m / pr, shape.n / pc, k_p);
+                    for chip in pb.chips() {
+                        let coord = mesh.coord_of(chip);
+                        // The broadcast panels live on the owner chips of
+                        // this chip's row and column rings.
+                        let a_tile = TileRead::region(
+                            a,
+                            mesh.chip_at(Coord::new(coord.row(), owner_col)),
+                            0,
+                            a_off,
+                            a_rows,
+                            k_p,
+                        );
+                        let b_tile = TileRead::region(
+                            b,
+                            mesh.chip_at(Coord::new(owner_row, coord.col())),
+                            b_off,
+                            0,
+                            k_p,
+                            b_cols,
+                        );
+                        let bc_a = pb
+                            .sim()
+                            .pipelined_bcast(chip, CommAxis::InterCol, a_bytes, &[]);
+                        pb.attach(bc_a, DataOp::Carries { tile: a_tile });
+                        let bc_b = pb
+                            .sim()
+                            .pipelined_bcast(chip, CommAxis::InterRow, b_bytes, &[]);
+                        pb.attach(bc_b, DataOp::Carries { tile: b_tile });
+                        let gemm = pb.sim().gemm(chip, local, &[bc_a, bc_b]);
+                        pb.attach(
+                            gemm,
+                            DataOp::Compute {
+                                steps: vec![MatmulStep {
+                                    kind: MatKind::Ab,
+                                    lhs: a_tile,
+                                    rhs: b_tile,
+                                    dst: c,
+                                    dst_chip: chip,
+                                    dst_off: (0, 0),
+                                }],
+                            },
+                        );
                     }
-                    Dataflow::Ls => {
-                        // B' = bcast_row(B_{panel,j}); C' = A_ij·(B')ᵀ;
-                        // reduce_col(C', C_{i,panel}).
-                        let n_p = shape.n / p;
-                        let b_off = panel * n_p - owner_row * (shape.n / pr);
-                        let c_off = panel * n_p - owner_col * (shape.n / pc);
-                        let b_bytes = (n_p * shape.k / pc) as u64 * eb;
-                        let c_bytes = (shape.m / pr * n_p) as u64 * eb;
-                        let local = GemmShape::new(shape.m / pr, n_p, shape.k / pc);
-                        for chip in mesh.chips() {
-                            let coord = mesh.coord_of(chip);
-                            let owner = mesh.chip_at(Coord::new(coord.row(), owner_col));
-                            let b_tile = TileRead::region(
-                                b,
-                                mesh.chip_at(Coord::new(owner_row, coord.col())),
-                                b_off,
-                                0,
-                                n_p,
-                                b_cols,
-                            );
-                            let bc_b =
-                                pb.sim()
-                                    .pipelined_bcast(chip, CommAxis::InterRow, b_bytes, &[]);
-                            pb.attach(bc_b, DataOp::Carries { tile: b_tile });
-                            let gemm = pb.sim().gemm(chip, local, &[bc_b]);
-                            // The ring reduce sums every chip's partial into
-                            // the owner's C panel: a cross-chip accumulation.
-                            pb.attach(
-                                gemm,
-                                DataOp::Compute {
-                                    steps: vec![MatmulStep {
-                                        kind: MatKind::Abt,
-                                        lhs: TileRead::whole(a, chip),
-                                        rhs: b_tile,
-                                        dst: c,
-                                        dst_chip: owner,
-                                        dst_off: (0, c_off),
-                                    }],
-                                },
-                            );
-                            let rd = pb.sim().pipelined_bcast(
-                                chip,
-                                CommAxis::InterCol,
-                                c_bytes,
-                                &[gemm],
-                            );
-                            pb.attach(
-                                rd,
-                                DataOp::Carries {
-                                    tile: TileRead::region(c, owner, 0, c_off, shape.m / pr, n_p),
-                                },
-                            );
-                        }
+                }
+                Dataflow::Ls => {
+                    // B' = bcast_row(B_{panel,j}); C' = A_ij·(B')ᵀ;
+                    // reduce_col(C', C_{i,panel}).
+                    let n_p = shape.n / p;
+                    let b_off = panel * n_p - owner_row * (shape.n / pr);
+                    let c_off = panel * n_p - owner_col * (shape.n / pc);
+                    let b_bytes = (n_p * shape.k / pc) as u64 * eb;
+                    let c_bytes = (shape.m / pr * n_p) as u64 * eb;
+                    let local = GemmShape::new(shape.m / pr, n_p, shape.k / pc);
+                    for chip in pb.chips() {
+                        let coord = mesh.coord_of(chip);
+                        let owner = mesh.chip_at(Coord::new(coord.row(), owner_col));
+                        let b_tile = TileRead::region(
+                            b,
+                            mesh.chip_at(Coord::new(owner_row, coord.col())),
+                            b_off,
+                            0,
+                            n_p,
+                            b_cols,
+                        );
+                        let bc_b = pb
+                            .sim()
+                            .pipelined_bcast(chip, CommAxis::InterRow, b_bytes, &[]);
+                        pb.attach(bc_b, DataOp::Carries { tile: b_tile });
+                        let gemm = pb.sim().gemm(chip, local, &[bc_b]);
+                        // The ring reduce sums every chip's partial into
+                        // the owner's C panel: a cross-chip accumulation.
+                        pb.attach(
+                            gemm,
+                            DataOp::Compute {
+                                steps: vec![MatmulStep {
+                                    kind: MatKind::Abt,
+                                    lhs: TileRead::whole(a, chip),
+                                    rhs: b_tile,
+                                    dst: c,
+                                    dst_chip: owner,
+                                    dst_off: (0, c_off),
+                                }],
+                            },
+                        );
+                        let rd =
+                            pb.sim()
+                                .pipelined_bcast(chip, CommAxis::InterCol, c_bytes, &[gemm]);
+                        pb.attach(
+                            rd,
+                            DataOp::Carries {
+                                tile: TileRead::region(c, owner, 0, c_off, shape.m / pr, n_p),
+                            },
+                        );
                     }
-                    Dataflow::Rs => {
-                        // A' = bcast_col(A_{i,panel}); C' = (A')ᵀ·B_ij;
-                        // reduce_row(C', C_{panel,j}).
-                        let m_p = shape.m / p;
-                        let a_off = panel * m_p - owner_col * (shape.m / pc);
-                        let c_off = panel * m_p - owner_row * (shape.m / pr);
-                        let a_bytes = (shape.k / pr * m_p) as u64 * eb;
-                        let c_bytes = (m_p * shape.n / pc) as u64 * eb;
-                        let local = GemmShape::new(m_p, shape.n / pc, shape.k / pr);
-                        for chip in mesh.chips() {
-                            let coord = mesh.coord_of(chip);
-                            let owner = mesh.chip_at(Coord::new(owner_row, coord.col()));
-                            let a_tile = TileRead::region(
-                                a,
-                                mesh.chip_at(Coord::new(coord.row(), owner_col)),
-                                0,
-                                a_off,
-                                a_rows,
-                                m_p,
-                            );
-                            let bc_a =
-                                pb.sim()
-                                    .pipelined_bcast(chip, CommAxis::InterCol, a_bytes, &[]);
-                            pb.attach(bc_a, DataOp::Carries { tile: a_tile });
-                            let gemm = pb.sim().gemm(chip, local, &[bc_a]);
-                            pb.attach(
-                                gemm,
-                                DataOp::Compute {
-                                    steps: vec![MatmulStep {
-                                        kind: MatKind::Atb,
-                                        lhs: a_tile,
-                                        rhs: TileRead::whole(b, chip),
-                                        dst: c,
-                                        dst_chip: owner,
-                                        dst_off: (c_off, 0),
-                                    }],
-                                },
-                            );
-                            let rd = pb.sim().pipelined_bcast(
-                                chip,
-                                CommAxis::InterRow,
-                                c_bytes,
-                                &[gemm],
-                            );
-                            pb.attach(
-                                rd,
-                                DataOp::Carries {
-                                    tile: TileRead::region(c, owner, c_off, 0, m_p, shape.n / pc),
-                                },
-                            );
-                        }
+                }
+                Dataflow::Rs => {
+                    // A' = bcast_col(A_{i,panel}); C' = (A')ᵀ·B_ij;
+                    // reduce_row(C', C_{panel,j}).
+                    let m_p = shape.m / p;
+                    let a_off = panel * m_p - owner_col * (shape.m / pc);
+                    let c_off = panel * m_p - owner_row * (shape.m / pr);
+                    let a_bytes = (shape.k / pr * m_p) as u64 * eb;
+                    let c_bytes = (m_p * shape.n / pc) as u64 * eb;
+                    let local = GemmShape::new(m_p, shape.n / pc, shape.k / pr);
+                    for chip in pb.chips() {
+                        let coord = mesh.coord_of(chip);
+                        let owner = mesh.chip_at(Coord::new(owner_row, coord.col()));
+                        let a_tile = TileRead::region(
+                            a,
+                            mesh.chip_at(Coord::new(coord.row(), owner_col)),
+                            0,
+                            a_off,
+                            a_rows,
+                            m_p,
+                        );
+                        let bc_a = pb
+                            .sim()
+                            .pipelined_bcast(chip, CommAxis::InterCol, a_bytes, &[]);
+                        pb.attach(bc_a, DataOp::Carries { tile: a_tile });
+                        let gemm = pb.sim().gemm(chip, local, &[bc_a]);
+                        pb.attach(
+                            gemm,
+                            DataOp::Compute {
+                                steps: vec![MatmulStep {
+                                    kind: MatKind::Atb,
+                                    lhs: a_tile,
+                                    rhs: TileRead::whole(b, chip),
+                                    dst: c,
+                                    dst_chip: owner,
+                                    dst_off: (c_off, 0),
+                                }],
+                            },
+                        );
+                        let rd =
+                            pb.sim()
+                                .pipelined_bcast(chip, CommAxis::InterRow, c_bytes, &[gemm]);
+                        pb.attach(
+                            rd,
+                            DataOp::Carries {
+                                tile: TileRead::region(c, owner, c_off, 0, m_p, shape.n / pc),
+                            },
+                        );
                     }
                 }
             }
-            Ok(c)
-        })
+        }
+        Ok(c)
     }
 }
 

@@ -17,7 +17,7 @@ use meshslice_tensor::GemmShape;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::{ensure_divides, GemmError};
-use crate::plan::{DataOp, MatKind, MatmulStep, Plan, TileRead};
+use crate::plan::{DataOp, MatKind, MatmulStep, PlanBuilder, Reg, TileRead};
 use crate::problem::{Dataflow, GemmProblem};
 
 /// Which direction's collective Wang decomposes into SendRecv exchanges.
@@ -153,12 +153,13 @@ impl DistributedGemm for Wang {
         Ok(())
     }
 
-    fn plan(
+    fn emit(
         &self,
-        mesh: &Torus2d,
+        pb: &mut PlanBuilder,
         problem: GemmProblem,
         elem_bytes: usize,
-    ) -> Result<Plan, GemmError> {
+    ) -> Result<Reg, GemmError> {
+        let mesh = &pb.mesh().clone();
         self.check(mesh, problem)?;
         let overlap = self.resolve_overlap(mesh, problem);
         let exposed = overlap.opposite();
@@ -254,285 +255,283 @@ impl DistributedGemm for Wang {
         let n_p = shape.n / ring;
         let m_p = shape.m / ring;
 
-        Plan::build(mesh, |pb| {
-            let exposed_tag = pb.sim().next_tag();
-            let (a_rows, a_cols) = problem.a_shard_dims(ms);
-            let (b_rows, b_cols) = problem.b_shard_dims(ms);
-            let (c_rows, c_cols) = problem.c_shard_dims(ms);
-            let a = pb.input_a(a_rows, a_cols);
-            let b = pb.input_b(b_rows, b_cols);
-            // The exposed-AG variants read panels of the gathered input;
-            // the RdS variants accumulate a full-width partial first.
-            let mut g_reg = None;
-            let mut ag_act = None;
-            if exposed_is_ag {
-                let src = match (problem.dataflow, overlap) {
-                    (Dataflow::Os, CommAxis::InterCol) | (Dataflow::Ls, _) => b,
-                    _ => a,
-                };
-                let g = pb.gathered(src, exposed);
-                ag_act = Some(pb.action(DataOp::AllGather {
-                    src,
-                    dst: g,
-                    axis: exposed,
-                }));
-                g_reg = Some(g);
+        let exposed_tag = pb.sim().next_tag();
+        let (a_rows, a_cols) = problem.a_shard_dims(ms);
+        let (b_rows, b_cols) = problem.b_shard_dims(ms);
+        let (c_rows, c_cols) = problem.c_shard_dims(ms);
+        let a = pb.input_a(a_rows, a_cols);
+        let b = pb.input_b(b_rows, b_cols);
+        // The exposed-AG variants read panels of the gathered input;
+        // the RdS variants accumulate a full-width partial first.
+        let mut g_reg = None;
+        let mut ag_act = None;
+        if exposed_is_ag {
+            let src = match (problem.dataflow, overlap) {
+                (Dataflow::Os, CommAxis::InterCol) | (Dataflow::Ls, _) => b,
+                _ => a,
+            };
+            let g = pb.gathered(src, exposed);
+            ag_act = Some(pb.action(DataOp::AllGather {
+                src,
+                dst: g,
+                axis: exposed,
+            }));
+            g_reg = Some(g);
+        }
+        let partial = match (problem.dataflow, overlap) {
+            (Dataflow::Ls, CommAxis::InterRow) => Some(pb.zeros(shape.m / pr, shape.n)),
+            (Dataflow::Rs, CommAxis::InterCol) => Some(pb.zeros(shape.m, shape.n / pc)),
+            _ => None,
+        };
+        let c = if rds_after {
+            pb.reg(c_rows, c_cols)
+        } else {
+            pb.zeros(c_rows, c_cols)
+        };
+        let rds_act = partial.map(|p| {
+            pb.action(DataOp::ReduceScatter {
+                src: p,
+                dst: c,
+                axis: exposed,
+            })
+        });
+
+        // Ring-position helpers: the chip `s` steps along this chip's
+        // overlapped ring, and this chip's own position on it.
+        let pos_of = |chip: ChipId| {
+            let coord = mesh.coord_of(chip);
+            match overlap {
+                CommAxis::InterRow => coord.row(),
+                CommAxis::InterCol => coord.col(),
             }
-            let partial = match (problem.dataflow, overlap) {
-                (Dataflow::Ls, CommAxis::InterRow) => Some(pb.zeros(shape.m / pr, shape.n)),
-                (Dataflow::Rs, CommAxis::InterCol) => Some(pb.zeros(shape.m, shape.n / pc)),
-                _ => None,
-            };
-            let c = if rds_after {
-                pb.reg(c_rows, c_cols)
-            } else {
-                pb.zeros(c_rows, c_cols)
-            };
-            let rds_act = partial.map(|p| {
-                pb.action(DataOp::ReduceScatter {
-                    src: p,
+        };
+        let ring_chip = |chip: ChipId, s: usize| {
+            let coord = mesh.coord_of(chip);
+            match overlap {
+                CommAxis::InterRow => mesh.chip_at(Coord::new(s, coord.col())),
+                CommAxis::InterCol => mesh.chip_at(Coord::new(coord.row(), s)),
+            }
+        };
+        // The partial GeMM for ring panel `s` on `chip`: panel `s` pairs
+        // the K/N/M range `[s·panel, (s+1)·panel)` with the input shard
+        // originally resident at ring position `s`.
+        let step_for = |chip: ChipId, s: usize| -> MatmulStep {
+            match (problem.dataflow, overlap) {
+                (Dataflow::Os, CommAxis::InterCol) => MatmulStep {
+                    kind: MatKind::Ab,
+                    lhs: TileRead::whole(a, ring_chip(chip, s)),
+                    rhs: TileRead::region(g_reg.unwrap(), chip, s * k_p, 0, k_p, shape.n / pc),
                     dst: c,
-                    axis: exposed,
-                })
-            });
+                    dst_chip: chip,
+                    dst_off: (0, 0),
+                },
+                (Dataflow::Os, CommAxis::InterRow) => MatmulStep {
+                    kind: MatKind::Ab,
+                    lhs: TileRead::region(g_reg.unwrap(), chip, 0, s * k_p, shape.m / pr, k_p),
+                    rhs: TileRead::whole(b, ring_chip(chip, s)),
+                    dst: c,
+                    dst_chip: chip,
+                    dst_off: (0, 0),
+                },
+                // Ring reduce-scatter variants contribute panel `s`
+                // straight into its owner's C shard.
+                (Dataflow::Ls, CommAxis::InterCol) => MatmulStep {
+                    kind: MatKind::Abt,
+                    lhs: TileRead::whole(a, chip),
+                    rhs: TileRead::region(g_reg.unwrap(), chip, s * n_p, 0, n_p, shape.k / pc),
+                    dst: c,
+                    dst_chip: ring_chip(chip, s),
+                    dst_off: (0, 0),
+                },
+                (Dataflow::Rs, CommAxis::InterRow) => MatmulStep {
+                    kind: MatKind::Atb,
+                    lhs: TileRead::region(g_reg.unwrap(), chip, 0, s * m_p, shape.k / pr, m_p),
+                    rhs: TileRead::whole(b, chip),
+                    dst: c,
+                    dst_chip: ring_chip(chip, s),
+                    dst_off: (0, 0),
+                },
+                // Input-rotation LS/RS build the full-width partial for
+                // the exposed ReduceScatter epilogue.
+                (Dataflow::Ls, CommAxis::InterRow) => MatmulStep {
+                    kind: MatKind::Abt,
+                    lhs: TileRead::whole(a, chip),
+                    rhs: TileRead::whole(b, ring_chip(chip, s)),
+                    dst: partial.unwrap(),
+                    dst_chip: chip,
+                    dst_off: (0, s * n_p),
+                },
+                (Dataflow::Rs, CommAxis::InterCol) => MatmulStep {
+                    kind: MatKind::Atb,
+                    lhs: TileRead::whole(a, ring_chip(chip, s)),
+                    rhs: TileRead::whole(b, chip),
+                    dst: partial.unwrap(),
+                    dst_chip: chip,
+                    dst_off: (s * m_p, 0),
+                },
+            }
+        };
+        // The shard an input-rotation SendRecv delivers: A rotates when
+        // the overlapped ring is the one A flows along, else B.
+        let rot_carry = |chip: ChipId, s: usize| -> TileRead {
+            match (problem.dataflow, overlap) {
+                (Dataflow::Os, CommAxis::InterCol) | (Dataflow::Rs, CommAxis::InterCol) => {
+                    TileRead::whole(a, ring_chip(chip, s))
+                }
+                _ => TileRead::whole(b, ring_chip(chip, s)),
+            }
+        };
 
-            // Ring-position helpers: the chip `s` steps along this chip's
-            // overlapped ring, and this chip's own position on it.
-            let pos_of = |chip: ChipId| {
-                let coord = mesh.coord_of(chip);
-                match overlap {
-                    CommAxis::InterRow => coord.row(),
-                    CommAxis::InterCol => coord.col(),
-                }
+        // The rotation runs bidirectionally: both ring links carry shards
+        // at once, like the TPU collectives it decomposes.
+        let fwd_dir = sr_dir;
+        let bwd_dir = overlap.backward_link();
+        for chip in pb.chips() {
+            let own = pos_of(chip);
+            let ag = if exposed_is_ag {
+                let op = pb.sim().collective(
+                    chip,
+                    exposed_tag,
+                    CollectiveKind::AllGather,
+                    exposed,
+                    exposed_bytes,
+                    2,
+                    &[],
+                );
+                pb.anchor(ag_act.unwrap(), op);
+                Some(op)
+            } else {
+                None
             };
-            let ring_chip = |chip: ChipId, s: usize| {
-                let coord = mesh.coord_of(chip);
-                match overlap {
-                    CommAxis::InterRow => mesh.chip_at(Coord::new(s, coord.col())),
-                    CommAxis::InterCol => mesh.chip_at(Coord::new(coord.row(), s)),
-                }
-            };
-            // The partial GeMM for ring panel `s` on `chip`: panel `s` pairs
-            // the K/N/M range `[s·panel, (s+1)·panel)` with the input shard
-            // originally resident at ring position `s`.
-            let step_for = |chip: ChipId, s: usize| -> MatmulStep {
-                match (problem.dataflow, overlap) {
-                    (Dataflow::Os, CommAxis::InterCol) => MatmulStep {
-                        kind: MatKind::Ab,
-                        lhs: TileRead::whole(a, ring_chip(chip, s)),
-                        rhs: TileRead::region(g_reg.unwrap(), chip, s * k_p, 0, k_p, shape.n / pc),
-                        dst: c,
-                        dst_chip: chip,
-                        dst_off: (0, 0),
-                    },
-                    (Dataflow::Os, CommAxis::InterRow) => MatmulStep {
-                        kind: MatKind::Ab,
-                        lhs: TileRead::region(g_reg.unwrap(), chip, 0, s * k_p, shape.m / pr, k_p),
-                        rhs: TileRead::whole(b, ring_chip(chip, s)),
-                        dst: c,
-                        dst_chip: chip,
-                        dst_off: (0, 0),
-                    },
-                    // Ring reduce-scatter variants contribute panel `s`
-                    // straight into its owner's C shard.
-                    (Dataflow::Ls, CommAxis::InterCol) => MatmulStep {
-                        kind: MatKind::Abt,
-                        lhs: TileRead::whole(a, chip),
-                        rhs: TileRead::region(g_reg.unwrap(), chip, s * n_p, 0, n_p, shape.k / pc),
-                        dst: c,
-                        dst_chip: ring_chip(chip, s),
-                        dst_off: (0, 0),
-                    },
-                    (Dataflow::Rs, CommAxis::InterRow) => MatmulStep {
-                        kind: MatKind::Atb,
-                        lhs: TileRead::region(g_reg.unwrap(), chip, 0, s * m_p, shape.k / pr, m_p),
-                        rhs: TileRead::whole(b, chip),
-                        dst: c,
-                        dst_chip: ring_chip(chip, s),
-                        dst_off: (0, 0),
-                    },
-                    // Input-rotation LS/RS build the full-width partial for
-                    // the exposed ReduceScatter epilogue.
-                    (Dataflow::Ls, CommAxis::InterRow) => MatmulStep {
-                        kind: MatKind::Abt,
-                        lhs: TileRead::whole(a, chip),
-                        rhs: TileRead::whole(b, ring_chip(chip, s)),
-                        dst: partial.unwrap(),
-                        dst_chip: chip,
-                        dst_off: (0, s * n_p),
-                    },
-                    (Dataflow::Rs, CommAxis::InterCol) => MatmulStep {
-                        kind: MatKind::Atb,
-                        lhs: TileRead::whole(a, ring_chip(chip, s)),
-                        rhs: TileRead::whole(b, chip),
-                        dst: partial.unwrap(),
-                        dst_chip: chip,
-                        dst_off: (s * m_p, 0),
-                    },
-                }
-            };
-            // The shard an input-rotation SendRecv delivers: A rotates when
-            // the overlapped ring is the one A flows along, else B.
-            let rot_carry = |chip: ChipId, s: usize| -> TileRead {
-                match (problem.dataflow, overlap) {
-                    (Dataflow::Os, CommAxis::InterCol) | (Dataflow::Rs, CommAxis::InterCol) => {
-                        TileRead::whole(a, ring_chip(chip, s))
-                    }
-                    _ => TileRead::whole(b, ring_chip(chip, s)),
-                }
-            };
-
-            // The rotation runs bidirectionally: both ring links carry shards
-            // at once, like the TPU collectives it decomposes.
-            let fwd_dir = sr_dir;
-            let bwd_dir = overlap.backward_link();
-            for chip in mesh.chips() {
-                let own = pos_of(chip);
-                let ag = if exposed_is_ag {
-                    let op = pb.sim().collective(
-                        chip,
-                        exposed_tag,
-                        CollectiveKind::AllGather,
-                        exposed,
-                        exposed_bytes,
-                        2,
-                        &[],
-                    );
-                    pb.anchor(ag_act.unwrap(), op);
-                    Some(op)
-                } else {
-                    None
-                };
-                let mut last_gemm: Option<OpId> = None;
-                if ring_reduce_rotation {
-                    // Two accumulators circulate in opposite directions, each
-                    // covering half the output panels: per round a chip adds
-                    // its contribution (a partial GeMM) and passes the
-                    // accumulator on. The forward accumulator a chip touches
-                    // at round r comes home to ring position own + F − 1 − r;
-                    // the backward rounds cover the remaining panels.
-                    let f_rounds = ring.div_ceil(2);
-                    for (chain, (dir, panels)) in [(fwd_dir, f_rounds), (bwd_dir, ring / 2)]
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let mut last_sr: Option<OpId> = None;
-                        for p in 0..panels {
-                            let panel = if chain == 0 {
-                                (own + f_rounds - 1 - p) % ring
-                            } else {
-                                (own + f_rounds + p) % ring
-                            };
-                            let mut deps: Vec<OpId> = Vec::new();
-                            deps.extend(ag);
-                            deps.extend(last_sr);
-                            let gemm = pb.sim().gemm(chip, merged_shape(1), &deps);
-                            pb.attach(
-                                gemm,
-                                DataOp::Compute {
-                                    steps: vec![step_for(chip, panel)],
-                                },
-                            );
-                            last_gemm = Some(gemm);
-                            if p + 1 < panels {
-                                let deps: Vec<OpId> =
-                                    last_sr.into_iter().chain(std::iter::once(gemm)).collect();
-                                let sr = pb.sim().send_recv(chip, dir, rot_bytes, &deps);
-                                pb.attach(
-                                    sr,
-                                    DataOp::Carries {
-                                        tile: TileRead::whole(c, ring_chip(chip, panel)),
-                                    },
-                                );
-                                last_sr = Some(sr);
-                            }
-                        }
-                    }
-                } else {
-                    // Input rotation: shards arrive alternately from both ring
-                    // directions; group g's GeMM waits for the arrivals it
-                    // consumes (the chip's own shard is panel 0). A forward
-                    // arrival delivers the shard f positions behind; a
-                    // backward arrival the shard k positions ahead.
-                    let mut fwd_prev: Option<OpId> = None;
-                    let mut bwd_prev: Option<OpId> = None;
-                    let fwd_total = (ring - 1).div_ceil(2);
-                    let bwd_total = (ring - 1) / 2;
-                    let (mut fwd_done, mut bwd_done) = (0usize, 0usize);
-                    let mut arrivals = 0usize;
-                    let mut pending: Vec<usize> = vec![own];
-                    for g in 0..groups {
-                        let target = (g + 1) * per_group - 1;
-                        while arrivals < target {
-                            if fwd_done <= bwd_done && fwd_done < fwd_total {
-                                let deps: Vec<OpId> = fwd_prev.into_iter().collect();
-                                let sr = pb.sim().send_recv(chip, fwd_dir, rot_bytes, &deps);
-                                fwd_done += 1;
-                                let src = (own + ring - fwd_done) % ring;
-                                pb.attach(
-                                    sr,
-                                    DataOp::Carries {
-                                        tile: rot_carry(chip, src),
-                                    },
-                                );
-                                pending.push(src);
-                                fwd_prev = Some(sr);
-                            } else if bwd_done < bwd_total {
-                                let deps: Vec<OpId> = bwd_prev.into_iter().collect();
-                                let sr = pb.sim().send_recv(chip, bwd_dir, rot_bytes, &deps);
-                                bwd_done += 1;
-                                let src = (own + bwd_done) % ring;
-                                pb.attach(
-                                    sr,
-                                    DataOp::Carries {
-                                        tile: rot_carry(chip, src),
-                                    },
-                                );
-                                pending.push(src);
-                                bwd_prev = Some(sr);
-                            } else {
-                                let deps: Vec<OpId> = fwd_prev.into_iter().collect();
-                                let sr = pb.sim().send_recv(chip, fwd_dir, rot_bytes, &deps);
-                                fwd_done += 1;
-                                let src = (own + ring - fwd_done) % ring;
-                                pb.attach(
-                                    sr,
-                                    DataOp::Carries {
-                                        tile: rot_carry(chip, src),
-                                    },
-                                );
-                                pending.push(src);
-                                fwd_prev = Some(sr);
-                            }
-                            arrivals += 1;
-                        }
+            let mut last_gemm: Option<OpId> = None;
+            if ring_reduce_rotation {
+                // Two accumulators circulate in opposite directions, each
+                // covering half the output panels: per round a chip adds
+                // its contribution (a partial GeMM) and passes the
+                // accumulator on. The forward accumulator a chip touches
+                // at round r comes home to ring position own + F − 1 − r;
+                // the backward rounds cover the remaining panels.
+                let f_rounds = ring.div_ceil(2);
+                for (chain, (dir, panels)) in [(fwd_dir, f_rounds), (bwd_dir, ring / 2)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let mut last_sr: Option<OpId> = None;
+                    for p in 0..panels {
+                        let panel = if chain == 0 {
+                            (own + f_rounds - 1 - p) % ring
+                        } else {
+                            (own + f_rounds + p) % ring
+                        };
                         let mut deps: Vec<OpId> = Vec::new();
                         deps.extend(ag);
-                        deps.extend(fwd_prev);
-                        deps.extend(bwd_prev);
-                        let gemm = pb.sim().gemm(chip, merged_shape(per_group), &deps);
-                        let steps: Vec<MatmulStep> =
-                            pending.drain(..).map(|s| step_for(chip, s)).collect();
-                        pb.attach(gemm, DataOp::Compute { steps });
+                        deps.extend(last_sr);
+                        let gemm = pb.sim().gemm(chip, merged_shape(1), &deps);
+                        pb.attach(
+                            gemm,
+                            DataOp::Compute {
+                                steps: vec![step_for(chip, panel)],
+                            },
+                        );
                         last_gemm = Some(gemm);
+                        if p + 1 < panels {
+                            let deps: Vec<OpId> =
+                                last_sr.into_iter().chain(std::iter::once(gemm)).collect();
+                            let sr = pb.sim().send_recv(chip, dir, rot_bytes, &deps);
+                            pb.attach(
+                                sr,
+                                DataOp::Carries {
+                                    tile: TileRead::whole(c, ring_chip(chip, panel)),
+                                },
+                            );
+                            last_sr = Some(sr);
+                        }
                     }
                 }
-                if !exposed_is_ag {
-                    let deps: Vec<OpId> = last_gemm.into_iter().collect();
-                    let op = pb.sim().collective(
-                        chip,
-                        exposed_tag,
-                        CollectiveKind::ReduceScatter,
-                        exposed,
-                        exposed_bytes,
-                        2,
-                        &deps,
-                    );
-                    pb.anchor(rds_act.unwrap(), op);
+            } else {
+                // Input rotation: shards arrive alternately from both ring
+                // directions; group g's GeMM waits for the arrivals it
+                // consumes (the chip's own shard is panel 0). A forward
+                // arrival delivers the shard f positions behind; a
+                // backward arrival the shard k positions ahead.
+                let mut fwd_prev: Option<OpId> = None;
+                let mut bwd_prev: Option<OpId> = None;
+                let fwd_total = (ring - 1).div_ceil(2);
+                let bwd_total = (ring - 1) / 2;
+                let (mut fwd_done, mut bwd_done) = (0usize, 0usize);
+                let mut arrivals = 0usize;
+                let mut pending: Vec<usize> = vec![own];
+                for g in 0..groups {
+                    let target = (g + 1) * per_group - 1;
+                    while arrivals < target {
+                        if fwd_done <= bwd_done && fwd_done < fwd_total {
+                            let deps: Vec<OpId> = fwd_prev.into_iter().collect();
+                            let sr = pb.sim().send_recv(chip, fwd_dir, rot_bytes, &deps);
+                            fwd_done += 1;
+                            let src = (own + ring - fwd_done) % ring;
+                            pb.attach(
+                                sr,
+                                DataOp::Carries {
+                                    tile: rot_carry(chip, src),
+                                },
+                            );
+                            pending.push(src);
+                            fwd_prev = Some(sr);
+                        } else if bwd_done < bwd_total {
+                            let deps: Vec<OpId> = bwd_prev.into_iter().collect();
+                            let sr = pb.sim().send_recv(chip, bwd_dir, rot_bytes, &deps);
+                            bwd_done += 1;
+                            let src = (own + bwd_done) % ring;
+                            pb.attach(
+                                sr,
+                                DataOp::Carries {
+                                    tile: rot_carry(chip, src),
+                                },
+                            );
+                            pending.push(src);
+                            bwd_prev = Some(sr);
+                        } else {
+                            let deps: Vec<OpId> = fwd_prev.into_iter().collect();
+                            let sr = pb.sim().send_recv(chip, fwd_dir, rot_bytes, &deps);
+                            fwd_done += 1;
+                            let src = (own + ring - fwd_done) % ring;
+                            pb.attach(
+                                sr,
+                                DataOp::Carries {
+                                    tile: rot_carry(chip, src),
+                                },
+                            );
+                            pending.push(src);
+                            fwd_prev = Some(sr);
+                        }
+                        arrivals += 1;
+                    }
+                    let mut deps: Vec<OpId> = Vec::new();
+                    deps.extend(ag);
+                    deps.extend(fwd_prev);
+                    deps.extend(bwd_prev);
+                    let gemm = pb.sim().gemm(chip, merged_shape(per_group), &deps);
+                    let steps: Vec<MatmulStep> =
+                        pending.drain(..).map(|s| step_for(chip, s)).collect();
+                    pb.attach(gemm, DataOp::Compute { steps });
+                    last_gemm = Some(gemm);
                 }
             }
-            Ok(c)
-        })
+            if !exposed_is_ag {
+                let deps: Vec<OpId> = last_gemm.into_iter().collect();
+                let op = pb.sim().collective(
+                    chip,
+                    exposed_tag,
+                    CollectiveKind::ReduceScatter,
+                    exposed,
+                    exposed_bytes,
+                    2,
+                    &deps,
+                );
+                pb.anchor(rds_act.unwrap(), op);
+            }
+        }
+        Ok(c)
     }
 }
 

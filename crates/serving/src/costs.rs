@@ -11,11 +11,15 @@
 //! [`LoweredBlock`](meshslice::autotuner::LoweredBlock) run as the
 //! simulated tuners — and replayed on both the nominal engine and a
 //! degraded-torus engine (one chip dead, traffic detoured). The nominal
-//! column runs the engine's symmetry quotient (one representative chip
-//! of the SPMD schedule); the degraded profile breaks the symmetry, so
-//! that column lowers and runs the full graph. Steps then cost a table lookup, and a
-//! mid-simulation chip death switches the replica from the nominal to
-//! the degraded column of the same table.
+//! column runs the engine's symmetry quotient: one representative chip,
+//! lowered straight from the schedule's SPMD template, so neither the
+//! schedule nor the lowering touches the other chips. The degraded
+//! profile breaks the symmetry, so that column lowers the full graph,
+//! walking the template's chip copies by offset arithmetic, and runs it.
+//! Steps then cost a table lookup, and a mid-simulation chip death
+//! switches the replica from the nominal to the degraded column of the
+//! same table; a fleet whose spec cannot kill a chip builds
+//! [`CostProfile::NominalOnly`] tables and skips the degraded column.
 //!
 //! Requests falling between buckets are padded up to the next bucket —
 //! the same rounding a real serving engine's CUDA-graph / XLA-program
@@ -80,10 +84,11 @@ pub enum CostProfile {
     /// [`ChipDeath`]: crate::fleet::ChipDeath
     Full,
     /// Price the nominal column only and mirror it into the degraded
-    /// one; halves the replay work. The tuner uses this profile — it
-    /// never injects failures, so the degraded column is never read.
-    /// [`ServingSpec::validate`] rejects nominal-only tables when a
-    /// failure is injected.
+    /// one; skips the full-graph replays. The tuner uses this profile —
+    /// it never injects failures — and so does a fleet run whose spec
+    /// cannot kill a chip: neither reads the degraded column.
+    /// [`ServingSpec::validate`] rejects nominal-only tables when the
+    /// spec can kill a chip.
     ///
     /// [`ServingSpec::validate`]: crate::fleet::ServingSpec::validate
     NominalOnly,
@@ -196,7 +201,11 @@ impl ReplicaCosts {
 /// Builds the bucketed phase-cost tables for serving `model` on one
 /// replica of shape `mesh` with requested slice count `requested_s` and
 /// decode batches up to `max_batch`, pricing the [`CostProfile::Full`]
-/// columns with a fresh [`CostTableCache`].
+/// columns with a fresh [`CostTableCache`]. A fleet run without shared
+/// tables builds these when its spec can kill a chip, and their nominal
+/// column alone otherwise (see [`ServingSpec::shared_costs`]).
+///
+/// [`ServingSpec::shared_costs`]: crate::fleet::ServingSpec::shared_costs
 ///
 /// Returns `None` when the configuration cannot serve at all: the
 /// weights don't leave a KV budget on this mesh, or no decode/prefill
@@ -327,7 +336,7 @@ impl CostTableCache {
 
     /// One fresh table build of `(model, mesh, S, cap)` under this
     /// cache's config and profile, lowering through the shared memo.
-    fn build(
+    pub(crate) fn build(
         &self,
         model: &LlmConfig,
         mesh: MeshShape,

@@ -26,6 +26,7 @@ use meshslice::llm::LlmConfig;
 use meshslice::par;
 use meshslice::{MeshShape, SimConfig};
 use meshslice_recovery::ServingFailover;
+use meshslice_sim::RunScratch;
 use meshslice_telemetry::{
     FleetSeries, Json, LatencySummary, RecordingSink, ReplicaSeriesBuilder, ServingEvent,
     ServingTrace, TraceSink,
@@ -33,7 +34,7 @@ use meshslice_telemetry::{
 
 use crate::arrival::{ArrivalSpec, Request};
 use crate::chaos::{route_requests, ChaosSpec, DeathEvent, RoutedTrace, RouterPolicy, ShedPolicy};
-use crate::costs::{build_replica_costs, PhaseCostTable, ReplicaCosts};
+use crate::costs::{CostProfile, CostTableCache, PhaseCostTable, ReplicaCosts};
 
 /// A permanent chip failure injected into the fleet mid-simulation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,12 +82,16 @@ pub struct ServingSpec {
     /// control.
     pub shed: Option<ShedPolicy>,
     /// Prebuilt cost tables to serve from (e.g. a [`CostTableCache`]
-    /// view), skipping the per-call [`build_replica_costs`]. Must match
-    /// the spec's mesh and batch cap; [`validate`](Self::validate)
-    /// rejects mismatches and nominal-only tables under an injected
-    /// failure.
+    /// view), skipping the per-call table build. Without them the fleet
+    /// prices only what it reads: the tables [`build_replica_costs`]
+    /// builds when the spec can kill a chip (a scripted `failure`, or
+    /// `chaos` with a finite chip or link MTBF), and otherwise the
+    /// [`CostProfile::NominalOnly`] tables, whose nominal column is the
+    /// same bit for bit. Must match the spec's mesh and batch cap;
+    /// [`validate`](Self::validate) rejects mismatches and nominal-only
+    /// tables under a spec that can kill a chip.
     ///
-    /// [`CostTableCache`]: crate::costs::CostTableCache
+    /// [`build_replica_costs`]: crate::costs::build_replica_costs
     pub shared_costs: Option<Arc<ReplicaCosts>>,
     /// Predrawn arrival trace to simulate (ids `0..len`, as
     /// [`ArrivalSpec::generate`] draws them), skipping the per-call
@@ -185,21 +190,13 @@ impl ServingSpec {
             if costs.prefill.buckets.is_empty() || costs.decode.buckets.is_empty() {
                 return Err("shared cost tables have no feasible buckets".into());
             }
-            if self.failure.is_some() && !costs.degraded_priced {
-                return Err(
-                    "shared cost tables are nominal-only but the spec injects a chip death".into(),
-                );
-            }
-            if let Some(chaos) = &self.chaos {
-                if !costs.degraded_priced
-                    && (chaos.failures.chip_mtbf.is_finite()
-                        || chaos.failures.link_mtbf.is_finite())
-                {
-                    return Err(
-                        "shared cost tables are nominal-only but the chaos spec can draw deaths"
-                            .into(),
-                    );
-                }
+            if !costs.degraded_priced && self.can_draw_death() {
+                // `failure` and `chaos` are exclusive (checked above).
+                return Err(if self.failure.is_some() {
+                    "shared cost tables are nominal-only but the spec injects a chip death".into()
+                } else {
+                    "shared cost tables are nominal-only but the chaos spec can draw deaths".into()
+                });
             }
         }
         if let Some(trace) = &self.shared_trace {
@@ -219,6 +216,16 @@ impl ServingSpec {
             }
         }
         Ok(())
+    }
+
+    /// Whether a run of this spec can kill a chip: a scripted death, or
+    /// chaos with a finite chip or link MTBF. Only then does the fleet
+    /// read the degraded column of its cost tables.
+    fn can_draw_death(&self) -> bool {
+        self.failure.is_some()
+            || self.chaos.as_ref().is_some_and(|chaos| {
+                chaos.failures.chip_mtbf.is_finite() || chaos.failures.link_mtbf.is_finite()
+            })
     }
 }
 
@@ -636,17 +643,25 @@ fn run_fleet(
     record: bool,
 ) -> Result<(FleetReport, Option<ServingTrace>), String> {
     spec.validate()?;
+    // A spec that cannot kill a chip never reads the degraded column, so
+    // its own table build prices the nominal column alone.
+    let profile = if spec.can_draw_death() {
+        CostProfile::Full
+    } else {
+        CostProfile::NominalOnly
+    };
     let costs: Arc<ReplicaCosts> = match &spec.shared_costs {
         Some(shared) => shared.clone(),
         None => Arc::new(
-            build_replica_costs(
-                &spec.model,
-                spec.mesh,
-                spec.slice_count,
-                spec.max_batch,
-                cfg,
-            )
-            .ok_or_else(|| {
+            CostTableCache::new(cfg.clone(), profile)
+                .build(
+                    &spec.model,
+                    spec.mesh,
+                    spec.slice_count,
+                    spec.max_batch,
+                    &mut RunScratch::new(),
+                )
+                .ok_or_else(|| {
                 format!(
                     "{} cannot be served on a {} mesh: weights leave no KV budget or no batch bucket divides",
                     spec.model.name, spec.mesh

@@ -107,8 +107,10 @@ impl Executable {
         let mut delays: Vec<u64> = Vec::new();
         let mut sync_class = Vec::with_capacity(n);
         let mut dep_starts = vec![0u32; n + 1];
-        for (i, node) in graph.nodes.iter().enumerate() {
-            let deps = graph.deps(i);
+        // The last sync delay classed: ring steps repeat their
+        // predecessor's.
+        let mut last = (0.0f64.to_bits(), NO_SYNC_CLASS);
+        for (i, (node, deps)) in graph.nodes.iter().zip(graph.dep_lists()).enumerate() {
             deps_left_init.push(deps.len() as u32);
             if deps.is_empty() {
                 roots.push(i);
@@ -116,7 +118,10 @@ impl Executable {
             for &d in deps {
                 dep_starts[d as usize + 1] += 1;
             }
-            sync_class.push(sync_class_of(node.sync, &mut delays));
+            if node.sync.to_bits() != last.0 {
+                last = (node.sync.to_bits(), sync_class_of(node.sync, &mut delays));
+            }
+            sync_class.push(last.1);
         }
         // Reverse the flat dependency buffer: prefix-sum the counts, then
         // fill in dependent order.
@@ -125,10 +130,11 @@ impl Executable {
         }
         let mut dep_targets = vec![0u32; dep_starts[n] as usize];
         let mut cursor = dep_starts.clone();
-        for i in 0..n {
-            for &d in graph.deps(i) {
-                dep_targets[cursor[d as usize] as usize] = i as u32;
-                cursor[d as usize] += 1;
+        for (i, deps) in graph.dep_lists().enumerate() {
+            for &d in deps {
+                let at = &mut cursor[d as usize];
+                dep_targets[*at as usize] = i as u32;
+                *at += 1;
             }
         }
         Executable {
@@ -569,15 +575,19 @@ impl Engine {
     /// The lowered form does not depend on [`SimConfig::faults`], so it can
     /// be reused across engines that differ only in their fault profile.
     /// A translation-invariant program lowers only chip 0 here (see
-    /// [`LoweredProgram`]); its full graph waits for the first run that
-    /// needs it.
+    /// [`LoweredProgram`]), straight from its template when it has one;
+    /// its full graph waits for the first run that needs it.
     ///
     /// # Panics
     ///
     /// Panics if the program has a dependency cycle.
     pub fn lower_program(&self, program: &Program) -> LoweredProgram {
-        if let Err(cycle) = program.validate_acyclic() {
-            panic!("invalid program: {cycle}");
+        // Builder programs, templates included, are ordered; the check
+        // matters for programs assembled by other means.
+        if program.template().is_none() {
+            if let Err(cycle) = program.validate_acyclic() {
+                panic!("invalid program: {cycle}");
+            }
         }
         let representative = quotient::representative(&self.mesh, &self.config, program)
             .map(|rep| Executable::new(lower(&self.mesh, &self.config, &rep, false), 1));

@@ -99,6 +99,11 @@ impl ExecGraph {
     pub(crate) fn deps(&self, node: usize) -> &[u32] {
         &self.deps[self.dep_starts[node] as usize..self.dep_starts[node + 1] as usize]
     }
+
+    /// Every node's [`deps`](Self::deps), in node order.
+    pub(crate) fn dep_lists(&self) -> impl Iterator<Item = &[u32]> {
+        (self.dep_starts.windows(2)).map(|w| &self.deps[w[0] as usize..w[1] as usize])
+    }
 }
 
 /// Placeholder for a ring dependency not yet wired.
@@ -236,11 +241,12 @@ impl<'a> Lowerer<'a> {
             } else {
                 axis.backward_link()
             };
-            let mut prev = launch;
-            for step in 0..ring_len - 1 {
-                self.pending.push(prev);
-                prev = self.link_step(chip, dir, lane_bytes, ring_slots && step > 0);
+            self.pending.push(launch);
+            let mut prev = self.link_step(chip, dir, lane_bytes, false);
+            for _ in 1..ring_len - 1 {
+                prev = self.next_step(prev, ring_slots);
             }
+            self.link_chain[chip][dir.index()] = Some(prev);
         }
         let steps = ring_len as u32 - 1;
         let exit = if lanes == 1 {
@@ -250,6 +256,18 @@ impl<'a> Lowerer<'a> {
             self.zero_node(chip)
         };
         (launch, exit)
+    }
+
+    /// The ring step after `step` on the same lane: a copy of it that
+    /// waits on it alone (it is also the link's last node), plus a slot
+    /// for the upstream dependency if `ring_slot`.
+    fn next_step(&mut self, step: u32, ring_slot: bool) -> u32 {
+        let g = &mut self.graph;
+        g.deps.push(step);
+        g.deps.extend(ring_slot.then_some(UNWIRED));
+        g.dep_starts.push(g.deps.len() as u32);
+        g.nodes.push(g.nodes[step as usize]);
+        g.nodes.len() as u32 - 1
     }
 
     /// Points step `k ≥ 1` of `lane` of the collective launched at
@@ -282,13 +300,13 @@ pub(crate) fn lower(
     program: &Program,
     wire_rings: bool,
 ) -> ExecGraph {
-    let ops = program.ops();
+    let num_ops = program.len();
     let chips = mesh.num_chips();
     // Every op lowers to a bounded handful of nodes per chip it touches;
     // reserving a generous estimate up front avoids the doubling
     // reallocations that otherwise dominate lowering of six-figure-node
     // graphs.
-    let cap = 16 * ops.len();
+    let cap = 16 * num_ops;
     let mut lw = Lowerer {
         cfg,
         graph: ExecGraph {
@@ -296,7 +314,7 @@ pub(crate) fn lower(
             node_op: Vec::with_capacity(cap),
             dep_starts: Vec::with_capacity(cap + 1),
             deps: Vec::with_capacity(2 * cap),
-            op_exit: Vec::with_capacity(ops.len()),
+            op_exit: Vec::with_capacity(num_ops),
         },
         pending: Vec::new(),
         chip_chain: vec![None; chips],
@@ -311,16 +329,18 @@ pub(crate) fn lower(
     // wait on a neighbour.
     let mut rings = Vec::new();
 
-    for (op_idx, op) in ops.iter().enumerate() {
-        let chip = op.chip.index();
+    // An SPMD template is walked chip copy by chip copy, never expanded.
+    program.for_each_op(|op_chip, kind, deps| {
+        let chip = op_chip.index();
+        let op_idx = lw.graph.op_exit.len();
         let exits = &lw.graph.op_exit;
-        lw.pending.extend(op.deps.iter().map(|d| exits[d.index()]));
+        lw.pending.extend(deps.iter().map(|d| exits[d.index()]));
         if !cfg.overlap_collectives {
             // Real-hardware mode (§5.3): the compiler serializes every
             // chip's operations in program order.
             lw.pending.extend(lw.chip_chain[chip]);
         }
-        let exit = match &op.kind {
+        let exit = match kind {
             OpKind::Gemm { shape } => {
                 let timer = cfg.t_kernel_launch.as_secs() + cfg.gemm_flop_time(*shape).as_secs();
                 let flow_bytes = cfg.gemm_hbm_bytes(*shape) as f64;
@@ -353,7 +373,7 @@ pub(crate) fn lower(
                         launches.len() / chips - 1
                     });
                     launches[g * chips + chip] = launch;
-                    rings.push((op.chip, launch, g, *axis, *lanes));
+                    rings.push((op_chip, launch, g, *axis, *lanes));
                 }
                 exit
             }
@@ -384,7 +404,7 @@ pub(crate) fn lower(
         g.node_op.resize(g.nodes.len(), op_idx as u32);
         g.op_exit.push(exit);
         lw.chip_chain[chip] = Some(exit);
-    }
+    });
 
     // Cross-chip wiring: step k depends on the upstream neighbor's step
     // k − 1 within the same collective and lane.

@@ -265,16 +265,15 @@ impl<'a> OpTraceRecorder<'a> {
 
     /// One trace per program operation, in op order.
     pub fn into_traces(self) -> Vec<OpTrace> {
-        let lowered = self.lowered;
-        lowered
-            .full()
-            .graph
+        let graph = &self.lowered.full().graph;
+        graph
             .op_exit
             .iter()
             .enumerate()
             .map(|(op, &exit)| OpTrace {
                 op: OpId(op),
-                chip: lowered.program.ops()[op].chip,
+                // An op's nodes all run on its chip.
+                chip: ChipId(graph.nodes[exit as usize].chip as usize),
                 completed: Duration::from_secs(self.finish[exit as usize]),
             })
             .collect()

@@ -8,11 +8,20 @@
 //! Collective participation is expressed per chip: all chips taking part in
 //! one logical collective use the same *tag*, and the lowering pass links
 //! their ring steps together.
+//!
+//! An SPMD program (every chip runs a translated copy of one op list) can
+//! be stored as a *template*: chip 0's ops, cut into the per-chip emission
+//! loops that produced them ([`ProgramBuilder::spmd`]). The op list is then
+//! a function of the template: loop by loop, chip by chip, each chip's copy
+//! of the loop body, with every dependency moved to the same chip's copy of
+//! its target. [`Program::ops`] expands it on first use; the engine lowers
+//! chip 0 straight from the template and the whole cluster by the same
+//! arithmetic, without building the op list.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use meshslice_mesh::{ChipId, CommAxis, LinkDir, Torus2d};
 use meshslice_tensor::GemmShape;
@@ -147,28 +156,143 @@ pub struct Op {
 
 /// A cluster-wide DAG of operations, ready for the [`Engine`].
 ///
-/// The ops are shared, so cloning a program is O(1).
+/// The ops are shared, so cloning a program is O(1). A program built by
+/// an SPMD builder ([`ProgramBuilder::spmd`]) holds chip 0's template and
+/// expands the full op list only when [`ops`](Self::ops) is called.
 ///
 /// [`Engine`]: crate::Engine
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
-    pub(crate) ops: Arc<Vec<Op>>,
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    /// The op list; an SPMD program expands it on first use.
+    ops: OnceLock<Vec<Op>>,
+    spmd: Option<Spmd>,
+}
+
+/// The template an SPMD program expands from.
+#[derive(Debug)]
+struct Spmd {
+    /// Chip 0's ops; their dependencies index this list.
+    template: Program,
+    chips: usize,
+    /// Per template op: the op list index of chip 0's copy, and the
+    /// distance between consecutive chips' copies (its loop's body
+    /// length). Chip `c`'s copy of template op `t` is op
+    /// `place[t].0 + c * place[t].1`.
+    place: Vec<(usize, usize)>,
+}
+
+impl Spmd {
+    fn new(template: Vec<Op>, chips: usize, loops: &[usize]) -> Spmd {
+        let mut place = Vec::with_capacity(template.len());
+        let mut start = 0;
+        for end in loops.iter().copied().chain([template.len()]) {
+            // Every op before the loop has `chips` copies.
+            place.extend((start..end).map(|t| (start * chips + t - start, end - start)));
+            start = end;
+        }
+        Spmd {
+            template: Program::from_ops(template),
+            chips,
+            place,
+        }
+    }
+
+    /// Visits chip `c`'s copy of every template op, loop by loop and chip
+    /// by chip: the program's op order.
+    fn for_each_op(&self, mut f: impl FnMut(ChipId, &OpKind, &[OpId])) {
+        let template = self.template.ops();
+        let mut deps = Vec::new();
+        let mut t = 0;
+        while t < template.len() {
+            let end = t + self.place[t].1;
+            for c in 0..self.chips {
+                for op in &template[t..end] {
+                    deps.clear();
+                    deps.extend(op.deps.iter().map(|d| self.copy(*d, c)));
+                    f(ChipId(c), &op.kind, &deps);
+                }
+            }
+            t = end;
+        }
+    }
+
+    /// Chip `c`'s copy of template op `t`.
+    fn copy(&self, t: OpId, c: usize) -> OpId {
+        let (base, stride) = self.place[t.0];
+        OpId(base + c * stride)
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner) || self.ops() == other.ops()
+    }
 }
 
 impl Program {
-    /// The operations, indexed by [`OpId`].
+    /// A program holding `ops` as they are.
+    pub(crate) fn from_ops(ops: Vec<Op>) -> Program {
+        Program {
+            inner: Arc::new(Inner {
+                ops: OnceLock::from(ops),
+                spmd: None,
+            }),
+        }
+    }
+
+    /// The operations, indexed by [`OpId`]. An SPMD program expands its
+    /// template here, once.
     pub fn ops(&self) -> &[Op] {
-        &self.ops
+        self.inner.ops.get_or_init(|| {
+            let Some(spmd) = &self.inner.spmd else {
+                return Vec::new(); // `Program::default()`
+            };
+            let mut ops = Vec::with_capacity(spmd.template.len() * spmd.chips);
+            spmd.for_each_op(|chip, kind, deps| {
+                ops.push(Op {
+                    chip,
+                    kind: kind.clone(),
+                    deps: deps.to_vec(),
+                })
+            });
+            ops
+        })
+    }
+
+    /// Visits every op in order with its chip, kind and dependencies,
+    /// without expanding an SPMD template into an op list.
+    pub(crate) fn for_each_op(&self, mut f: impl FnMut(ChipId, &OpKind, &[OpId])) {
+        match (&self.inner.spmd, self.inner.ops.get()) {
+            (Some(spmd), None) => spmd.for_each_op(f),
+            _ => self
+                .ops()
+                .iter()
+                .for_each(|op| f(op.chip, &op.kind, &op.deps)),
+        }
+    }
+
+    /// Chip 0's ops as a program of their own (dependencies index that
+    /// list), when this program was built from an SPMD template.
+    pub(crate) fn template(&self) -> Option<&Program> {
+        self.inner.spmd.as_ref().map(|spmd| &spmd.template)
     }
 
     /// Number of operations.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        match &self.inner.spmd {
+            Some(spmd) => spmd.template.len() * spmd.chips,
+            None => self.ops().len(),
+        }
     }
 
     /// Whether the program has no operations.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len() == 0
     }
 
     /// Checks that the op dependency graph is acyclic and returns a valid
@@ -186,18 +310,20 @@ impl Program {
     /// Returns a [`CycleError`] naming an op that participates in a cycle,
     /// its chip and kind, and a short excerpt of the cycle.
     pub fn validate_acyclic(&self) -> Result<Vec<usize>, CycleError> {
-        let n = self.ops.len();
-        let ordered = self
-            .ops
-            .iter()
-            .enumerate()
-            .all(|(i, op)| op.deps.iter().all(|d| d.0 < i));
+        let n = self.len();
+        // A template comes from a builder, and so does its expansion.
+        let ordered = self.template().is_some()
+            || self
+                .ops()
+                .iter()
+                .enumerate()
+                .all(|(i, op)| op.deps.iter().all(|d| d.0 < i));
         if ordered {
             return Ok((0..n).collect());
         }
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, op) in self.ops().iter().enumerate() {
             indegree[i] = op.deps.len();
             for d in &op.deps {
                 dependents[d.0].push(i);
@@ -229,7 +355,8 @@ impl Program {
     /// still-pending dependency from such an op must eventually revisit an
     /// op, which yields a genuine cycle to excerpt.
     fn cycle_error(&self, indegree: &[usize]) -> CycleError {
-        let start = (0..self.ops.len())
+        let ops = self.ops();
+        let start = (0..ops.len())
             .find(|&i| indegree[i] > 0)
             .expect("a cyclic op exists");
         // Walk pending deps until an op repeats; the repeat closes a cycle.
@@ -242,7 +369,7 @@ impl Program {
             }
             seen_at.insert(at, walk.len());
             walk.push(at);
-            at = self.ops[at]
+            at = ops[at]
                 .deps
                 .iter()
                 .map(|d| d.0)
@@ -253,8 +380,8 @@ impl Program {
         let op = OpId(cycle[0]);
         CycleError {
             op,
-            chip: self.ops[op.0].chip,
-            kind: self.ops[op.0].kind.clone(),
+            chip: ops[op.0].chip,
+            kind: ops[op.0].kind.clone(),
             excerpt: cycle
                 .into_iter()
                 .take(CycleError::EXCERPT_LEN)
@@ -265,7 +392,10 @@ impl Program {
 
     /// Total FLOPs of all GeMM ops (for utilization accounting).
     pub fn total_flops(&self) -> u64 {
-        self.ops
+        if let Some(spmd) = &self.inner.spmd {
+            return spmd.template.total_flops() * spmd.chips as u64;
+        }
+        self.ops()
             .iter()
             .map(|op| match &op.kind {
                 OpKind::Gemm { shape } => shape.flops(),
@@ -301,6 +431,9 @@ pub struct ProgramBuilder {
     mesh: Torus2d,
     ops: Vec<Op>,
     next_tag: u64,
+    /// SPMD builders only: where each per-chip emission loop starts in
+    /// the template.
+    loops: Option<Vec<usize>>,
 }
 
 impl ProgramBuilder {
@@ -310,12 +443,62 @@ impl ProgramBuilder {
             mesh: mesh.clone(),
             ops: Vec::new(),
             next_tag: 0,
+            loops: None,
+        }
+    }
+
+    /// Creates a builder for an SPMD program on `mesh`: one whose every
+    /// chip runs a translated copy of chip 0's ops.
+    ///
+    /// Emission code is written exactly as for [`new`](Self::new), with
+    /// every op inside a `for chip in b.chips()` loop. Here
+    /// [`chips`](Self::chips) yields chip 0 alone, so the builder records
+    /// chip 0's ops, cut into those loops: the program's template. The
+    /// built program equals, op for op, what the same code emits into a
+    /// [`new`](Self::new) builder, provided each loop body emits the same
+    /// ops for every chip (same kinds, shapes, bytes, axes, directions,
+    /// lanes and tags) and depends only on the same chip's earlier ops.
+    ///
+    /// ```
+    /// use meshslice_mesh::{CommAxis, Torus2d};
+    /// use meshslice_sim::{GemmShape, ProgramBuilder};
+    ///
+    /// let mesh = Torus2d::new(2, 2);
+    /// let emit = |b: &mut ProgramBuilder| {
+    ///     let tag = b.next_tag();
+    ///     for chip in b.chips() {
+    ///         let ag = b.all_gather(chip, tag, CommAxis::InterRow, 1024, &[]);
+    ///         b.gemm(chip, GemmShape::new(64, 64, 64), &[ag]);
+    ///     }
+    /// };
+    /// let (mut full, mut spmd) = (ProgramBuilder::new(&mesh), ProgramBuilder::spmd(&mesh));
+    /// emit(&mut full);
+    /// emit(&mut spmd);
+    /// assert_eq!(spmd.build(), full.build());
+    /// ```
+    pub fn spmd(mesh: &Torus2d) -> Self {
+        ProgramBuilder {
+            loops: Some(Vec::new()),
+            ..ProgramBuilder::new(mesh)
         }
     }
 
     /// The mesh this program targets.
     pub fn mesh(&self) -> &Torus2d {
         &self.mesh
+    }
+
+    /// Starts one per-chip emission loop: every chip of the mesh in
+    /// order, or chip 0 alone in an [`spmd`](Self::spmd) builder.
+    pub fn chips(&mut self) -> impl Iterator<Item = ChipId> {
+        let chips = match &mut self.loops {
+            Some(loops) => {
+                loops.push(self.ops.len());
+                1
+            }
+            None => self.mesh.num_chips(),
+        };
+        (0..chips).map(ChipId)
     }
 
     /// Returns a fresh collective tag, unique within this builder.
@@ -331,6 +514,12 @@ impl ProgramBuilder {
             "{chip:?} outside the {} mesh",
             self.mesh.shape()
         );
+        if let Some(loops) = &self.loops {
+            assert!(
+                chip == ChipId(0) && !loops.is_empty(),
+                "an SPMD builder takes chip 0's ops inside a chips() loop, got {chip:?}"
+            );
+        }
         for d in deps {
             assert!(d.0 < self.ops.len(), "dependency {d:?} does not exist yet");
         }
@@ -490,9 +679,32 @@ impl ProgramBuilder {
     /// fully covered. The panic names the first offending op in program
     /// order.
     pub fn build(self) -> Program {
-        self.validate_collectives();
+        let Some(loops) = &self.loops else {
+            self.validate_collectives();
+            return Program::from_ops(self.ops);
+        };
+        // Every chip runs each template collective once with the same
+        // parameters, so each ring is complete; only a chip taking part
+        // twice can break it.
+        let mut tags: Vec<u64> = (self.ops.iter())
+            .filter_map(|op| match op.kind {
+                OpKind::Collective { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        tags.sort_unstable();
+        if let Some(w) = tags.windows(2).find(|w| w[0] == w[1]) {
+            panic!(
+                "chip ChipId(0) participates twice in collective tag {}",
+                w[0]
+            );
+        }
+        let spmd = Spmd::new(self.ops, self.mesh.num_chips(), loops);
         Program {
-            ops: Arc::new(self.ops),
+            inner: Arc::new(Inner {
+                ops: OnceLock::new(),
+                spmd: Some(spmd),
+            }),
         }
     }
 
@@ -556,6 +768,13 @@ mod tests {
         let p = b.build();
         assert_eq!(p.len(), 2);
         assert_eq!(p.ops()[1].deps, vec![a]);
+    }
+
+    #[test]
+    fn the_default_program_is_empty() {
+        let p = Program::default();
+        assert!(p.is_empty() && p.ops().is_empty());
+        assert_eq!(p, ProgramBuilder::new(&Torus2d::new(2, 2)).build());
     }
 
     #[test]
@@ -659,22 +878,20 @@ mod tests {
     #[test]
     fn hand_built_cycles_are_detected() {
         // Construct a cyclic program directly (the builder forbids this).
-        let p = Program {
-            ops: Arc::new(vec![
-                Op {
-                    chip: ChipId(0),
-                    kind: OpKind::SliceCopy { bytes: 1 },
-                    deps: vec![OpId(1)],
+        let p = Program::from_ops(vec![
+            Op {
+                chip: ChipId(0),
+                kind: OpKind::SliceCopy { bytes: 1 },
+                deps: vec![OpId(1)],
+            },
+            Op {
+                chip: ChipId(3),
+                kind: OpKind::Gemm {
+                    shape: GemmShape::new(1, 1, 1),
                 },
-                Op {
-                    chip: ChipId(3),
-                    kind: OpKind::Gemm {
-                        shape: GemmShape::new(1, 1, 1),
-                    },
-                    deps: vec![OpId(0)],
-                },
-            ]),
-        };
+                deps: vec![OpId(0)],
+            },
+        ]);
         let err = p.validate_acyclic().unwrap_err();
         assert_eq!(err.op, OpId(0));
         assert_eq!(err.chip, ChipId(0));
@@ -689,20 +906,18 @@ mod tests {
     #[test]
     fn out_of_order_programs_fall_back_to_a_topological_sort() {
         // Op 0 waits on op 1: acyclic, but not in builder order.
-        let p = Program {
-            ops: Arc::new(vec![
-                Op {
-                    chip: ChipId(0),
-                    kind: OpKind::SliceCopy { bytes: 1 },
-                    deps: vec![OpId(1)],
-                },
-                Op {
-                    chip: ChipId(0),
-                    kind: OpKind::SliceCopy { bytes: 2 },
-                    deps: vec![],
-                },
-            ]),
-        };
+        let p = Program::from_ops(vec![
+            Op {
+                chip: ChipId(0),
+                kind: OpKind::SliceCopy { bytes: 1 },
+                deps: vec![OpId(1)],
+            },
+            Op {
+                chip: ChipId(0),
+                kind: OpKind::SliceCopy { bytes: 2 },
+                deps: vec![],
+            },
+        ]);
         assert_eq!(p.validate_acyclic(), Ok(vec![1, 0]));
     }
 
@@ -710,25 +925,23 @@ mod tests {
     fn cycle_error_names_a_true_cycle_member() {
         // Op 0 is stuck only because it waits on the 1 <-> 2 cycle; the
         // error must point into the cycle itself, not at op 0.
-        let p = Program {
-            ops: Arc::new(vec![
-                Op {
-                    chip: ChipId(0),
-                    kind: OpKind::SliceCopy { bytes: 1 },
-                    deps: vec![OpId(1)],
-                },
-                Op {
-                    chip: ChipId(1),
-                    kind: OpKind::SliceCopy { bytes: 2 },
-                    deps: vec![OpId(2)],
-                },
-                Op {
-                    chip: ChipId(2),
-                    kind: OpKind::SliceCopy { bytes: 3 },
-                    deps: vec![OpId(1)],
-                },
-            ]),
-        };
+        let p = Program::from_ops(vec![
+            Op {
+                chip: ChipId(0),
+                kind: OpKind::SliceCopy { bytes: 1 },
+                deps: vec![OpId(1)],
+            },
+            Op {
+                chip: ChipId(1),
+                kind: OpKind::SliceCopy { bytes: 2 },
+                deps: vec![OpId(2)],
+            },
+            Op {
+                chip: ChipId(2),
+                kind: OpKind::SliceCopy { bytes: 3 },
+                deps: vec![OpId(1)],
+            },
+        ]);
         let err = p.validate_acyclic().unwrap_err();
         assert!(err.op == OpId(1) || err.op == OpId(2));
         assert_eq!(err.excerpt.len(), 2);
@@ -739,5 +952,75 @@ mod tests {
         let mesh = Torus2d::new(1, 1);
         let mut b = ProgramBuilder::new(&mesh);
         assert_ne!(b.next_tag(), b.next_tag());
+    }
+
+    /// Three per-chip loops of different lengths, each depending on the
+    /// previous loops' ops and on its own earlier ops.
+    fn three_loops(b: &mut ProgramBuilder) {
+        let mut last = vec![None; b.mesh().num_chips()];
+        let tag = b.next_tag();
+        for chip in b.chips() {
+            let sc = b.slice_copy(chip, 64, &[]);
+            last[chip.index()] = Some(b.all_gather(chip, tag, CommAxis::InterCol, 32, &[sc]));
+        }
+        for step in 0..2u64 {
+            let tag = b.next_tag();
+            for chip in b.chips() {
+                let prev: Vec<OpId> = last[chip.index()].into_iter().collect();
+                let sr = b.send_recv(chip, LinkDir::ColPlus, 16 + step, &prev);
+                let rs = b.reduce_scatter(chip, tag, CommAxis::InterRow, 8, &[sr]);
+                let g = b.gemm(chip, GemmShape::new(4, 4, 4), &[sr, rs]);
+                last[chip.index()] = Some(g);
+            }
+        }
+    }
+
+    #[test]
+    fn spmd_builds_expand_to_the_op_by_op_program() {
+        for (rows, cols) in [(1, 1), (1, 3), (3, 1), (3, 4)] {
+            let mesh = Torus2d::new(rows, cols);
+            let (mut full, mut spmd) = (ProgramBuilder::new(&mesh), ProgramBuilder::spmd(&mesh));
+            three_loops(&mut full);
+            three_loops(&mut spmd);
+            let (full, spmd) = (full.build(), spmd.build());
+            assert_eq!(spmd.template().unwrap().len(), 8);
+            // Read off the template, before anything expands it.
+            assert_eq!(spmd.len(), full.len());
+            assert_eq!(spmd.total_flops(), full.total_flops());
+            let mut walked = Vec::new();
+            spmd.for_each_op(|chip, kind, deps| {
+                walked.push(Op {
+                    chip,
+                    kind: kind.clone(),
+                    deps: deps.to_vec(),
+                })
+            });
+            assert_eq!(walked, full.ops());
+            assert_eq!(spmd.ops(), full.ops());
+            assert_eq!(spmd.validate_acyclic(), full.validate_acyclic());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chip 0's ops inside a chips() loop")]
+    fn an_spmd_builder_takes_chip_zero_only() {
+        let mesh = Torus2d::new(2, 2);
+        let mut b = ProgramBuilder::spmd(&mesh);
+        for _ in b.chips() {
+            b.gemm(ChipId(1), GemmShape::new(1, 1, 1), &[]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "participates twice in collective tag 0")]
+    fn an_spmd_template_uses_a_tag_once() {
+        let mesh = Torus2d::new(2, 1);
+        let mut b = ProgramBuilder::spmd(&mesh);
+        let tag = b.next_tag();
+        for chip in b.chips() {
+            b.all_gather(chip, tag, CommAxis::InterRow, 8, &[]);
+            b.all_gather(chip, tag, CommAxis::InterRow, 8, &[]);
+        }
+        b.build();
     }
 }

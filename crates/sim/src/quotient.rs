@@ -8,8 +8,12 @@
 //! schedule is then every chip's schedule, and the engine can lower and
 //! run that chip alone (see [`LoweredProgram`](crate::LoweredProgram)).
 //!
-//! [`representative`] proves the symmetry in one linear pass over the
-//! ops and extracts chip 0's op list.
+//! A program built from an SPMD template ([`ProgramBuilder::spmd`]) is
+//! symmetric by construction, and its template is the representative.
+//! [`representative`] checks an op-by-op program (a hand-built one, or a
+//! fused multi-pass schedule) in one linear pass instead.
+//!
+//! [`ProgramBuilder::spmd`]: crate::ProgramBuilder::spmd
 
 use meshslice_mesh::{ChipId, Torus2d};
 
@@ -20,11 +24,12 @@ use crate::program::{Op, OpId, OpKind, Program};
 /// op list, when `program` is invariant under torus translation on
 /// `mesh`; `None` otherwise.
 ///
-/// The program qualifies when
+/// The network must be a physical torus (a shared fabric couples every
+/// transfer through its bisection bandwidth) of more than one chip. A
+/// template program then qualifies as it is. An op-by-op program
+/// qualifies when
 ///
-/// - the network is a physical torus (a shared fabric couples every
-///   transfer through its bisection bandwidth),
-/// - the mesh has more than one chip and every chip has as many ops,
+/// - every chip has as many ops,
 /// - every chip's `i`-th op matches chip 0's `i`-th op in kind, shape,
 ///   bytes, axis, direction and lanes, and depends on the same op
 ///   positions **of its own chip** (so no dependency crosses chips), and
@@ -40,8 +45,14 @@ pub(crate) fn representative(
     program: &Program,
 ) -> Option<Program> {
     let chips = mesh.num_chips();
+    if chips < 2 || cfg.network != NetworkModel::PhysicalTorus {
+        return None;
+    }
+    if let Some(template) = program.template() {
+        return Some(template.clone());
+    }
     let ops = program.ops();
-    if chips < 2 || cfg.network != NetworkModel::PhysicalTorus || !ops.len().is_multiple_of(chips) {
+    if !ops.len().is_multiple_of(chips) {
         return None;
     }
     let per_chip = ops.len() / chips;
@@ -96,8 +107,8 @@ pub(crate) fn representative(
                     .collect(),
             }
         })
-        .collect::<Vec<_>>();
-    Some(Program { ops: ops.into() })
+        .collect();
+    Some(Program::from_ops(ops))
 }
 
 /// `kind` with any collective tag cleared, so ops doing the same work
@@ -112,8 +123,6 @@ fn untagged(kind: &OpKind) -> OpKind {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use meshslice_mesh::{CommAxis, Coord, LinkDir};
     use meshslice_tensor::GemmShape;
 
@@ -121,14 +130,13 @@ mod tests {
     use crate::lower::lower;
     use crate::program::ProgramBuilder;
 
-    /// An SPMD step loop on `mesh`: slice, all-gather on both axes,
+    /// An SPMD step loop emitted into `b`: slice, all-gather on both axes,
     /// send-recv, GeMM, chained across `steps` (MeshSlice's shape).
-    fn spmd(mesh: &Torus2d, steps: usize) -> Program {
-        let mut b = ProgramBuilder::new(mesh);
-        let mut last = vec![None; mesh.num_chips()];
+    fn spmd_into(mut b: ProgramBuilder, steps: usize) -> Program {
+        let mut last = vec![None; b.mesh().num_chips()];
         for _ in 0..steps {
             let (ta, tb) = (b.next_tag(), b.next_tag());
-            for chip in mesh.chips() {
+            for chip in b.chips() {
                 let prev: Vec<OpId> = last[chip.index()].into_iter().collect();
                 let sc = b.slice_copy(chip, 4096, &prev);
                 let ag_a = b.all_gather(chip, ta, CommAxis::InterCol, 1 << 16, &[sc]);
@@ -149,6 +157,11 @@ mod tests {
         b.build()
     }
 
+    /// [`spmd_into`] emitted op by op.
+    fn spmd(mesh: &Torus2d, steps: usize) -> Program {
+        spmd_into(ProgramBuilder::new(mesh), steps)
+    }
+
     fn detect(mesh: &Torus2d, program: &Program) -> Option<Program> {
         representative(mesh, &SimConfig::tpu_v4(), program)
     }
@@ -157,19 +170,11 @@ mod tests {
     fn spmd_programs_quotient_to_chip_zero() {
         for (rows, cols) in [(2, 2), (3, 5), (1, 4), (4, 1)] {
             let mesh = Torus2d::new(rows, cols);
-            let program = spmd(&mesh, 3);
-            let rep = detect(&mesh, &program).expect("SPMD program is symmetric");
-            assert_eq!(rep.len(), program.len() / mesh.num_chips());
-            let chip0: Vec<&OpKind> = program
-                .ops()
-                .iter()
-                .filter(|op| op.chip == ChipId(0))
-                .map(|op| &op.kind)
-                .collect();
-            let kinds: Vec<&OpKind> = rep.ops().iter().map(|op| &op.kind).collect();
-            assert_eq!(kinds, chip0);
-            assert!(rep.ops().iter().all(|op| op.chip == ChipId(0)));
-            assert!(rep.validate_acyclic().is_ok());
+            let template = spmd_into(ProgramBuilder::spmd(&mesh), 3);
+            let want = template.template().expect("an SPMD build is a template");
+            assert_eq!(detect(&mesh, &template).as_ref(), Some(want));
+            assert_eq!(detect(&mesh, &spmd(&mesh, 3)).as_ref(), Some(want));
+            assert!(want.ops().iter().all(|op| op.chip == ChipId(0)));
         }
     }
 
@@ -178,7 +183,7 @@ mod tests {
         // Node for node, in order: the same work and the same own-chip
         // dependencies. Only the ring steps' cross-chip edges are gone.
         let (mesh, cfg) = (Torus2d::new(3, 4), SimConfig::tpu_v4());
-        let program = spmd(&mesh, 3);
+        let program = spmd_into(ProgramBuilder::spmd(&mesh), 3);
         let full = lower(&mesh, &cfg, &program, true);
         let rep = lower(&mesh, &cfg, &detect(&mesh, &program).unwrap(), false);
         let chip0: Vec<usize> = (0..full.nodes.len())
@@ -229,43 +234,29 @@ mod tests {
         let slice = find(&|k| matches!(k, OpKind::SliceCopy { .. }));
         let gemm = find(&|k| matches!(k, OpKind::Gemm { .. }));
         let send = find(&|k| matches!(k, OpKind::SendRecv { .. }));
-        let op = |i: usize| program.ops()[i].clone();
-        let mut variants = vec![
-            (
-                slice,
-                Op {
-                    kind: OpKind::SliceCopy { bytes: 4097 },
-                    ..op(slice)
-                },
-            ),
-            (
-                gemm,
-                Op {
-                    kind: OpKind::Gemm {
-                        shape: GemmShape::new(128, 64, 128),
-                    },
-                    ..op(gemm)
-                },
-            ),
-            (
-                send,
-                Op {
-                    kind: OpKind::SendRecv {
-                        dir: LinkDir::RowMinus,
-                        bytes: 512,
-                    },
-                    ..op(send)
-                },
-            ),
+        type Perturb = fn(&mut Op);
+        let perturbations: [(usize, Perturb); 5] = [
+            (slice, |op| op.kind = OpKind::SliceCopy { bytes: 4097 }),
+            (gemm, |op| {
+                op.kind = OpKind::Gemm {
+                    shape: GemmShape::new(128, 64, 128),
+                }
+            }),
+            (send, |op| {
+                op.kind = OpKind::SendRecv {
+                    dir: LinkDir::RowMinus,
+                    bytes: 512,
+                }
+            }),
+            // A dependency on a different op of the same chip, and one
+            // fewer.
+            (gemm, |op| op.deps[2] = op.deps[0]),
+            (gemm, |op| op.deps.truncate(2)),
         ];
-        // A dependency on a different op of the same chip, and one fewer.
-        let (mut redirected, mut dropped) = (op(gemm), op(gemm));
-        redirected.deps[2] = OpId(slice);
-        dropped.deps.truncate(2);
-        variants.extend([(gemm, redirected), (gemm, dropped)]);
-        for (i, replacement) in variants {
-            let mut p = program.clone();
-            Arc::make_mut(&mut p.ops)[i] = replacement;
+        for (i, perturb) in perturbations {
+            let mut ops = program.ops().to_vec();
+            perturb(&mut ops[i]);
+            let p = Program::from_ops(ops);
             assert!(detect(&mesh, &p).is_none(), "perturbed op {i} accepted");
         }
     }

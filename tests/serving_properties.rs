@@ -17,9 +17,9 @@ use meshslice::{MeshShape, SimConfig};
 use meshslice_faults::FailureSpec;
 use meshslice_serving::{
     rank_resilient_candidates, simulate_fleet, simulate_fleet_threads, simulate_fleet_traced,
-    ArrivalSpec, ChaosSpec, ChipDeath, CostProfile, CostTableCache, LoadShape, OutcomeKind,
-    Request, ResilienceSpec, ResilientServingCandidate, RouterPolicy, ScreenPolicy, ServingSpec,
-    ServingTuning, ShedPolicy, TuneMode, MAX_PREFILL_TOKENS,
+    ArrivalSpec, ChaosSpec, ChipDeath, CostProfile, CostTableCache, FleetReport, LoadShape,
+    OutcomeKind, Request, ResilienceSpec, ResilientServingCandidate, RouterPolicy, ScreenPolicy,
+    ServingSpec, ServingTuning, ShedPolicy, TuneMode, MAX_PREFILL_TOKENS,
 };
 use meshslice_telemetry::ServingEvent;
 use proptest::prelude::*;
@@ -598,4 +598,65 @@ fn resilient_tuning_matches_the_public_api_reference() {
         p95_above_worst,
         "some case must rank a p95 draw above its worst"
     );
+}
+
+/// `spec` served from `profile` tables built by a cache, or the
+/// validation error such tables meet.
+fn served_from(spec: &ServingSpec, profile: CostProfile) -> Result<FleetReport, String> {
+    let cfg = SimConfig::tpu_v4();
+    let cache = CostTableCache::new(cfg.clone(), profile);
+    let mut shared = spec.clone();
+    shared.shared_costs = Some(
+        cache
+            .replica_costs(&spec.model, spec.mesh, spec.slice_count, spec.max_batch)
+            .expect("tiny model prices"),
+    );
+    simulate_fleet(&shared, &cfg)
+}
+
+/// A fleet whose spec cannot kill a chip (no scripted death; chaos, if
+/// any, with infinite MTBFs) prices its own tables' nominal column only,
+/// and reports bit for bit what the same spec reports when served from
+/// tables with a priced degraded column.
+#[test]
+fn death_free_fleets_report_what_full_tables_report() {
+    let cfg = SimConfig::tpu_v4();
+    for chaos in [None, Some(ChaosSpec::new(FailureSpec::none(), 11))] {
+        let mut s = spec(60.0, 80, 5);
+        s.chaos = chaos;
+        let own = simulate_fleet(&s, &cfg).expect("tiny fleet simulates");
+        let full = served_from(&s, CostProfile::Full).expect("full tables serve anything");
+        assert_eq!(own, full);
+        assert_eq!(
+            own.to_json().to_string_pretty(),
+            full.to_json().to_string_pretty()
+        );
+        assert_eq!(own.failovers, 0);
+    }
+}
+
+/// A scripted chip death (the CLI's `--fail-at`) or finite-MTBF chaos
+/// (`--chaos-mtbf`) still prices the degraded column: the replica pays
+/// degraded-torus time after its failover, the report equals the one
+/// served from full tables, and nominal-only tables are refused.
+#[test]
+fn fleets_that_can_kill_a_chip_price_the_degraded_column() {
+    let cfg = SimConfig::tpu_v4();
+    let mut scripted = spec(50.0, 60, 3);
+    scripted.failure = Some(ChipDeath {
+        replica: 0,
+        at_secs: 0.2,
+    });
+    let mut chaos = spec(50.0, 60, 3);
+    // Each 4-chip replica expects 20 deaths over the 1.2 s trace.
+    chaos.chaos = Some(ChaosSpec::new(FailureSpec::chip_mtbf(0.24, 1.2), 7));
+    for s in [scripted, chaos] {
+        let own = simulate_fleet(&s, &cfg).expect("fleet survives its deaths");
+        assert!(own.failovers > 0, "a death fired");
+        let degraded: f64 = own.per_replica.iter().map(|r| r.degraded_extra_secs).sum();
+        assert!(degraded > 0.0, "degraded steps cost more than nominal ones");
+        assert_eq!(own, served_from(&s, CostProfile::Full).unwrap());
+        let err = served_from(&s, CostProfile::NominalOnly).unwrap_err();
+        assert!(err.contains("nominal-only"), "{err}");
+    }
 }
