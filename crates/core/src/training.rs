@@ -193,6 +193,10 @@ pub fn simulate_fc_step(
 /// neighboring pass's compute. This is an upper bound on cross-pass
 /// pipelining; [`simulate_fc_step`] models the passes as strictly serial.
 ///
+/// Every pass is SPMD, so the block is recorded as one SPMD template
+/// (chip 0's ops) and the engine simulates it through the symmetry
+/// quotient.
+///
 /// Returns `None` if a tuned pass cannot be scheduled (should not happen
 /// for the standard models).
 pub fn simulate_fused_block(
@@ -204,7 +208,7 @@ pub fn simulate_fused_block(
     let tuner = Autotuner::new(cfg.clone());
     let plan = tuner.tune(model, setup, chips);
     let mesh = Torus2d::from_shape(plan.mesh_shape);
-    let mut b = meshslice_sim::ProgramBuilder::new(&mesh);
+    let mut b = meshslice_sim::ProgramBuilder::spmd(&mesh);
     let mut prev: Vec<meshslice_sim::OpId> = Vec::new();
     let mut prev2: Vec<meshslice_sim::OpId> = Vec::new();
     for layer in &plan.layers {

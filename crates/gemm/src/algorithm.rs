@@ -119,8 +119,8 @@ pub trait DistributedGemm {
         b: &ShardGrid,
     ) -> Result<ShardGrid, GemmError> {
         self.check_layout(mesh, problem, a, b)?;
-        self.plan(mesh, problem, FUNCTIONAL_ELEM_BYTES)?
-            .interpret(a, b)
+        let plan = self.plan(mesh, problem, FUNCTIONAL_ELEM_BYTES)?;
+        Ok(plan.interpret(a, b))
     }
 
     /// Builds the timing-simulation task DAG: the plan's [`Program`]

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use meshslice_mesh::MeshError;
-use meshslice_sim::CycleError;
 
 /// Why an algorithm cannot run a given problem on a given mesh.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,12 +36,6 @@ pub enum GemmError {
         /// The dimensions the layout requires, `(rows, cols)`.
         expected: (usize, usize),
     },
-    /// A plan's lowered program has a dependency cycle (a plan-IR
-    /// construction bug; programs built through [`ProgramBuilder`] cannot
-    /// cycle).
-    ///
-    /// [`ProgramBuilder`]: meshslice_sim::ProgramBuilder
-    CyclicProgram(CycleError),
     /// The mesh shape, view, or coordinate itself is invalid.
     Mesh(MeshError),
 }
@@ -70,7 +63,6 @@ impl fmt::Display for GemmError {
                     found.0, found.1, expected.0, expected.1
                 )
             }
-            GemmError::CyclicProgram(cycle) => write!(f, "invalid plan: {cycle}"),
             GemmError::Mesh(err) => write!(f, "invalid mesh: {err}"),
         }
     }
@@ -79,12 +71,6 @@ impl fmt::Display for GemmError {
 impl From<MeshError> for GemmError {
     fn from(err: MeshError) -> Self {
         GemmError::Mesh(err)
-    }
-}
-
-impl From<CycleError> for GemmError {
-    fn from(cycle: CycleError) -> Self {
-        GemmError::CyclicProgram(cycle)
     }
 }
 

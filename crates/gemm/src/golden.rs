@@ -12,7 +12,7 @@
 //!    executor, which in turn matches dense GeMM.
 
 use meshslice_mesh::Torus2d;
-use meshslice_sim::{Engine, Program, SimConfig};
+use meshslice_sim::{Engine, Program, ProgramBuilder, SimConfig};
 use meshslice_tensor::shard::{partition_cols, partition_rows, ShardGrid};
 use meshslice_tensor::{GemmShape, Matrix};
 
@@ -70,7 +70,7 @@ fn golden_with_dense(
         algo.name()
     );
 
-    let got = plan.interpret(a, b).unwrap().assemble();
+    let got = plan.interpret(a, b).assemble();
     let want = ref_c.assemble();
     assert!(
         got.approx_eq(&want, 1e-3),
@@ -305,6 +305,30 @@ fn template_expansion_golden() {
                 template_expands_to_plan(algo.as_ref(), &mesh, problem);
             }
         }
+        for s in [1, 2, 4] {
+            let (mut full, mut spmd) = (ProgramBuilder::new(&mesh), ProgramBuilder::spmd(&mesh));
+            chain_passes(&mut full, MeshSlice::new(s, 1), shape);
+            chain_passes(&mut spmd, MeshSlice::new(s, 1), shape);
+            let (full, spmd) = (full.build(), spmd.build());
+            assert_eq!(spmd.len(), full.len(), "chained S={s} on {rows}x{cols}");
+            assert!(
+                spmd.ops() == full.ops(),
+                "chained S={s} on {rows}x{cols}: template expansion differs"
+            );
+        }
+    }
+}
+
+/// Three MeshSlice passes, one per dataflow, chained as a fused training
+/// block chains them: each pass's GeMMs wait on the previous pass's, and
+/// its slicing and communication on the pass before that.
+fn chain_passes(b: &mut ProgramBuilder, algo: MeshSlice, shape: GemmShape) {
+    let (mut prev, mut prev2) = (Vec::new(), Vec::new());
+    for df in Dataflow::ALL {
+        let gemms = algo
+            .schedule_chained(b, GemmProblem::new(shape, df), EB, &prev, &prev2)
+            .expect("legal chained pass");
+        prev2 = std::mem::replace(&mut prev, gemms);
     }
 }
 

@@ -135,17 +135,18 @@ impl DistributedGemm for MeshSlice {
 
 impl MeshSlice {
     /// Appends this pass's schedule into an existing builder, returning
-    /// the last partial-GeMM op of every chip.
+    /// the last partial-GeMM op of every chip the builder emits (chip 0
+    /// alone in an SPMD builder, see [`ProgramBuilder::emitted_chips`]).
     ///
-    /// `prev_gemms` (empty, or one entry per chip) are compute-order
-    /// predecessors: every GeMM of this pass runs after them, modeling the
-    /// data flow between consecutive training passes. `prefetch_after`
-    /// (empty, or one entry per chip) bounds how early this pass's slicing
-    /// and communication may start — pass `p − 2`'s GeMMs for classic
-    /// double buffering, so pass `p`'s communication overlaps pass
-    /// `p − 1`'s compute without crowding earlier passes. This is the
-    /// building block of fused multi-pass schedules (see the
-    /// `ext_fused_pipeline` ablation).
+    /// `prev_gemms` (empty, or one entry per emitted chip) are
+    /// compute-order predecessors: every GeMM of this pass runs after
+    /// them, modeling the data flow between consecutive training passes.
+    /// `prefetch_after` (empty, or one entry per emitted chip) bounds how
+    /// early this pass's slicing and communication may start — pass
+    /// `p − 2`'s GeMMs for classic double buffering, so pass `p`'s
+    /// communication overlaps pass `p − 1`'s compute without crowding
+    /// earlier passes. This is the building block of fused multi-pass
+    /// schedules (see the `ext_fused_pipeline` ablation).
     ///
     /// The data annotations produced along the way are discarded: a fused
     /// schedule's inputs flow between passes, which the plan IR does not
@@ -159,7 +160,7 @@ impl MeshSlice {
     /// # Panics
     ///
     /// Panics if `prev_gemms` or `prefetch_after` is neither empty nor one
-    /// entry per chip.
+    /// entry per emitted chip.
     pub fn schedule_chained(
         &self,
         b: &mut ProgramBuilder,
@@ -187,13 +188,14 @@ impl MeshSlice {
         let mesh = pb.mesh().clone();
         let mesh = &mesh;
         self.check(mesh, problem)?;
+        let emitted = pb.sim().emitted_chips();
         assert!(
-            prev_gemms.is_empty() || prev_gemms.len() == mesh.num_chips(),
-            "prev_gemms must be empty or one op per chip"
+            prev_gemms.is_empty() || prev_gemms.len() == emitted,
+            "prev_gemms must be empty or one op per emitted chip"
         );
         assert!(
-            prefetch_after.is_empty() || prefetch_after.len() == mesh.num_chips(),
-            "prefetch_after must be empty or one op per chip"
+            prefetch_after.is_empty() || prefetch_after.len() == emitted,
+            "prefetch_after must be empty or one op per emitted chip"
         );
         let prefetch_dep = |chip: meshslice_mesh::ChipId| -> Vec<OpId> {
             prefetch_after
@@ -215,7 +217,7 @@ impl MeshSlice {
         let slicing = self.slice_count > 1;
         // Per-chip compute-order chain, seeded with the previous pass.
         let mut last_gemm: Vec<Option<OpId>> = if prev_gemms.is_empty() {
-            vec![None; mesh.num_chips()]
+            vec![None; emitted]
         } else {
             prev_gemms.iter().copied().map(Some).collect()
         };

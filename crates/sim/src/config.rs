@@ -155,11 +155,6 @@ impl SimConfig {
             + shape.b_bytes(self.elem_bytes)
             + 2 * shape.c_bytes(self.elem_bytes)
     }
-
-    /// Seconds to move `bytes` over one ICI link direction, uncontended.
-    pub fn link_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs(bytes as f64 / self.link_bandwidth)
-    }
 }
 
 impl Default for SimConfig {
@@ -217,12 +212,5 @@ mod tests {
         let cfg = SimConfig::tpu_v4_real_hw();
         assert!(!cfg.overlap_collectives);
         assert!(cfg.link_bandwidth < SimConfig::tpu_v4().link_bandwidth);
-    }
-
-    #[test]
-    fn link_time_is_bytes_over_bandwidth() {
-        let cfg = SimConfig::tpu_v4();
-        let t = cfg.link_time(65_000_000_000);
-        assert!((t.as_secs() - 1.0).abs() < 1e-9);
     }
 }

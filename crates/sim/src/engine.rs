@@ -41,8 +41,8 @@ pub struct Engine {
     config: SimConfig,
 }
 
-/// A [`Program`] validated and lowered against one engine's mesh and
-/// timing model, ready to be executed any number of times.
+/// A [`Program`] lowered against one engine's mesh and timing model,
+/// ready to be executed any number of times.
 ///
 /// Lowering depends on the mesh and the non-fault fields of [`SimConfig`]
 /// but **not** on [`SimConfig::faults`] — variability is applied at run
@@ -50,11 +50,12 @@ pub struct Engine {
 /// differ only in their fault profile (the robust-tuning hot path), and
 /// across threads (`LoweredProgram` is `Send + Sync`).
 ///
-/// When the program is SPMD on a physical torus, it also holds a
-/// *symmetry quotient*: chip 0's node graph alone. Fault-free,
-/// failure-free runs observed by `()` execute that one chip, counting
-/// each busy-time addition once per chip, bit-identical to the full
-/// graph. Other runs use the full graph, lowered on first use and kept.
+/// When the program was built from an SPMD template and runs on a
+/// physical torus, it also holds a *symmetry quotient*: chip 0's node
+/// graph alone. Fault-free, failure-free runs observed by `()` execute
+/// that one chip, counting each busy-time addition once per chip,
+/// bit-identical to the full graph. Other runs use the full graph,
+/// lowered on first use and kept.
 ///
 /// Produced by [`Engine::lower_program`]; consumed by
 /// [`Engine::run_lowered_with_scratch`] and [`Engine::run_observed`].
@@ -65,7 +66,7 @@ pub struct LoweredProgram {
     pub(crate) program: Program,
     /// The mesh and timing model the graphs are lowered for.
     lowering: Engine,
-    /// Chip 0's graph, when the program is translation-invariant.
+    /// Chip 0's graph, when the program has an SPMD template.
     representative: Option<Executable>,
     /// The whole cluster's graph: lowered up front when there is no
     /// representative, otherwise by the first run that needs it.
@@ -562,35 +563,24 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the program deadlocks (a dependency cycle), which would
-    /// indicate a bug in the schedule builder.
+    /// Panics if the program deadlocks (its rings wait on each other),
+    /// which would indicate a bug in the schedule builder.
     pub fn run(&self, program: &Program) -> SimReport {
         self.run_lowered_with_scratch(&self.lower_program(program), &mut RunScratch::new())
     }
 
-    /// Validates and lowers a program once, for repeated execution via
+    /// Lowers a program once, for repeated execution via
     /// [`run_lowered_with_scratch`](Self::run_lowered_with_scratch) /
     /// [`run_observed`](Self::run_observed).
     ///
     /// The lowered form does not depend on [`SimConfig::faults`], so it can
     /// be reused across engines that differ only in their fault profile.
-    /// A translation-invariant program lowers only chip 0 here (see
-    /// [`LoweredProgram`]), straight from its template when it has one;
-    /// its full graph waits for the first run that needs it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has a dependency cycle.
+    /// A program built from an SPMD template lowers only chip 0 here,
+    /// straight from the template (see [`LoweredProgram`]); its full graph
+    /// waits for the first run that needs it.
     pub fn lower_program(&self, program: &Program) -> LoweredProgram {
-        // Builder programs, templates included, are ordered; the check
-        // matters for programs assembled by other means.
-        if program.template().is_none() {
-            if let Err(cycle) = program.validate_acyclic() {
-                panic!("invalid program: {cycle}");
-            }
-        }
         let representative = quotient::representative(&self.mesh, &self.config, program)
-            .map(|rep| Executable::new(lower(&self.mesh, &self.config, &rep, false), 1));
+            .map(|rep| Executable::new(lower(&self.mesh, &self.config, rep, false), 1));
         let full = match representative {
             Some(_) => OnceLock::new(),
             None => OnceLock::from(Executable::new(
@@ -1768,11 +1758,13 @@ mod tests {
         let window = 0.05;
         let floor = 0.1;
         let start = baseline.makespan().as_secs() / 2.0;
-        let outage_cfg = cfg().with_faults(crate::ClusterProfile::ideal(1).with_outage(
+        let mut profile = crate::ClusterProfile::ideal(1);
+        profile.add_outage(
             0,
             LinkDir::RowPlus,
             crate::LinkOutage::new(start, start + window, floor),
-        ));
+        );
+        let outage_cfg = cfg().with_faults(profile);
         let outage = Engine::new(mesh, outage_cfg).run(&build());
         let expect = baseline.makespan().as_secs() + window * (1.0 - floor);
         assert!(
@@ -1792,11 +1784,13 @@ mod tests {
         };
         let baseline = Engine::new(mesh.clone(), cfg()).run(&build());
         let late = baseline.makespan().as_secs() + 1.0;
-        let outage_cfg = cfg().with_faults(crate::ClusterProfile::ideal(1).with_outage(
+        let mut profile = crate::ClusterProfile::ideal(1);
+        profile.add_outage(
             0,
             LinkDir::RowPlus,
             crate::LinkOutage::new(late, late + 0.1, 0.1),
-        ));
+        );
+        let outage_cfg = cfg().with_faults(profile);
         let unaffected = Engine::new(mesh, outage_cfg).run(&build());
         assert_eq!(baseline.makespan(), unaffected.makespan());
     }
@@ -2008,12 +2002,12 @@ mod tests {
         assert_eq!(r1.totals().comm_transfer, r2.totals().comm_transfer);
     }
 
-    /// A 2x2 ring program whose chips depend on each other through an
+    /// An SPMD ring program whose chips depend on each other through an
     /// all-gather, so killing a chip stalls the survivors.
     fn ring_program(mesh: &Torus2d) -> Program {
-        let mut b = ProgramBuilder::new(mesh);
+        let mut b = ProgramBuilder::spmd(mesh);
         let tag = b.next_tag();
-        for chip in mesh.chips() {
+        for chip in b.chips() {
             let ag = b.all_gather(chip, tag, CommAxis::InterRow, 1 << 20, &[]);
             b.gemm(chip, GemmShape::new(1024, 1024, 1024), &[ag]);
         }

@@ -64,7 +64,7 @@ pub use observe::{
 };
 pub use perturb::{ClusterProfile, LinkOutage};
 pub use pod::{PlaneAssignment, PodProfile};
-pub use program::{CollectiveKind, CycleError, OpId, OpKind, Program, ProgramBuilder};
+pub use program::{CollectiveKind, OpId, OpKind, Program, ProgramBuilder};
 pub use report::{SimReport, TimeBreakdown};
 pub use time::{Duration, Time};
 

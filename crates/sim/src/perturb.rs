@@ -182,12 +182,6 @@ impl ClusterProfile {
         windows.sort_by(|a, b| a.start.total_cmp(&b.start));
     }
 
-    /// Builder-style [`add_outage`](Self::add_outage).
-    pub fn with_outage(mut self, chip: usize, dir: LinkDir, outage: LinkOutage) -> Self {
-        self.add_outage(chip, dir, outage);
-        self
-    }
-
     /// Chip `chip`'s compute-time multiplier.
     pub fn compute_slowdown(&self, chip: usize) -> f64 {
         self.compute_slowdown[chip]
@@ -256,19 +250,15 @@ mod tests {
         assert!(!slow.is_ideal());
         let weak = ClusterProfile::ideal(2).with_link_multiplier(1, LinkDir::RowMinus, 0.5);
         assert!(!weak.is_ideal());
-        let out = ClusterProfile::ideal(2).with_outage(
-            0,
-            LinkDir::ColPlus,
-            LinkOutage::new(0.0, 1.0, 0.5),
-        );
+        let mut out = ClusterProfile::ideal(2);
+        out.add_outage(0, LinkDir::ColPlus, LinkOutage::new(0.0, 1.0, 0.5));
         assert!(!out.is_ideal());
     }
 
     #[test]
     fn outage_floor_applies_inside_the_window_only() {
-        let p = ClusterProfile::ideal(1)
-            .with_link_multiplier(0, LinkDir::RowPlus, 0.8)
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 2.0, 0.25));
+        let mut p = ClusterProfile::ideal(1).with_link_multiplier(0, LinkDir::RowPlus, 0.8);
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 2.0, 0.25));
         let d = LinkDir::RowPlus;
         assert_eq!(p.link_multiplier_at(0, d, 0.5), 0.8);
         assert_eq!(p.link_multiplier_at(0, d, 1.0), 0.8 * 0.25); // inclusive start
@@ -278,18 +268,18 @@ mod tests {
 
     #[test]
     fn edge_times_merge_all_directions() {
-        let p = ClusterProfile::ideal(1)
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 3.0, 0.5))
-            .with_outage(0, LinkDir::ColMinus, LinkOutage::new(2.0, 3.0, 0.5));
+        let mut p = ClusterProfile::ideal(1);
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 3.0, 0.5));
+        p.add_outage(0, LinkDir::ColMinus, LinkOutage::new(2.0, 3.0, 0.5));
         assert_eq!(p.edge_times(0), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "overlaps")]
     fn overlapping_outages_panic() {
-        ClusterProfile::ideal(1)
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 3.0, 0.5))
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(2.0, 4.0, 0.5));
+        let mut p = ClusterProfile::ideal(1);
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 3.0, 0.5));
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(2.0, 4.0, 0.5));
     }
 
     #[test]
@@ -300,9 +290,9 @@ mod tests {
 
     #[test]
     fn abutting_outages_are_allowed() {
-        let p = ClusterProfile::ideal(1)
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(2.0, 3.0, 0.5))
-            .with_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 2.0, 0.25));
+        let mut p = ClusterProfile::ideal(1);
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(2.0, 3.0, 0.5));
+        p.add_outage(0, LinkDir::RowPlus, LinkOutage::new(1.0, 2.0, 0.25));
         // Sorted by start despite reversed insertion.
         let windows = p.outages(0, LinkDir::RowPlus);
         assert_eq!(windows[0].start, 1.0);

@@ -19,8 +19,6 @@
 //! arithmetic, without building the op list.
 
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use meshslice_mesh::{ChipId, CommAxis, LinkDir, Torus2d};
@@ -95,53 +93,6 @@ pub enum OpKind {
         bytes: u64,
     },
 }
-
-/// A dependency cycle found by [`Program::validate_acyclic`].
-///
-/// Names one op caught in the cycle (its id, chip, and kind) plus a short
-/// excerpt of the cycle itself so the offending dependency chain can be
-/// read straight out of the error message.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CycleError {
-    /// An op that participates in the cycle.
-    pub op: OpId,
-    /// The chip that op runs on.
-    pub chip: ChipId,
-    /// What the op does.
-    pub kind: OpKind,
-    /// Up to [`CycleError::EXCERPT_LEN`] consecutive ops of the cycle,
-    /// starting at `op`; each waits on the next.
-    pub excerpt: Vec<OpId>,
-}
-
-impl CycleError {
-    /// Maximum number of cycle members reported in [`CycleError::excerpt`].
-    pub const EXCERPT_LEN: usize = 8;
-}
-
-impl fmt::Display for CycleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dependency cycle through op {} ({:?} on chip {}): ",
-            self.op.index(),
-            self.kind,
-            self.chip.index()
-        )?;
-        for (i, op) in self.excerpt.iter().enumerate() {
-            if i > 0 {
-                write!(f, " -> ")?;
-            }
-            write!(f, "{}", op.index())?;
-        }
-        if self.excerpt.len() == Self::EXCERPT_LEN {
-            write!(f, " -> ...")?;
-        }
-        Ok(())
-    }
-}
-
-impl Error for CycleError {}
 
 /// An operation: its chip, kind, and dependencies.
 #[derive(Clone, Debug, PartialEq)]
@@ -295,101 +246,6 @@ impl Program {
         self.len() == 0
     }
 
-    /// Checks that the op dependency graph is acyclic and returns a valid
-    /// topological order of op indices.
-    ///
-    /// Programs built with [`ProgramBuilder`] are ordered: every
-    /// dependency points to an earlier op. For them the check is one pass
-    /// over the dependencies and the order is the identity. Other programs
-    /// (constructed or transformed by other means) fall back to Kahn's
-    /// algorithm, which also yields a clearer error than the engine's
-    /// deadlock panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CycleError`] naming an op that participates in a cycle,
-    /// its chip and kind, and a short excerpt of the cycle.
-    pub fn validate_acyclic(&self) -> Result<Vec<usize>, CycleError> {
-        let n = self.len();
-        // A template comes from a builder, and so does its expansion.
-        let ordered = self.template().is_some()
-            || self
-                .ops()
-                .iter()
-                .enumerate()
-                .all(|(i, op)| op.deps.iter().all(|d| d.0 < i));
-        if ordered {
-            return Ok((0..n).collect());
-        }
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, op) in self.ops().iter().enumerate() {
-            indegree[i] = op.deps.len();
-            for d in &op.deps {
-                dependents[d.0].push(i);
-            }
-        }
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        while let Some(i) = ready.pop() {
-            order.push(i);
-            for &d in &dependents[i] {
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        if order.len() == n {
-            Ok(order)
-        } else {
-            Err(self.cycle_error(&indegree))
-        }
-    }
-
-    /// Builds the [`CycleError`] for a failed topological sort.
-    ///
-    /// `indegree` holds each op's count of unsatisfied dependencies after
-    /// Kahn's algorithm got stuck; ops with a positive count form the
-    /// cyclic core (plus anything downstream of it). Following any
-    /// still-pending dependency from such an op must eventually revisit an
-    /// op, which yields a genuine cycle to excerpt.
-    fn cycle_error(&self, indegree: &[usize]) -> CycleError {
-        let ops = self.ops();
-        let start = (0..ops.len())
-            .find(|&i| indegree[i] > 0)
-            .expect("a cyclic op exists");
-        // Walk pending deps until an op repeats; the repeat closes a cycle.
-        let mut seen_at: HashMap<usize, usize> = HashMap::new();
-        let mut walk: Vec<usize> = Vec::new();
-        let mut at = start;
-        let cycle_head = loop {
-            if let Some(&pos) = seen_at.get(&at) {
-                break pos;
-            }
-            seen_at.insert(at, walk.len());
-            walk.push(at);
-            at = ops[at]
-                .deps
-                .iter()
-                .map(|d| d.0)
-                .find(|&d| indegree[d] > 0)
-                .expect("a stuck op has a stuck dependency");
-        };
-        let cycle: Vec<usize> = walk[cycle_head..].to_vec();
-        let op = OpId(cycle[0]);
-        CycleError {
-            op,
-            chip: ops[op.0].chip,
-            kind: ops[op.0].kind.clone(),
-            excerpt: cycle
-                .into_iter()
-                .take(CycleError::EXCERPT_LEN)
-                .map(OpId)
-                .collect(),
-        }
-    }
-
     /// Total FLOPs of all GeMM ops (for utilization accounting).
     pub fn total_flops(&self) -> u64 {
         if let Some(spmd) = &self.inner.spmd {
@@ -488,17 +344,22 @@ impl ProgramBuilder {
         &self.mesh
     }
 
-    /// Starts one per-chip emission loop: every chip of the mesh in
-    /// order, or chip 0 alone in an [`spmd`](Self::spmd) builder.
-    pub fn chips(&mut self) -> impl Iterator<Item = ChipId> {
-        let chips = match &mut self.loops {
-            Some(loops) => {
-                loops.push(self.ops.len());
-                1
-            }
+    /// How many chips each [`chips`](Self::chips) loop emits: every chip
+    /// of the mesh, or chip 0 alone in an [`spmd`](Self::spmd) builder.
+    pub fn emitted_chips(&self) -> usize {
+        match self.loops {
+            Some(_) => 1,
             None => self.mesh.num_chips(),
-        };
-        (0..chips).map(ChipId)
+        }
+    }
+
+    /// Starts one per-chip emission loop: chips `0..emitted_chips()` in
+    /// order.
+    pub fn chips(&mut self) -> impl Iterator<Item = ChipId> {
+        if let Some(loops) = &mut self.loops {
+            loops.push(self.ops.len());
+        }
+        (0..self.emitted_chips()).map(ChipId)
     }
 
     /// Returns a fresh collective tag, unique within this builder.
@@ -668,8 +529,8 @@ impl ProgramBuilder {
     ///
     /// The result is ordered: the builder accepts only dependencies on
     /// ops that already exist, so every dependency points to an earlier op
-    /// and op order is a topological order (which
-    /// [`Program::validate_acyclic`] and the lowering rely on).
+    /// and op order is a topological order. That is the one acyclicity
+    /// guarantee a program has; the lowering and the engine rely on it.
     ///
     /// # Panics
     ///
@@ -856,95 +717,14 @@ mod tests {
     #[test]
     fn builder_programs_are_acyclic() {
         let mesh = Torus2d::new(2, 2);
-        let mut b = ProgramBuilder::new(&mesh);
-        let tag = b.next_tag();
-        for chip in mesh.chips() {
-            let ag = b.all_gather(chip, tag, CommAxis::InterRow, 64, &[]);
-            b.gemm(chip, GemmShape::new(2, 2, 2), &[ag]);
-        }
-        let p = b.build();
-        let order = p.validate_acyclic().expect("builder output is acyclic");
-        assert_eq!(order.len(), p.len());
-        // Every op appears after its dependencies.
-        let pos: std::collections::HashMap<usize, usize> =
-            order.iter().enumerate().map(|(i, &op)| (op, i)).collect();
-        for (i, op) in p.ops().iter().enumerate() {
-            for d in &op.deps {
-                assert!(pos[&d.index()] < pos[&i]);
+        for mut b in [ProgramBuilder::new(&mesh), ProgramBuilder::spmd(&mesh)] {
+            three_loops(&mut b);
+            let p = b.build();
+            // Every dependency points to an earlier op.
+            for (i, op) in p.ops().iter().enumerate() {
+                assert!(op.deps.iter().all(|d| d.index() < i), "op {i}");
             }
         }
-    }
-
-    #[test]
-    fn hand_built_cycles_are_detected() {
-        // Construct a cyclic program directly (the builder forbids this).
-        let p = Program::from_ops(vec![
-            Op {
-                chip: ChipId(0),
-                kind: OpKind::SliceCopy { bytes: 1 },
-                deps: vec![OpId(1)],
-            },
-            Op {
-                chip: ChipId(3),
-                kind: OpKind::Gemm {
-                    shape: GemmShape::new(1, 1, 1),
-                },
-                deps: vec![OpId(0)],
-            },
-        ]);
-        let err = p.validate_acyclic().unwrap_err();
-        assert_eq!(err.op, OpId(0));
-        assert_eq!(err.chip, ChipId(0));
-        assert_eq!(err.kind, OpKind::SliceCopy { bytes: 1 });
-        assert_eq!(err.excerpt, vec![OpId(0), OpId(1)]);
-        let msg = err.to_string();
-        assert!(msg.contains("cycle through op 0"), "message: {msg}");
-        assert!(msg.contains("chip 0"), "message: {msg}");
-        assert!(msg.contains("0 -> 1"), "message: {msg}");
-    }
-
-    #[test]
-    fn out_of_order_programs_fall_back_to_a_topological_sort() {
-        // Op 0 waits on op 1: acyclic, but not in builder order.
-        let p = Program::from_ops(vec![
-            Op {
-                chip: ChipId(0),
-                kind: OpKind::SliceCopy { bytes: 1 },
-                deps: vec![OpId(1)],
-            },
-            Op {
-                chip: ChipId(0),
-                kind: OpKind::SliceCopy { bytes: 2 },
-                deps: vec![],
-            },
-        ]);
-        assert_eq!(p.validate_acyclic(), Ok(vec![1, 0]));
-    }
-
-    #[test]
-    fn cycle_error_names_a_true_cycle_member() {
-        // Op 0 is stuck only because it waits on the 1 <-> 2 cycle; the
-        // error must point into the cycle itself, not at op 0.
-        let p = Program::from_ops(vec![
-            Op {
-                chip: ChipId(0),
-                kind: OpKind::SliceCopy { bytes: 1 },
-                deps: vec![OpId(1)],
-            },
-            Op {
-                chip: ChipId(1),
-                kind: OpKind::SliceCopy { bytes: 2 },
-                deps: vec![OpId(2)],
-            },
-            Op {
-                chip: ChipId(2),
-                kind: OpKind::SliceCopy { bytes: 3 },
-                deps: vec![OpId(1)],
-            },
-        ]);
-        let err = p.validate_acyclic().unwrap_err();
-        assert!(err.op == OpId(1) || err.op == OpId(2));
-        assert_eq!(err.excerpt.len(), 2);
     }
 
     #[test]
@@ -997,7 +777,6 @@ mod tests {
             });
             assert_eq!(walked, full.ops());
             assert_eq!(spmd.ops(), full.ops());
-            assert_eq!(spmd.validate_acyclic(), full.validate_acyclic());
         }
     }
 

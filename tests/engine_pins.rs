@@ -1,7 +1,9 @@
-//! Absolute bit pins of faulted full-graph engine runs.
+//! Absolute bit pins of engine runs.
 //!
-//! Fault draws, failures and a shared fabric all break the translation
-//! symmetry, so these runs execute the whole node graph. Each case pins
+//! Most cases are faulted full-graph runs: fault draws, failures and a
+//! shared fabric all break the translation symmetry, so these runs
+//! execute the whole node graph. The fused training blocks run fault
+//! free, through the symmetry quotient. Each case pins
 //! the f64 bits of the makespan, the five `TimeBreakdown` buckets and the
 //! overlapped communication, or every `AbortInfo` field of a run a chip
 //! failure interrupts. The values were recorded before the event loop's
@@ -11,6 +13,8 @@
 //! On a mismatch the failure message prints the whole observed table in
 //! source form.
 
+use meshslice::llm::{LlmConfig, TrainingSetup};
+use meshslice::training::simulate_fused_block;
 use meshslice::{
     Collective, Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshSlice, SimConfig,
     Summa,
@@ -302,4 +306,39 @@ fn many_sync_delays_match_their_pins() {
 const MANY_DELAYS_PINS: &[(&str, Pin)] = &[
     ("4x4 many_delays robust", Done([0x3f37f8fa90521f6d, 0x3f452cdf3bf8cc65, 0x0000000000000000, 0x3f4f75104d551d7d, 0x3f5badaa4d940318, 0x3f68595cec2b2453, 0x0000000000000000])),
     ("4x4 many_delays outage", Done([0x3f3a0e81cb5ce2ea, 0x3f43e5bfffebb834, 0x0000000000000000, 0x3f4f75104d551d7d, 0x3f5badaa4d940319, 0x3f6814a8a9a53d5c, 0x0000000000000000])),
+];
+
+/// One block's twelve FC passes fused into one MeshSlice program
+/// (`simulate_fused_block`), under the weak-scaling setup: the tiny model
+/// on 8 chips and GPT-3 on 16.
+#[test]
+fn fused_blocks_match_their_pins() {
+    let cfg = SimConfig::tpu_v4();
+    let got: Vec<(String, Pin)> = [(LlmConfig::tiny(), 8), (LlmConfig::gpt3(), 16)]
+        .into_iter()
+        .map(|(model, chips)| {
+            let setup = TrainingSetup::weak_scaling(chips);
+            let fused = simulate_fused_block(&model, setup, chips, &cfg).expect("tunable block");
+            (
+                format!("{} {chips} fused_block", model.name),
+                done(&fused.report),
+            )
+        })
+        .collect();
+    let want: Vec<(String, Pin)> = FUSED_BLOCK_PINS
+        .iter()
+        .map(|(n, p)| (n.to_string(), *p))
+        .collect();
+    assert!(
+        got == want,
+        "fused-block pins changed; observed:\n{}",
+        source_form(&got)
+    );
+}
+
+/// Recorded on the op-by-op fused build, before it moved to a template.
+#[rustfmt::skip]
+const FUSED_BLOCK_PINS: &[(&str, Pin)] = &[
+    ("tiny 8 fused_block", Done([0x3f2ac3ca26ce22a2, 0x3f34d0d72b18f424, 0x0000000000000000, 0x3f4f75104d551d7d, 0x3f5a0bd9cfd8007e, 0x3f50413a86f96cc6, 0x3f15a93ef697ca70])),
+    ("GPT-3 16 fused_block", Done([0x3faa7a1a1544c010, 0x3fe94dde08ce8b66, 0x3fa01787f4024f96, 0x3fa3a92a30553240, 0x3fc0d253d60621fb, 0x3fe7315cdfcdfb66, 0x3fe6e419055c835d])),
 ];

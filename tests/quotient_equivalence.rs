@@ -134,6 +134,25 @@ fn a_shared_fabric_runs_the_full_graph() {
     assert!(!quotient_matches_full(&fabric, &program, "fabric"));
 }
 
+/// Symmetry comes only from the SPMD template: the same MeshSlice
+/// program recorded op by op runs the full graph, and reports the
+/// template's numbers bit for bit.
+#[test]
+fn an_op_by_op_build_runs_the_full_graph() {
+    let mesh = Torus2d::new(4, 4);
+    let engine = tpu(&mesh);
+    let algo = MeshSlice::new(2, 1);
+    for df in Dataflow::ALL {
+        let problem = GemmProblem::new(GemmShape::new(256, 256, 256), df);
+        let template = algo.schedule(&mesh, problem, EB).unwrap();
+        let op_by_op = algo.plan(&mesh, problem, EB).unwrap().into_program();
+        let what = format!("{df:?}");
+        assert!(quotient_matches_full(&engine, &template, &what), "{what}");
+        assert!(!quotient_matches_full(&engine, &op_by_op, &what), "{what}");
+        assert_eq!(engine.run(&op_by_op), engine.run(&template), "{what}");
+    }
+}
+
 /// MeshSlice on one `rows x cols` mesh: the quotient applies whenever
 /// there is more than one chip and matches the full graph.
 fn meshslice_matches(
