@@ -17,7 +17,7 @@ pub const STRONG_SCALING_CHIPS: [usize; 3] = [16, 64, 256];
 
 /// The cluster size of the single-point studies (Figures 10, 11, 13;
 /// Table 2).
-pub const LARGE_CLUSTER: usize = 256;
+pub(crate) const LARGE_CLUSTER: usize = 256;
 
 /// The two target models of the evaluation.
 pub fn models() -> Vec<LlmConfig> {

@@ -374,29 +374,8 @@ impl fmt::Display for UsageError {
 
 impl Error for UsageError {}
 
-/// Every subcommand the CLI dispatches on, in the order [`USAGE`] lists
-/// them. The help-coverage test asserts each one is both parseable and
-/// documented, so this list cannot drift from [`parse`].
-pub const SUBCOMMANDS: [&str; 15] = [
-    "autotune",
-    "compare",
-    "sweep-mesh",
-    "sweep-slice",
-    "plan3d",
-    "memory",
-    "inference",
-    "serve",
-    "faults",
-    "resilience",
-    "trace",
-    "metrics",
-    "traffic",
-    "mesh",
-    "help",
-];
-
 /// The usage text printed by `help` and on parse errors.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 meshslice — 2D tensor parallelism autotuner & cluster simulator
 
 USAGE:
@@ -2005,6 +1984,27 @@ pub fn chrome_trace_json_sorted(program: &Program, spans: &[NodeSpan]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every subcommand the CLI dispatches on, in the order `USAGE` lists
+    /// them. The help-coverage test asserts each one is both parseable and
+    /// documented, so this list cannot drift from `parse`.
+    const SUBCOMMANDS: [&str; 15] = [
+        "autotune",
+        "compare",
+        "sweep-mesh",
+        "sweep-slice",
+        "plan3d",
+        "memory",
+        "inference",
+        "serve",
+        "faults",
+        "resilience",
+        "trace",
+        "metrics",
+        "traffic",
+        "mesh",
+        "help",
+    ];
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

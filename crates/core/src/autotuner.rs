@@ -335,7 +335,7 @@ impl Autotuner {
 
     /// Like [`tune`](Self::tune), but forcing one Table-1 row for every
     /// layer (the "not optimized" Y-stationary configuration of Table 2).
-    pub fn tune_forced(
+    pub(crate) fn tune_forced(
         &self,
         model: &LlmConfig,
         setup: TrainingSetup,

@@ -32,7 +32,7 @@ use crate::memory::training_footprint;
 /// durable storage); 25 GB/s per chip is a PCIe-4.0-x16-class figure, far
 /// below the ~1.2 TB/s HBM stream rate, so the host link is the
 /// bottleneck the model charges.
-pub const DEFAULT_CHECKPOINT_BANDWIDTH: f64 = 25e9;
+pub(crate) const DEFAULT_CHECKPOINT_BANDWIDTH: f64 = 25e9;
 
 /// Per-run checkpoint/restore cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,7 +45,7 @@ pub struct CheckpointModel {
 
 impl CheckpointModel {
     /// Prices checkpoints of `model` trained on `mesh` with slice count
-    /// `s`, at [`DEFAULT_CHECKPOINT_BANDWIDTH`].
+    /// `s`, at the default 25 GB/s per-chip host-link bandwidth.
     ///
     /// Only the durable training state is persisted: bf16 weight shards
     /// plus fp32 optimizer state (master weights + two Adam moments).
@@ -64,8 +64,8 @@ impl CheckpointModel {
         }
     }
 
-    /// Prices checkpoints of `model` *served* on `mesh`, at
-    /// [`DEFAULT_CHECKPOINT_BANDWIDTH`]: only the bf16 weight shards are
+    /// Prices checkpoints of `model` *served* on `mesh`, at the default
+    /// 25 GB/s per-chip host-link bandwidth: only the bf16 weight shards are
     /// persisted — a serving replica has no optimizer state, and the KV
     /// cache is rebuilt by re-running prefill after a failover, not
     /// restored. This is what a replacement replica pulls from a
@@ -76,20 +76,6 @@ impl CheckpointModel {
             bytes_per_chip: footprint.weights,
             bandwidth: DEFAULT_CHECKPOINT_BANDWIDTH,
         }
-    }
-
-    /// Same model at a custom per-chip bandwidth (bytes/second).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bandwidth` is finite and positive.
-    pub fn with_bandwidth(mut self, bandwidth: f64) -> CheckpointModel {
-        assert!(
-            bandwidth.is_finite() && bandwidth > 0.0,
-            "checkpoint bandwidth {bandwidth} must be finite and positive"
-        );
-        self.bandwidth = bandwidth;
-        self
     }
 
     /// Time to write one checkpoint, seconds. All chips write their shards
@@ -235,15 +221,11 @@ mod tests {
     fn bandwidth_scales_write_time() {
         let (m, setup) = model();
         let ckpt = CheckpointModel::for_training(&m, setup, MeshShape::new(8, 8), 8);
-        let fast = ckpt.with_bandwidth(ckpt.bandwidth * 2.0);
+        let fast = CheckpointModel {
+            bandwidth: ckpt.bandwidth * 2.0,
+            ..ckpt
+        };
         assert!((fast.write_secs() - ckpt.write_secs() / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite and positive")]
-    fn zero_bandwidth_panics() {
-        let (m, setup) = model();
-        CheckpointModel::for_training(&m, setup, MeshShape::new(8, 8), 8).with_bandwidth(0.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics if the kernel does not fit the padded input.
-    pub fn output_extent(&self, input: usize) -> usize {
+    pub(crate) fn output_extent(&self, input: usize) -> usize {
         let padded = input + 2 * self.padding;
         assert!(
             padded >= self.kernel,
@@ -69,13 +69,6 @@ impl Conv2d {
             self.out_channels,
             self.in_channels * self.kernel * self.kernel,
         )
-    }
-
-    /// Bytes of the im2col-expanded input (the `A` matrix), which is
-    /// `kernel²/stride²` times larger than the raw activation — the
-    /// classic im2col memory cost.
-    pub fn im2col_bytes(&self, batch: usize, height: usize, width: usize, elem: usize) -> u64 {
-        self.as_gemm(batch, height, width).a_bytes(elem)
     }
 }
 
@@ -122,9 +115,11 @@ mod tests {
 
     #[test]
     fn im2col_inflates_input_by_kernel_area() {
+        // The im2col-expanded input (the `A` matrix) is kernel²/stride²
+        // times the raw activation.
         let c = Conv2d::same(64, 64, 3);
         let raw = (32 * 56 * 56 * 64 * 2) as u64;
-        assert_eq!(c.im2col_bytes(32, 56, 56, 2), raw * 9);
+        assert_eq!(c.as_gemm(32, 56, 56).a_bytes(2), raw * 9);
     }
 
     #[test]

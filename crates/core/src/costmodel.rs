@@ -98,7 +98,7 @@ impl CostModel {
     }
 
     /// One SendRecv exchange: launch + sync + transfer.
-    pub fn sendrecv_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn sendrecv_time(&self, bytes: u64) -> Duration {
         Duration::from_secs(
             self.cfg.t_launch.as_secs()
                 + self.cfg.t_sync.as_secs()
@@ -109,7 +109,7 @@ impl CostModel {
     /// A SUMMA pipelined broadcast/reduce of `bytes` on a `ring`-chip ring:
     /// `P + D − 2` stages, each paying a synchronization and a packet
     /// transfer (§2.3.3).
-    pub fn pipelined_bcast_time(&self, ring: usize, bytes: u64) -> Duration {
+    pub(crate) fn pipelined_bcast_time(&self, ring: usize, bytes: u64) -> Duration {
         if ring <= 1 {
             return Duration::ZERO;
         }
@@ -131,7 +131,7 @@ impl CostModel {
     }
 
     /// A blocked slicing copy of `bytes` (HBM read + write).
-    pub fn slice_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn slice_time(&self, bytes: u64) -> Duration {
         Duration::from_secs(
             self.cfg.t_kernel_launch.as_secs() + 2.0 * bytes as f64 / self.cfg.hbm_bandwidth,
         )
@@ -229,7 +229,7 @@ impl CostModel {
     }
 
     /// Estimated time of the Collective algorithm (`S = 1`, no slicing).
-    pub fn collective_algo_time(
+    pub(crate) fn collective_algo_time(
         &self,
         mesh: MeshShape,
         problem: GemmProblem,
@@ -252,7 +252,7 @@ impl CostModel {
     /// Estimated time of Wang's algorithm: the larger direction's
     /// collective is decomposed into SendRecv steps overlapped with
     /// `unroll` grouped partial GeMMs; the other direction stays exposed.
-    pub fn wang_time(
+    pub(crate) fn wang_time(
         &self,
         mesh: MeshShape,
         problem: GemmProblem,
@@ -361,7 +361,7 @@ impl CostModel {
     /// prologue plus `P` systolic steps overlapping shifts with GeMMs.
     ///
     /// Returns `None` for non-square meshes or non-OS dataflows.
-    pub fn cannon_time(
+    pub(crate) fn cannon_time(
         &self,
         mesh: MeshShape,
         problem: GemmProblem,
@@ -390,7 +390,7 @@ impl CostModel {
     /// `gathered_bytes` is the matrix each chip must collect (activations
     /// for 1D TP, weights for FSDP), rotated bidirectionally over the two
     /// ring links; `per_arrival` is the partial GeMM per received shard.
-    pub fn one_d_time(
+    pub(crate) fn one_d_time(
         &self,
         n: usize,
         shard_bytes: u64,

@@ -156,11 +156,6 @@ impl LlmConfig {
         }
     }
 
-    /// Per-head dimension `D = H / heads`.
-    pub fn head_dim(&self) -> usize {
-        self.hidden / self.heads
-    }
-
     /// The four FC layers of one transformer block.
     pub fn fc_layers(&self) -> [FcLayer; 4] {
         let h = self.hidden;
@@ -257,7 +252,7 @@ impl LlmConfig {
 
     /// The distinct FC GeMM shapes, deduplicated up to transposition
     /// (`(M, N, K)` ~ `(N, M, K)`) — eight per model, as in Figure 11.
-    pub fn distinct_gemms(&self, setup: TrainingSetup) -> Vec<GemmShape> {
+    pub(crate) fn distinct_gemms(&self, setup: TrainingSetup) -> Vec<GemmShape> {
         let mut seen = Vec::new();
         for g in self.fc_gemms(setup) {
             let canon = if g.shape.m <= g.shape.n {
@@ -340,8 +335,6 @@ mod tests {
         let layers = m.fc_layers();
         assert_eq!(layers[0].output_dim, 3 * 12288);
         assert_eq!(layers[3].input_dim, 4 * 12288);
-        assert_eq!(m.head_dim(), 128);
-        assert_eq!(LlmConfig::megatron_nlg().head_dim(), 160);
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl MemoryFootprint {
     pub fn total(&self) -> u64 {
         self.weights + self.weight_grads + self.optimizer + self.activations + self.workspace
     }
-
-    /// Total in GiB.
-    pub fn total_gib(&self) -> f64 {
-        self.total() as f64 / (1u64 << 30) as f64
-    }
 }
 
 /// Estimates the per-chip training footprint of a model on a mesh with
@@ -206,10 +201,11 @@ mod tests {
         let (model, setup) = gpt3();
         let big = training_footprint(&model, setup, MeshShape::new(32, 8), 16);
         // TPUv4 has 32 GiB of HBM.
+        let hbm = 32u64 << 30;
         assert!(
-            big.total_gib() < 32.0,
-            "GPT-3 on 256 chips needs {:.1} GiB",
-            big.total_gib()
+            big.total() < hbm,
+            "GPT-3 on 256 chips needs {} bytes",
+            big.total()
         );
         let small = training_footprint(
             &model,
@@ -221,9 +217,9 @@ mod tests {
             16,
         );
         assert!(
-            small.total_gib() > 32.0,
-            "GPT-3 on 8 chips should not fit, got {:.1} GiB",
-            small.total_gib()
+            small.total() > hbm,
+            "GPT-3 on 8 chips should not fit, got {} bytes",
+            small.total()
         );
     }
 

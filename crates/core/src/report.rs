@@ -60,7 +60,7 @@ impl Table {
 impl Table {
     /// Renders the table as CSV (headers + rows), quoting cells that
     /// contain commas or quotes.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         fn cell(s: &str) -> String {
             if s.contains(',') || s.contains('"') || s.contains('\n') {
                 format!("\"{}\"", s.replace('"', "\"\""))

@@ -79,7 +79,6 @@ pub use meshslice_algo::MeshSlice;
 pub use one_d::{Fsdp, OneDimTp};
 pub use plan::{
     ActionId, DataOp, MatKind, MatmulStep, Plan, PlanAction, PlanBuilder, Reg, Region, TileRead,
-    FUNCTIONAL_ELEM_BYTES,
 };
 pub use problem::{Dataflow, GemmProblem};
 pub use summa::Summa;

@@ -148,9 +148,9 @@ impl MeshSlice {
     /// earlier passes. This is the building block of fused multi-pass
     /// schedules (see the `ext_fused_pipeline` ablation).
     ///
-    /// The data annotations produced along the way are discarded: a fused
-    /// schedule's inputs flow between passes, which the plan IR does not
-    /// model (each plan describes one stand-alone GeMM).
+    /// No data annotations are recorded: a fused schedule's inputs flow
+    /// between passes, which the plan IR does not model (each plan
+    /// describes one stand-alone GeMM).
     ///
     /// # Errors
     ///
@@ -169,7 +169,7 @@ impl MeshSlice {
         prev_gemms: &[OpId],
         prefetch_after: &[OpId],
     ) -> Result<Vec<OpId>, GemmError> {
-        let mut pb = PlanBuilder::new(b);
+        let mut pb = PlanBuilder::unannotated(b);
         let (gemms, _) =
             self.plan_chained(&mut pb, problem, elem_bytes, prev_gemms, prefetch_after)?;
         Ok(gemms)

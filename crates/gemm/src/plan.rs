@@ -50,7 +50,7 @@ use crate::error::GemmError;
 ///
 /// Byte counts only affect timing, never numerics, so the functional
 /// `execute` path fixes them to f32 width.
-pub const FUNCTIONAL_ELEM_BYTES: usize = 4;
+pub(crate) const FUNCTIONAL_ELEM_BYTES: usize = 4;
 
 /// A cluster-wide register: one logical matrix value per chip, in
 /// [`ChipId`] order.
@@ -370,10 +370,7 @@ impl Plan {
         emit: impl FnOnce(&mut PlanBuilder) -> Result<Reg, GemmError>,
     ) -> Result<Program, GemmError> {
         let mut sim = ProgramBuilder::spmd(mesh);
-        let mut pb = PlanBuilder {
-            annotate: false,
-            ..PlanBuilder::new(&mut sim)
-        };
+        let mut pb = PlanBuilder::unannotated(&mut sim);
         emit(&mut pb)?;
         Ok(sim.build())
     }
@@ -589,21 +586,21 @@ impl Plan {
 /// The builder deliberately does **not** wrap the `ProgramBuilder` API:
 /// emission code calls [`PlanBuilder::sim`] for ops (the exact calls the
 /// old schedule builders made, so lowered programs stay bit-for-bit
-/// identical) and [`PlanBuilder::attach`] / [`PlanBuilder::anchor`] for
-/// the data side.
+/// identical) and [`PlanBuilder::anchor`] (plus the crate-internal
+/// `attach`) for the data side.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     sim: &'a mut ProgramBuilder,
     mesh: Torus2d,
     regs: Vec<RegInfo>,
     actions: Vec<PlanAction>,
-    /// Whether data actions are recorded (not for an SPMD template).
+    /// Whether data actions are recorded (see [`PlanBuilder::unannotated`]).
     annotate: bool,
 }
 
 impl<'a> PlanBuilder<'a> {
     /// Wraps an existing program builder.
-    pub fn new(sim: &'a mut ProgramBuilder) -> Self {
+    pub(crate) fn new(sim: &'a mut ProgramBuilder) -> Self {
         let mesh = sim.mesh().clone();
         PlanBuilder {
             sim,
@@ -611,6 +608,16 @@ impl<'a> PlanBuilder<'a> {
             regs: Vec::new(),
             actions: Vec::new(),
             annotate: true,
+        }
+    }
+
+    /// Wraps an existing program builder, recording ops and registers
+    /// but no data actions: for SPMD templates and chained passes, whose
+    /// annotations nothing reads.
+    pub(crate) fn unannotated(sim: &'a mut ProgramBuilder) -> Self {
+        PlanBuilder {
+            annotate: false,
+            ..PlanBuilder::new(sim)
         }
     }
 
@@ -638,12 +645,12 @@ impl<'a> PlanBuilder<'a> {
 
     /// A register pre-loaded from the `A` input shard grid
     /// (`rows × cols` per chip).
-    pub fn input_a(&mut self, rows: usize, cols: usize) -> Reg {
+    pub(crate) fn input_a(&mut self, rows: usize, cols: usize) -> Reg {
         self.new_reg(rows, cols, RegInit::InputA)
     }
 
     /// A register pre-loaded from the `B` input shard grid.
-    pub fn input_b(&mut self, rows: usize, cols: usize) -> Reg {
+    pub(crate) fn input_b(&mut self, rows: usize, cols: usize) -> Reg {
         self.new_reg(rows, cols, RegInit::InputB)
     }
 
@@ -669,7 +676,7 @@ impl<'a> PlanBuilder<'a> {
 
     /// Creates an action with no anchored ops yet (for cluster actions
     /// spanning the per-chip emission loop).
-    pub fn action(&mut self, data: DataOp) -> ActionId {
+    pub(crate) fn action(&mut self, data: DataOp) -> ActionId {
         let id = ActionId(self.actions.len());
         if self.annotate {
             self.actions.push(PlanAction {
@@ -688,7 +695,7 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Creates an action anchored to a single op.
-    pub fn attach(&mut self, op: OpId, data: DataOp) {
+    pub(crate) fn attach(&mut self, op: OpId, data: DataOp) {
         if self.annotate {
             self.actions.push(PlanAction {
                 ops: vec![op],

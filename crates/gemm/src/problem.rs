@@ -66,7 +66,7 @@ impl GemmProblem {
     }
 
     /// Global storage dimensions of `A` as `(rows, cols)`.
-    pub fn a_dims(&self) -> (usize, usize) {
+    pub(crate) fn a_dims(&self) -> (usize, usize) {
         let GemmShape { m, n: _, k } = self.shape;
         match self.dataflow {
             Dataflow::Os | Dataflow::Ls => (m, k),
@@ -75,7 +75,7 @@ impl GemmProblem {
     }
 
     /// Global storage dimensions of `B` as `(rows, cols)`.
-    pub fn b_dims(&self) -> (usize, usize) {
+    pub(crate) fn b_dims(&self) -> (usize, usize) {
         let GemmShape { m: _, n, k } = self.shape;
         match self.dataflow {
             Dataflow::Os | Dataflow::Rs => (k, n),
@@ -84,7 +84,7 @@ impl GemmProblem {
     }
 
     /// Global dimensions of `C` (always `(M, N)`).
-    pub fn c_dims(&self) -> (usize, usize) {
+    pub(crate) fn c_dims(&self) -> (usize, usize) {
         (self.shape.m, self.shape.n)
     }
 
@@ -135,19 +135,19 @@ impl GemmProblem {
     }
 
     /// Local shard dimensions of `A` on a mesh.
-    pub fn a_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
+    pub(crate) fn a_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
         let (r, c) = self.a_dims();
         (r / mesh.rows(), c / mesh.cols())
     }
 
     /// Local shard dimensions of `B` on a mesh.
-    pub fn b_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
+    pub(crate) fn b_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
         let (r, c) = self.b_dims();
         (r / mesh.rows(), c / mesh.cols())
     }
 
     /// Local shard dimensions of `C` on a mesh.
-    pub fn c_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
+    pub(crate) fn c_shard_dims(&self, mesh: MeshShape) -> (usize, usize) {
         let (r, c) = self.c_dims();
         (r / mesh.rows(), c / mesh.cols())
     }

@@ -83,7 +83,7 @@ impl Wang {
     ///
     /// For `Auto`, the decomposed (hidden) direction is the one whose ring
     /// collective moves more bytes: `(P − 1) × shard_bytes` per §2.3.1.
-    pub fn resolve_overlap(&self, mesh: &Torus2d, problem: GemmProblem) -> CommAxis {
+    pub(crate) fn resolve_overlap(&self, mesh: &Torus2d, problem: GemmProblem) -> CommAxis {
         match self.overlap {
             WangOverlap::InterRow => CommAxis::InterRow,
             WangOverlap::InterCol => CommAxis::InterCol,

@@ -6,7 +6,7 @@ use crate::MeshError;
 
 /// A short, inline, copyable axis name (`"x"`, `"y"`, `"z"`, `"dp"`, …).
 ///
-/// Names are 1 to [`AxisName::MAX_LEN`] characters of `[A-Za-z0-9_]`, stored
+/// Names are 1 to 8 characters of `[A-Za-z0-9_]`, stored
 /// inline so shapes and coordinates stay `Copy` and hashable with no global
 /// interner. Ordering is lexicographic and deterministic.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,7 +19,7 @@ pub struct AxisName {
 
 impl AxisName {
     /// Maximum name length in bytes.
-    pub const MAX_LEN: usize = 8;
+    pub(crate) const MAX_LEN: usize = 8;
 
     /// The conventional first (row) axis, `"x"`.
     pub const X: AxisName = AxisName::lit(b"x");
@@ -31,7 +31,7 @@ impl AxisName {
     pub const W: AxisName = AxisName::lit(b"w");
 
     /// Default axis names by position: `x, y, z, w`.
-    pub const DEFAULTS: [AxisName; crate::MAX_AXES] =
+    pub(crate) const DEFAULTS: [AxisName; crate::MAX_AXES] =
         [AxisName::X, AxisName::Y, AxisName::Z, AxisName::W];
 
     const fn lit(s: &[u8]) -> AxisName {
@@ -52,9 +52,8 @@ impl AxisName {
     ///
     /// # Errors
     ///
-    /// [`MeshError::BadAxisName`] when the name is empty, longer than
-    /// [`MAX_LEN`](Self::MAX_LEN), or contains characters outside
-    /// `[A-Za-z0-9_]`.
+    /// [`MeshError::BadAxisName`] when the name is empty, longer than 8
+    /// characters, or contains characters outside `[A-Za-z0-9_]`.
     pub fn new(name: &str) -> Result<AxisName, MeshError> {
         let ok_len = !name.is_empty() && name.len() <= Self::MAX_LEN;
         let ok_chars = name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');

@@ -17,8 +17,8 @@
 //! (a horizontal ring, used by the paper's `AG_col`/`RdS_col` inter-column
 //! operations) or one mesh column (a vertical ring, used by `AG_row`/
 //! `RdS_row` inter-row operations). [`CommAxis`] names the two options with
-//! the paper's subscript convention; N-D rings are
-//! [`MeshView::ring_along`] over any named axis.
+//! the paper's subscript convention; N-D rings run along any named axis
+//! of a [`MeshView`] (see [`MeshView::ring_hops`]).
 //!
 //! # Example
 //!
@@ -50,7 +50,7 @@ mod view;
 pub use axis::AxisName;
 pub use coord::{ChipId, Coord};
 pub use error::MeshError;
-pub use ring::{CommAxis, LinkDir, Ring, RingAxis};
+pub use ring::{CommAxis, LinkDir, Ring};
 pub use shape::{Axis, MeshShape, MAX_AXES};
 pub use torus::Torus2d;
 pub use view::{HopLink, MeshPlane, MeshView, RingHop};

@@ -33,7 +33,7 @@ impl CommAxis {
     /// The named mesh axis a ring on this communication axis runs along:
     /// inter-row rings advance along axis `x` (mesh rows), inter-col rings
     /// along axis `y` (mesh columns).
-    pub fn axis_name(self) -> AxisName {
+    pub(crate) fn axis_name(self) -> AxisName {
         match self {
             CommAxis::InterRow => AxisName::X,
             CommAxis::InterCol => AxisName::Y,
@@ -41,7 +41,7 @@ impl CommAxis {
     }
 
     /// The communication axis for a named 2D mesh axis (`x` or `y`).
-    pub fn from_axis_name(name: AxisName) -> Option<CommAxis> {
+    pub(crate) fn from_axis_name(name: AxisName) -> Option<CommAxis> {
         if name == AxisName::X {
             Some(CommAxis::InterRow)
         } else if name == AxisName::Y {
@@ -134,20 +134,11 @@ impl LinkDir {
 /// Which axis a ring runs along: one of the two 2D communication axes, or
 /// an arbitrary named axis of an N-D [`MeshView`](crate::MeshView).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RingAxis {
+pub(crate) enum RingAxis {
     /// A 2D torus communication direction.
     Comm(CommAxis),
     /// A named axis of an N-D view.
     Named(AxisName),
-}
-
-impl fmt::Display for RingAxis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RingAxis::Comm(axis) => write!(f, "{axis}"),
-            RingAxis::Named(name) => write!(f, "{name}"),
-        }
-    }
 }
 
 /// An ordered ring of chips used by one collective operation.
@@ -156,7 +147,7 @@ impl fmt::Display for RingAxis {
 /// forward direction. Rings are produced by
 /// [`Torus2d::ring_through`](crate::Torus2d::ring_through) (2D, member order
 /// follows physically adjacent torus links) and by
-/// [`MeshView::ring_along`](crate::MeshView::ring_along) (N-D, member order
+/// the N-D rings along a [`MeshView`](crate::MeshView) axis (member order
 /// follows the view axis).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ring {
@@ -201,18 +192,12 @@ impl Ring {
     ///
     /// # Panics
     ///
-    /// Panics on rings along a non-2D named axis; use
-    /// [`ring_axis`](Self::ring_axis) for those.
+    /// Panics on rings along a non-2D named axis.
     pub fn axis(&self) -> CommAxis {
         match self.axis {
             RingAxis::Comm(axis) => axis,
             RingAxis::Named(name) => panic!("ring along '{name}' has no 2D comm axis"),
         }
-    }
-
-    /// The axis this ring runs along.
-    pub fn ring_axis(&self) -> RingAxis {
-        self.axis
     }
 
     /// Number of chips on the ring.
@@ -225,18 +210,13 @@ impl Ring {
         false
     }
 
-    /// Whether the ring has a single member (collectives become no-ops).
-    pub fn is_singleton(&self) -> bool {
-        self.members.len() == 1
-    }
-
     /// The ordered members.
     pub fn members(&self) -> &[ChipId] {
         &self.members
     }
 
     /// The ring position of `chip`, if it is a member.
-    pub fn position_of(&self, chip: ChipId) -> Option<usize> {
+    pub(crate) fn position_of(&self, chip: ChipId) -> Option<usize> {
         self.members.iter().position(|&c| c == chip)
     }
 
@@ -319,7 +299,7 @@ mod tests {
     #[test]
     fn singleton_ring_is_detected() {
         let r = Ring::new(CommAxis::InterRow, vec![ChipId(0)]);
-        assert!(r.is_singleton());
+        assert_eq!(r.len(), 1);
         assert_eq!(r.next(ChipId(0)), ChipId(0));
     }
 }

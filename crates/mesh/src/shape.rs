@@ -96,8 +96,8 @@ impl MeshShape {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero. Use [`try_new`](Self::try_new)
-    /// in fallible code.
+    /// Panics if either dimension is zero. Use
+    /// [`from_sizes`](Self::from_sizes) in fallible code.
     pub fn new(rows: usize, cols: usize) -> Self {
         Self::try_new(rows, cols).expect("mesh dimensions must be positive")
     }
@@ -107,7 +107,7 @@ impl MeshShape {
     /// # Errors
     ///
     /// [`MeshError::ZeroAxis`] when a dimension is zero.
-    pub fn try_new(rows: usize, cols: usize) -> Result<Self, MeshError> {
+    pub(crate) fn try_new(rows: usize, cols: usize) -> Result<Self, MeshError> {
         Self::from_axes(&[Axis::new(AxisName::X, rows)?, Axis::new(AxisName::Y, cols)?])
     }
 
@@ -150,7 +150,7 @@ impl MeshShape {
     ///
     /// [`MeshError::NoAxes`], [`MeshError::TooManyAxes`], or
     /// [`MeshError::DuplicateAxis`].
-    pub fn from_axes(axes: &[Axis]) -> Result<Self, MeshError> {
+    pub(crate) fn from_axes(axes: &[Axis]) -> Result<Self, MeshError> {
         if axes.is_empty() {
             return Err(MeshError::NoAxes);
         }
@@ -194,19 +194,6 @@ impl MeshShape {
     /// The position of the axis named `name`, if present.
     pub fn axis_index(&self, name: AxisName) -> Option<usize> {
         self.axes().iter().position(|a| a.name == name)
-    }
-
-    /// The size of the axis named `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`MeshError::UnknownAxis`] when no axis has that name.
-    pub fn axis_size(&self, name: AxisName) -> Result<usize, MeshError> {
-        self.axis_index(name)
-            .map(|i| self.axes[i].size())
-            .ok_or_else(|| MeshError::UnknownAxis {
-                axis: name.as_str().into(),
-            })
     }
 
     /// Number of mesh rows `Pr` of a 2D shape (the first axis).
@@ -564,10 +551,7 @@ mod tests {
     fn axis_lookup_by_name() {
         let pod = MeshShape::nd(&[("x", 4), ("y", 4), ("z", 2)]).unwrap();
         assert_eq!(pod.axis_index(AxisName::Z), Some(2));
-        assert_eq!(pod.axis_size(AxisName::Y).unwrap(), 4);
-        assert!(matches!(
-            pod.axis_size(AxisName::W),
-            Err(MeshError::UnknownAxis { .. })
-        ));
+        assert_eq!(pod.axes()[pod.axis_index(AxisName::Y).unwrap()].size(), 4);
+        assert_eq!(pod.axis_index(AxisName::W), None);
     }
 }

@@ -14,8 +14,8 @@ use crate::{AxisName, ChipId, CommAxis, Coord, LinkDir, MeshError, MeshShape, Me
 ///
 /// `Torus2d` is the rank-2 specialization of the N-D algebra: it wraps a
 /// rank-2 [`MeshShape`] (axes `x`, `y`), its indexing is the shape's
-/// row-major strided indexing, and its rings are
-/// [`MeshView::ring_along`] over the corresponding axis.
+/// row-major strided indexing, and its rings are the view's rings along
+/// the corresponding axis.
 /// [`view`](Torus2d::view) exposes the full algebra — select, flatten,
 /// planes — on the same chips.
 ///
@@ -41,8 +41,7 @@ impl Torus2d {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero. Use [`try_new`](Self::try_new)
-    /// in fallible code.
+    /// Panics if either dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
         Self::try_new(rows, cols).expect("mesh dimensions must be positive")
     }
@@ -52,7 +51,7 @@ impl Torus2d {
     /// # Errors
     ///
     /// [`MeshError::ZeroAxis`] when a dimension is zero.
-    pub fn try_new(rows: usize, cols: usize) -> Result<Self, MeshError> {
+    pub(crate) fn try_new(rows: usize, cols: usize) -> Result<Self, MeshError> {
         Ok(Torus2d {
             shape: MeshShape::try_new(rows, cols)?,
         })
@@ -62,8 +61,7 @@ impl Torus2d {
     ///
     /// # Panics
     ///
-    /// Panics if the shape is not rank 2. Use
-    /// [`try_from_shape`](Self::try_from_shape) in fallible code.
+    /// Panics if the shape is not rank 2.
     pub fn from_shape(shape: MeshShape) -> Self {
         Self::try_from_shape(shape).expect("Torus2d needs a rank-2 shape")
     }
@@ -73,7 +71,7 @@ impl Torus2d {
     /// # Errors
     ///
     /// [`MeshError::NotRank2`] for shapes of any other rank.
-    pub fn try_from_shape(shape: MeshShape) -> Result<Self, MeshError> {
+    pub(crate) fn try_from_shape(shape: MeshShape) -> Result<Self, MeshError> {
         if shape.rank() != 2 {
             return Err(MeshError::NotRank2 { got: shape.rank() });
         }
@@ -110,8 +108,7 @@ impl Torus2d {
     ///
     /// # Panics
     ///
-    /// Panics if the coordinate is outside the mesh. Use
-    /// [`try_chip_at`](Self::try_chip_at) in fallible code.
+    /// Panics if the coordinate is outside the mesh.
     pub fn chip_at(&self, coord: Coord) -> ChipId {
         match self.try_chip_at(coord) {
             Ok(chip) => chip,
@@ -124,7 +121,7 @@ impl Torus2d {
     /// # Errors
     ///
     /// [`MeshError::CoordOutOfRange`] or [`MeshError::RankMismatch`].
-    pub fn try_chip_at(&self, coord: Coord) -> Result<ChipId, MeshError> {
+    pub(crate) fn try_chip_at(&self, coord: Coord) -> Result<ChipId, MeshError> {
         self.shape.index_of(coord).map(ChipId)
     }
 
@@ -132,8 +129,7 @@ impl Torus2d {
     ///
     /// # Panics
     ///
-    /// Panics if the id is out of range. Use
-    /// [`try_coord_of`](Self::try_coord_of) in fallible code.
+    /// Panics if the id is out of range.
     pub fn coord_of(&self, chip: ChipId) -> Coord {
         match self.try_coord_of(chip) {
             Ok(coord) => coord,
@@ -146,7 +142,7 @@ impl Torus2d {
     /// # Errors
     ///
     /// [`MeshError::ChipOutOfRange`].
-    pub fn try_coord_of(&self, chip: ChipId) -> Result<Coord, MeshError> {
+    pub(crate) fn try_coord_of(&self, chip: ChipId) -> Result<Coord, MeshError> {
         self.shape.coord_at(chip.index())
     }
 

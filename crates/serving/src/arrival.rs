@@ -40,7 +40,7 @@ pub struct Request {
 
 impl Request {
     /// Peak KV-cache tokens this request pins when fully generated.
-    pub fn peak_kv_tokens(&self) -> usize {
+    pub(crate) fn peak_kv_tokens(&self) -> usize {
         self.prompt_tokens + self.output_tokens
     }
 }
@@ -63,11 +63,6 @@ impl LoadShape {
     pub fn bursty() -> LoadShape {
         LoadShape::Replay(vec![0.5, 0.5, 3.0, 0.5, 0.5])
     }
-
-    /// A built-in smooth day-shaped profile (trough, ramp, peak, ramp).
-    pub fn diurnal() -> LoadShape {
-        LoadShape::Replay(vec![0.4, 0.6, 1.0, 1.5, 1.9, 1.5, 1.0, 0.6])
-    }
 }
 
 /// A seeded offered-load description; [`ArrivalSpec::generate`] draws a
@@ -87,9 +82,9 @@ pub struct ArrivalSpec {
 }
 
 /// Default inclusive prompt-length range, tokens.
-pub const DEFAULT_PROMPT_RANGE: (usize, usize) = (32, 1024);
+pub(crate) const DEFAULT_PROMPT_RANGE: (usize, usize) = (32, 1024);
 /// Default inclusive output-length range, tokens.
-pub const DEFAULT_OUTPUT_RANGE: (usize, usize) = (16, 256);
+pub(crate) const DEFAULT_OUTPUT_RANGE: (usize, usize) = (16, 256);
 /// Default [`LoadShape::Replay`] segment length, seconds.
 pub const DEFAULT_SEGMENT_SECS: f64 = 30.0;
 
@@ -264,9 +259,10 @@ mod tests {
     fn replay_normalizes_to_the_same_mean_rate() {
         let steady = ArrivalSpec::poisson(40.0).generate(4000, 11);
         // Short segments so the ~100 s trace spans many whole cycles and
-        // the partial final cycle cannot bias the average.
+        // the partial final cycle cannot bias the average. The shape is a
+        // smooth day: trough, ramp, peak, ramp.
         let diurnal = ArrivalSpec {
-            shape: LoadShape::diurnal(),
+            shape: LoadShape::Replay(vec![0.4, 0.6, 1.0, 1.5, 1.9, 1.5, 1.0, 0.6]),
             segment_secs: 2.0,
             ..ArrivalSpec::poisson(40.0)
         }

@@ -38,11 +38,11 @@ use crate::arrival::Request;
 
 /// Backoff growth cap: the retry backoff doubles per attempt but never
 /// exceeds this multiple of [`RouterPolicy::backoff_secs`].
-pub const BACKOFF_CAP_FACTOR: f64 = 8.0;
+pub(crate) const BACKOFF_CAP_FACTOR: f64 = 8.0;
 
 /// Default [`ShedPolicy::ttft_factor`]: shed when the backlog projects
 /// to more than this multiple of the TTFT SLO.
-pub const DEFAULT_SHED_TTFT_FACTOR: f64 = 4.0;
+pub(crate) const DEFAULT_SHED_TTFT_FACTOR: f64 = 4.0;
 
 /// Stochastic multi-fault injection for a serving fleet: each replica
 /// draws seeded exponential chip/link death arrivals from `failures`
@@ -105,7 +105,7 @@ impl ChaosSpec {
     /// independent of how replicas are scheduled onto worker threads.
     /// With a repair model, each death consumes one extra uniform draw
     /// and `repaired_at = at + outage_secs + repair draw`.
-    pub fn replica_deaths(
+    pub(crate) fn replica_deaths(
         &self,
         replica: usize,
         num_chips: usize,
@@ -132,7 +132,7 @@ impl ChaosSpec {
 
 /// One scheduled replica death of a chaos draw.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeathEvent {
+pub(crate) struct DeathEvent {
     /// Death instant, seconds from simulation start.
     pub at: f64,
     /// When the replica returns to nominal pricing (`at` + failover
@@ -152,8 +152,8 @@ pub struct RouterPolicy {
     /// Retry budget per request: each retry waits one backoff and then
     /// probes for an open replica.
     pub max_retries: usize,
-    /// Initial backoff, seconds; doubles per attempt, capped at
-    /// [`BACKOFF_CAP_FACTOR`] times this.
+    /// Initial backoff, seconds; doubles per attempt, capped at 8 times
+    /// this.
     pub backoff_secs: f64,
     /// Per-request deadline, seconds past arrival: a retry that would
     /// land beyond it times the request out instead.

@@ -58,14 +58,14 @@ pub const NOMINAL_KV_CONTEXT: usize = 512;
 
 /// Smallest batch cap [`CostTableCache`] builds tables at: caps below
 /// this share one cached build and read a truncated view of it.
-pub const CACHED_BATCH_CAP: usize = 32;
+pub(crate) const CACHED_BATCH_CAP: usize = 32;
 
 /// Typed lookup error: the phase-cost table has no buckets, so no cost
 /// can be quoted. [`build_replica_costs`] never returns such a table
 /// (empty tables make the build infeasible), so hitting this means a
 /// hand-assembled [`ReplicaCosts`] skipped validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EmptyCostTable;
+pub(crate) struct EmptyCostTable;
 
 impl fmt::Display for EmptyCostTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,7 +122,7 @@ impl PhaseCostTable {
     /// # Errors
     ///
     /// [`EmptyCostTable`] when the table has no buckets.
-    pub fn cost_secs(&self, n: usize, degraded: bool) -> Result<f64, EmptyCostTable> {
+    pub(crate) fn cost_secs(&self, n: usize, degraded: bool) -> Result<f64, EmptyCostTable> {
         let i = self.buckets.partition_point(|b| b.size < n);
         let b = self
             .buckets
@@ -137,7 +137,7 @@ impl PhaseCostTable {
     }
 
     /// Largest bucket size.
-    pub fn max_size(&self) -> usize {
+    pub(crate) fn max_size(&self) -> usize {
         self.buckets.last().map(|b| b.size).unwrap_or(0)
     }
 }
@@ -166,17 +166,12 @@ pub struct ReplicaCosts {
 }
 
 impl ReplicaCosts {
-    /// KV tokens that fit the budget.
-    pub fn kv_capacity_tokens(&self) -> usize {
-        (self.kv_budget_bytes / self.kv_bytes_per_token.max(1)) as usize
-    }
-
     /// A copy of these tables restricted to decode batches of at most
     /// `max_batch`. Bucket feasibility and cost are independent of the
     /// cap, so this equals a direct [`build_replica_costs`] at the
     /// smaller cap bit for bit; `None` when no decode bucket survives
     /// (exactly when the direct build would be infeasible).
-    pub fn with_max_batch(&self, max_batch: usize) -> Option<ReplicaCosts> {
+    pub(crate) fn with_max_batch(&self, max_batch: usize) -> Option<ReplicaCosts> {
         assert!(max_batch > 0, "batching policy needs a positive batch cap");
         let decode = PhaseCostTable {
             buckets: self
@@ -273,7 +268,7 @@ fn cap_class(max_batch: usize) -> usize {
 /// builds each `(model, mesh, S, cap class)` exactly once — on demand,
 /// or ahead of time in parallel via [`warm`](Self::warm) — lowers every
 /// GeMM through one [`SpecMemo`] shared by all builds, and hands out `Arc`'d tables
-/// (sliced per candidate cap by [`ReplicaCosts::with_max_batch`]).
+/// (sliced per candidate decode-batch cap).
 /// Infeasible builds are cached too, so a grid full of oversized
 /// layouts fails fast.
 ///
@@ -611,16 +606,6 @@ mod tests {
         assert!(
             build_replica_costs(&LlmConfig::gpt3(), MeshShape::new(2, 2), 4, 8, &cfg).is_none()
         );
-    }
-
-    #[test]
-    fn kv_capacity_matches_budget() {
-        let cfg = SimConfig::tpu_v4();
-        let costs =
-            build_replica_costs(&tiny(), MeshShape::new(2, 2), 4, 8, &cfg).expect("feasible");
-        let cap = costs.kv_capacity_tokens();
-        assert!(cap as u64 * costs.kv_bytes_per_token <= costs.kv_budget_bytes);
-        assert!((cap as u64 + 1) * costs.kv_bytes_per_token > costs.kv_budget_bytes);
     }
 
     #[test]

@@ -83,16 +83,11 @@ mod costs;
 mod fleet;
 mod tune;
 
-pub use arrival::{
-    ArrivalSpec, LoadShape, Request, DEFAULT_OUTPUT_RANGE, DEFAULT_PROMPT_RANGE,
-    DEFAULT_SEGMENT_SECS,
-};
-pub use chaos::{
-    ChaosSpec, DeathEvent, RouterPolicy, ShedPolicy, BACKOFF_CAP_FACTOR, DEFAULT_SHED_TTFT_FACTOR,
-};
+pub use arrival::{ArrivalSpec, LoadShape, Request, DEFAULT_SEGMENT_SECS};
+pub use chaos::{ChaosSpec, RouterPolicy, ShedPolicy};
 pub use costs::{
-    build_replica_costs, BucketCost, CostProfile, CostTableCache, EmptyCostTable, PhaseCostTable,
-    ReplicaCosts, CACHED_BATCH_CAP, MAX_PREFILL_TOKENS, NOMINAL_KV_CONTEXT,
+    build_replica_costs, BucketCost, CostProfile, CostTableCache, PhaseCostTable, ReplicaCosts,
+    MAX_PREFILL_TOKENS, NOMINAL_KV_CONTEXT,
 };
 pub use fleet::{
     simulate_fleet, simulate_fleet_threads, simulate_fleet_traced, ChipDeath, FleetReport,

@@ -131,7 +131,7 @@ impl SimConfig {
     /// pipeline-fill penalty of a short contraction (`k`) dimension. The
     /// latter is what makes very fine slicing (`large S`) less efficient on
     /// the compute side, as the paper observes on real hardware (§5.3.1).
-    pub fn effective_flops(&self, shape: GemmShape) -> f64 {
+    pub(crate) fn effective_flops(&self, shape: GemmShape) -> f64 {
         let d = self.systolic_dim as f64;
         let pad = |x: usize| {
             let x = x as f64;
@@ -150,7 +150,7 @@ impl SimConfig {
 
     /// HBM bytes a local GeMM streams: read `A` and `B`, read-modify-write
     /// `C` (the accumulating output of a partial GeMM).
-    pub fn gemm_hbm_bytes(&self, shape: GemmShape) -> u64 {
+    pub(crate) fn gemm_hbm_bytes(&self, shape: GemmShape) -> u64 {
         shape.a_bytes(self.elem_bytes)
             + shape.b_bytes(self.elem_bytes)
             + 2 * shape.c_bytes(self.elem_bytes)

@@ -90,12 +90,12 @@ impl FailureOutcome {
 /// Bandwidth multiplier applied to links that must route around the dead
 /// chip: traffic that used the direct link now takes two hops through a
 /// neighboring ring, halving the effective bandwidth of the detour path.
-pub const DETOUR_LINK_MULTIPLIER: f64 = 0.5;
+pub(crate) const DETOUR_LINK_MULTIPLIER: f64 = 0.5;
 
 /// The continuation profile of a torus that lost one chip: every link of
 /// the dead coordinate, and each surviving neighbor's link pointing back
-/// at it, runs at [`DETOUR_LINK_MULTIPLIER`] — the extra-hop cost of
-/// rings re-formed around the hole.
+/// at it, runs at half bandwidth — the extra-hop cost of rings re-formed
+/// around the hole.
 ///
 /// The profile prices *degraded-mesh* execution; the redistribution of
 /// the dead chip's shards is modeled functionally by

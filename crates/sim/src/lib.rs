@@ -55,9 +55,7 @@ mod time;
 
 pub use config::{NetworkModel, SimConfig};
 pub use engine::{Engine, LoweredProgram, RunScratch};
-pub use failure::{
-    degraded_torus_profile, AbortInfo, ChipFailure, FailureOutcome, DETOUR_LINK_MULTIPLIER,
-};
+pub use failure::{degraded_torus_profile, AbortInfo, ChipFailure, FailureOutcome};
 pub use observe::{
     EngineObserver, NodeRecord, NodeSpan, OpTrace, OpTraceRecorder, RunTimeline, SpanKind,
     SpanRecorder, SpanTrack, TimelineRecorder,

@@ -209,7 +209,7 @@ impl ClusterProfile {
     /// All outage boundaries (starts and ends) of one chip's four links,
     /// sorted and deduplicated. The engine schedules a re-rating event at
     /// each.
-    pub fn edge_times(&self, chip: usize) -> Vec<f64> {
+    pub(crate) fn edge_times(&self, chip: usize) -> Vec<f64> {
         let mut edges: Vec<f64> = self.outages[chip]
             .iter()
             .flatten()

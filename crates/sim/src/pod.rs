@@ -156,7 +156,7 @@ impl PodProfile {
     /// # Panics
     ///
     /// Panics if `axis` does not name an axis of the pod shape.
-    pub fn link_multiplier(&self, chip: ChipId, axis: AxisName, forward: bool) -> f64 {
+    pub(crate) fn link_multiplier(&self, chip: ChipId, axis: AxisName, forward: bool) -> f64 {
         let a = self
             .shape
             .axis_index(axis)

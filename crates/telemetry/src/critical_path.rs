@@ -238,7 +238,7 @@ impl CriticalPath {
 
     /// Critical-path time per `(chip, kind)`, sorted by descending
     /// duration — answers "which chip's ring sync bounds this run".
-    pub fn by_chip_kind(&self) -> Vec<(ChipId, PathKind, f64)> {
+    pub(crate) fn by_chip_kind(&self) -> Vec<(ChipId, PathKind, f64)> {
         let mut acc: Vec<(ChipId, PathKind, f64)> = Vec::new();
         for s in &self.segments {
             match acc
@@ -297,7 +297,7 @@ pub fn node_slacks(timeline: &RunTimeline) -> Vec<f64> {
 }
 
 /// Minimum slack per program operation, indexed by [`OpId`].
-pub fn op_slacks(timeline: &RunTimeline, num_ops: usize) -> Vec<f64> {
+pub(crate) fn op_slacks(timeline: &RunTimeline, num_ops: usize) -> Vec<f64> {
     let slacks = node_slacks(timeline);
     let mut per_op = vec![f64::INFINITY; num_ops];
     for (rec, s) in timeline.nodes.iter().zip(&slacks) {

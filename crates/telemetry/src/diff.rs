@@ -30,12 +30,12 @@ impl RunDiff {
     }
 
     /// Makespan change, `b - a`, seconds (negative = faster).
-    pub fn makespan_delta(&self) -> f64 {
+    pub(crate) fn makespan_delta(&self) -> f64 {
         self.b.makespan - self.a.makespan
     }
 
     /// Relative makespan change, `(b - a) / a`.
-    pub fn makespan_rel(&self) -> f64 {
+    pub(crate) fn makespan_rel(&self) -> f64 {
         if self.a.makespan == 0.0 {
             0.0
         } else {
@@ -54,7 +54,7 @@ impl RunDiff {
     /// Renders the per-chip, per-lane utilization heatmap of both runs
     /// side by side. Rows are chips, columns are the six lanes
     /// (compute, four link directions, host).
-    pub fn heatmap(&self) -> String {
+    pub(crate) fn heatmap(&self) -> String {
         let chips = self.a.num_chips.max(self.b.num_chips);
         let mut out = String::new();
         out.push_str("      lanes: ");
@@ -81,7 +81,7 @@ impl RunDiff {
 
     /// The lanes whose utilization changed the most, descending by
     /// absolute change: `(chip, lane, a, b)`.
-    pub fn top_lane_changes(&self, limit: usize) -> Vec<(usize, usize, f64, f64)> {
+    pub(crate) fn top_lane_changes(&self, limit: usize) -> Vec<(usize, usize, f64, f64)> {
         let chips = self.a.num_chips.max(self.b.num_chips);
         let mut changes: Vec<(usize, usize, f64, f64)> = (0..chips)
             .flat_map(|chip| (0..6).map(move |lane| (chip, lane)))

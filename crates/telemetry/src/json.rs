@@ -68,7 +68,7 @@ impl Json {
     }
 
     /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -84,7 +84,7 @@ impl Json {
     }
 
     /// Serializes compactly (no whitespace).
-    pub fn to_string_compact(&self) -> String {
+    pub(crate) fn to_string_compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out

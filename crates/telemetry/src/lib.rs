@@ -5,8 +5,8 @@
 //!
 //! - [`CriticalPath`] walks the realized schedule backwards from the
 //!   last node to finish and attributes every critical nanosecond to a
-//!   `(chip, op, kind)` — plus per-node and per-op slack from a CPM-style
-//!   backward pass ([`node_slacks`], [`op_slacks`]).
+//!   `(chip, op, kind)` — plus per-node slack from a CPM-style backward
+//!   pass ([`node_slacks`]), which [`RunMetrics`] reduces per op.
 //! - [`RunMetrics`] aggregates a run into per-lane busy fractions,
 //!   windowed utilization time series, the five Figure 10 buckets, and
 //!   the overlap efficiency scalar, with JSON and Prometheus exports.
@@ -68,31 +68,25 @@ mod diff;
 mod json;
 mod metrics;
 mod percentile;
-mod recovery;
 mod schema;
 mod serving_trace;
 mod timeseries;
 mod tunelog;
 
-pub use critical_path::{
-    node_slacks, op_slacks, CriticalPath, PathAttribution, PathKind, PathSegment,
-};
+pub use critical_path::{node_slacks, CriticalPath, PathAttribution, PathKind, PathSegment};
 pub use diff::RunDiff;
 pub use json::Json;
 pub use metrics::{
     spans_overlap_and_buckets, Hotspot, LaneStat, RunMetrics, WindowStat, BUCKET_LABELS,
-    LANE_LABELS,
 };
 pub use percentile::{percentile, LatencySummary};
-pub use recovery::{DowntimeBreakdown, RecoveryPhase, RecoverySpan, DOWNTIME_LABELS};
 pub use schema::validate;
 pub use serving_trace::{
-    BlameBucket, BlameReport, NoopTraceSink, RecordingSink, ServingEvent, ServingTrace, TraceSink,
-    TtftBlame, BLAME_BUCKETS,
+    BlameBucket, BlameReport, RecordingSink, ServingEvent, ServingTrace, TraceSink, TtftBlame,
 };
 pub use timeseries::{
     is_serving_artifact, FleetDelta, FleetDiff, FleetSeries, ReplicaSeries, ReplicaSeriesBuilder,
-    SeriesWindow, BASE_WINDOW_SECS, MAX_WINDOWS,
+    SeriesWindow,
 };
 pub use tunelog::{TuneCandidate, TuneLog};
 

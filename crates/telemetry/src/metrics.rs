@@ -6,18 +6,18 @@ use meshslice_sim::{NodeSpan, SimReport, SpanKind, SpanTrack};
 
 use crate::critical_path::{op_slacks, CriticalPath, PathAttribution, PathKind};
 use crate::json::Json;
-use crate::recovery::DowntimeBreakdown;
 use meshslice_sim::RunTimeline;
 
 /// Per-chip lane labels, in [`SpanTrack::lane`] order.
-pub const LANE_LABELS: [&str; 6] = ["compute", "row+", "row-", "col+", "col-", "host"];
+pub(crate) const LANE_LABELS: [&str; 6] = ["compute", "row+", "row-", "col+", "col-", "host"];
 
 /// Busy time of one chip's execution lane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LaneStat {
     /// Chip index.
     pub chip: usize,
-    /// Lane index (see [`LANE_LABELS`]).
+    /// Lane index, in [`SpanTrack::lane`] order: compute, row+, row-,
+    /// col+, col-, host.
     pub lane: usize,
     /// Total busy seconds.
     pub busy: f64,
@@ -78,10 +78,6 @@ pub struct RunMetrics {
     /// Slack statistics over program operations:
     /// `(min, mean, max)` seconds.
     pub slack: (f64, f64, f64),
-    /// Failure/recovery downtime accounting; `None` for failure-free
-    /// runs (and absent from their JSON artifacts, which stay
-    /// byte-identical to pre-recovery ones).
-    pub downtime: Option<DowntimeBreakdown>,
 }
 
 /// Bucket labels in the order of [`RunMetrics::buckets`].
@@ -168,7 +164,6 @@ impl RunMetrics {
             critical_path: path.attribution(),
             hotspots,
             slack,
-            downtime: None,
         }
     }
 
@@ -178,15 +173,9 @@ impl RunMetrics {
         self
     }
 
-    /// Attaches the failure/recovery downtime accounting of the run.
-    pub fn with_downtime(mut self, downtime: DowntimeBreakdown) -> Self {
-        self.downtime = Some(downtime);
-        self
-    }
-
     /// Serializes to the JSON artifact (schema `schemas/metrics.schema.json`).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
+        Json::obj(vec![
             ("schema_version", Json::Num(1.0)),
             (
                 "meta",
@@ -276,11 +265,7 @@ impl RunMetrics {
                     ("max", Json::Num(self.slack.2)),
                 ]),
             ),
-        ];
-        if let Some(d) = &self.downtime {
-            pairs.push(("downtime_s", d.to_json()));
-        }
-        Json::obj(pairs)
+        ])
     }
 
     /// Deserializes a JSON artifact produced by [`to_json`](Self::to_json).
@@ -387,10 +372,6 @@ impl RunMetrics {
             critical_path,
             hotspots,
             slack: (slack_get("min"), slack_get("mean"), slack_get("max")),
-            downtime: match doc.get("downtime_s") {
-                Some(d) => Some(DowntimeBreakdown::from_json(d)?),
-                None => None,
-            },
         })
     }
 
@@ -584,27 +565,6 @@ mod tests {
         let text = m.to_json().to_string_pretty();
         let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn downtime_is_absent_by_default_and_round_trips_when_attached() {
-        let plain = collect(2, 2);
-        assert_eq!(plain.downtime, None);
-        assert!(plain.to_json().get("downtime_s").is_none());
-
-        let m = collect(2, 2).with_downtime(crate::DowntimeBreakdown {
-            checkpoint: 18.0,
-            lost: 5.5,
-            detection: 0.5,
-            restore: 2.0,
-            degraded: 21.0,
-            useful: 100.0,
-            failures: 1,
-        });
-        let text = m.to_json().to_string_pretty();
-        let back = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(m, back);
-        assert!(back.downtime.unwrap().goodput() < 1.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! with one [`ServingEvent`] per lifecycle transition: arrival,
 //! admission to the queue, each prefill chunk and decode iteration,
 //! preemption/resume, failover outage, and completion with the SLO
-//! verdict. The default sink is [`NoopTraceSink`]; recording into a
-//! [`ServingTrace`] is opt-in and — by construction — never feeds back
+//! verdict. Recording into a [`ServingTrace`] is opt-in and — by
+//! construction — never feeds back
 //! into the simulation arithmetic, so a traced run produces a
 //! bit-for-bit identical `FleetReport` (property-tested in the serving
 //! crate).
@@ -321,14 +321,6 @@ pub trait TraceSink {
     fn event(&mut self, e: &ServingEvent);
 }
 
-/// The default sink: discards every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTraceSink;
-
-impl TraceSink for NoopTraceSink {
-    fn event(&mut self, _e: &ServingEvent) {}
-}
-
 /// A sink that records every event, per replica, for export.
 #[derive(Clone, Debug, Default)]
 pub struct RecordingSink {
@@ -374,7 +366,7 @@ impl ServingTrace {
     }
 
     /// The run-header line of the JSONL export.
-    pub fn header_json(&self) -> Json {
+    pub(crate) fn header_json(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::Str("run".into())),
             ("schema_version", Json::Num(1.0)),
@@ -756,12 +748,12 @@ impl TtftBlame {
 }
 
 /// Percentile-band labels of the blame table, tail last.
-pub const BLAME_BUCKETS: [&str; 4] = ["p0-p50", "p50-p90", "p90-p99", "p99-p100"];
+pub(crate) const BLAME_BUCKETS: [&str; 4] = ["p0-p50", "p50-p90", "p90-p99", "p99-p100"];
 
 /// Mean blame over one percentile band of the TTFT distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlameBucket {
-    /// Band label (see [`BLAME_BUCKETS`]).
+    /// Band label: `p0-p50`, `p50-p90`, `p90-p99` or `p99-p100`.
     pub label: &'static str,
     /// Requests in the band.
     pub count: usize,
@@ -797,7 +789,7 @@ impl BlameReport {
     /// `queueing` is the residual, so the four sum to TTFT exactly.
     /// The three measured intervals are disjoint slices of `[a, f]`,
     /// so every component is non-negative up to rounding.
-    pub fn from_trace(trace: &ServingTrace) -> BlameReport {
+    pub(crate) fn from_trace(trace: &ServingTrace) -> BlameReport {
         let mut requests = Vec::new();
         let overlap = |s: f64, e: f64, a: f64, b: f64| (e.min(b) - s.max(a)).max(0.0);
         for (r, stream) in trace.events.iter().enumerate() {
@@ -875,7 +867,7 @@ impl BlameReport {
 
     /// The nearest-rank `q`-percentile request's decomposition, or
     /// `None` for an empty report.
-    pub fn percentile_request(&self, q: f64) -> Option<&TtftBlame> {
+    pub(crate) fn percentile_request(&self, q: f64) -> Option<&TtftBlame> {
         if self.requests.is_empty() {
             return None;
         }

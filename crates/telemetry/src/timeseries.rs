@@ -21,10 +21,10 @@ use crate::json::Json;
 use crate::serving_trace::{ServingEvent, TraceSink};
 
 /// Width of the finest time window, seconds.
-pub const BASE_WINDOW_SECS: f64 = 0.25;
+pub(crate) const BASE_WINDOW_SECS: f64 = 0.25;
 
 /// Bin-count ceiling; exceeding it doubles the window width.
-pub const MAX_WINDOWS: usize = 4096;
+pub(crate) const MAX_WINDOWS: usize = 4096;
 
 /// One replica's accounting over one time window.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -148,17 +148,12 @@ impl Default for ReplicaSeriesBuilder {
 }
 
 impl ReplicaSeriesBuilder {
-    /// A builder at the finest window width ([`BASE_WINDOW_SECS`]).
+    /// A builder at the finest window width (0.25 s).
     pub fn new() -> ReplicaSeriesBuilder {
         ReplicaSeriesBuilder {
             window_secs: BASE_WINDOW_SECS,
             windows: Vec::new(),
         }
-    }
-
-    /// Current window width, seconds (`BASE_WINDOW_SECS · 2^k`).
-    pub fn window_secs(&self) -> f64 {
-        self.window_secs
     }
 
     /// Window index of time `t`, growing (and rebinning) as needed.

@@ -99,7 +99,7 @@ impl TuneLog {
     }
 
     /// Mean of `|rel_error|` over all candidates; 0 when empty.
-    pub fn mean_abs_rel_error(&self) -> f64 {
+    pub(crate) fn mean_abs_rel_error(&self) -> f64 {
         if self.candidates.is_empty() {
             return 0.0;
         }
@@ -111,7 +111,7 @@ impl TuneLog {
     }
 
     /// Largest `|rel_error|` over all candidates; 0 when empty.
-    pub fn max_abs_rel_error(&self) -> f64 {
+    pub(crate) fn max_abs_rel_error(&self) -> f64 {
         self.candidates
             .iter()
             .map(|c| c.rel_error().abs())

@@ -131,34 +131,6 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Accumulates the outer product `C += col · row` of a column vector
-/// (`m × 1`) and a row vector (`1 × n`).
-///
-/// This is the primitive of the paper's Algorithm 1: `C_ij` is the sum of
-/// `K` outer products of the columns of `A_i*` and the rows of `B_*j`.
-///
-/// # Panics
-///
-/// Panics if `col` is not a column vector, `row` is not a row vector, or the
-/// output shape does not match.
-pub fn outer_product_acc(c: &mut Matrix, col: &Matrix, row: &Matrix) {
-    assert_eq!(col.cols(), 1, "first operand must be a column vector");
-    assert_eq!(row.rows(), 1, "second operand must be a row vector");
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (col.rows(), row.cols()),
-        "output shape mismatch"
-    );
-    let n = row.cols();
-    for i in 0..c.rows() {
-        let ci = col.as_slice()[i];
-        let c_row = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-        for (cv, rv) in c_row.iter_mut().zip(row.as_slice()) {
-            *cv += ci * rv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,8 +150,8 @@ mod tests {
 
     #[test]
     fn matmul_small_known_values() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
+        let a = Matrix::from_fn(2, 2, |i, j| (2 * i + j + 1) as f32); // [1 2; 3 4]
+        let b = Matrix::from_fn(2, 2, |i, j| (2 * i + j + 5) as f32); // [5 6; 7 8]
         let c = matmul(&a, &b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
@@ -217,7 +189,7 @@ mod tests {
         for p in 0..a.cols() {
             let col = a.block(0, p, a.rows(), 1);
             let row = b.block(p, 0, 1, b.cols());
-            outer_product_acc(&mut c, &col, &row);
+            matmul_acc(&mut c, &col, &row);
         }
         assert!(c.approx_eq(&matmul(&a, &b), 1e-5));
     }

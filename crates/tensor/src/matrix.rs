@@ -54,23 +54,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
@@ -124,7 +107,7 @@ impl Matrix {
     }
 
     /// Mutably borrows the underlying row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -173,7 +156,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `src` extends past the matrix bounds.
-    pub fn set_block(&mut self, row0: usize, col0: usize, src: &Matrix) {
+    pub(crate) fn set_block(&mut self, row0: usize, col0: usize, src: &Matrix) {
         assert!(
             row0 + src.rows <= self.rows && col0 + src.cols <= self.cols,
             "block ({row0}+{}, {col0}+{}) out of bounds for {}x{}",

@@ -52,17 +52,6 @@ impl GemmShape {
         self.m as u64 * self.n as u64 * elem_bytes as u64
     }
 
-    /// Total bytes touched (`A + B + C`).
-    pub fn total_bytes(&self, elem_bytes: usize) -> u64 {
-        self.a_bytes(elem_bytes) + self.b_bytes(elem_bytes) + self.c_bytes(elem_bytes)
-    }
-
-    /// Arithmetic intensity in FLOPs per byte, assuming each matrix is
-    /// streamed once.
-    pub fn arithmetic_intensity(&self, elem_bytes: usize) -> f64 {
-        self.flops() as f64 / self.total_bytes(elem_bytes) as f64
-    }
-
     /// The shape of the backward-data GeMM `X' = Y'·Wᵀ` derived from a
     /// forward GeMM `Y = X·W` of this shape: `(m, k, n)`.
     pub fn backward_data(&self) -> GemmShape {
@@ -108,7 +97,6 @@ mod tests {
         assert_eq!(s.a_bytes(2), 16);
         assert_eq!(s.b_bytes(2), 32);
         assert_eq!(s.c_bytes(2), 64);
-        assert_eq!(s.total_bytes(2), 112);
     }
 
     #[test]
@@ -125,13 +113,6 @@ mod tests {
         let fwd = GemmShape::new(64, 32, 16);
         assert_eq!(fwd.flops(), fwd.backward_data().flops());
         assert_eq!(fwd.flops(), fwd.backward_weight().flops());
-    }
-
-    #[test]
-    fn arithmetic_intensity_grows_with_size() {
-        let small = GemmShape::new(16, 16, 16).arithmetic_intensity(2);
-        let large = GemmShape::new(1024, 1024, 1024).arithmetic_intensity(2);
-        assert!(large > small);
     }
 
     #[test]

@@ -154,19 +154,6 @@ impl ShardGrid {
         &self.shards[i * self.mesh_cols + j]
     }
 
-    /// Mutably borrows shard `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(i, j)` is outside the mesh.
-    pub fn shard_mut(&mut self, i: usize, j: usize) -> &mut Matrix {
-        assert!(
-            i < self.mesh_rows && j < self.mesh_cols,
-            "shard ({i},{j}) out of bounds"
-        );
-        &mut self.shards[i * self.mesh_cols + j]
-    }
-
     /// Reassembles the global matrix from the shards.
     pub fn assemble(&self) -> Matrix {
         let (rows, cols) = self.global_dims();
@@ -227,13 +214,6 @@ mod tests {
         // Shard (2, 1) covers rows 4..6, cols 3..6.
         assert_eq!(grid.shard(2, 1)[(0, 0)], x[(4, 3)]);
         assert_eq!(grid.shard(2, 1)[(1, 2)], x[(5, 5)]);
-    }
-
-    #[test]
-    fn shard_mut_writes_through_to_assembly() {
-        let mut grid = ShardGrid::zeros(4, 4, 2, 2);
-        grid.shard_mut(1, 0)[(0, 0)] = 5.0;
-        assert_eq!(grid.assemble()[(2, 0)], 5.0);
     }
 
     #[test]
