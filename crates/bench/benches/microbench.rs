@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meshslice::autotuner::{choose_stationary, pass_problems, Autotuner, RobustObjective};
 use meshslice::llm::{LlmConfig, TrainingSetup};
-use meshslice_collectives::{all_gather, reduce_scatter};
 use meshslice_faults::FaultSpec;
-use meshslice_gemm::{Collective, Dataflow, DistributedGemm, GemmProblem, MeshSlice};
+use meshslice_gemm::{
+    all_gather, reduce_scatter, Collective, Dataflow, DistributedGemm, GemmProblem, MeshSlice,
+};
 use meshslice_mesh::{CommAxis, Torus2d};
 use meshslice_sim::{ClusterProfile, Engine, RunScratch, SimConfig, TimelineRecorder};
 use meshslice_tensor::gemm::matmul;

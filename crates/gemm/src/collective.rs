@@ -8,11 +8,7 @@
 
 use meshslice_mesh::Torus2d;
 use meshslice_sim::CollectiveKind;
-#[cfg(test)]
-use meshslice_tensor::shard::ShardGrid;
 use meshslice_tensor::GemmShape;
-#[cfg(test)]
-use meshslice_tensor::Matrix;
 
 use crate::algorithm::DistributedGemm;
 use crate::error::GemmError;
@@ -39,11 +35,6 @@ use crate::problem::{Dataflow, GemmProblem};
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Collective;
-
-#[cfg(test)]
-pub(crate) fn grid_state(grid: &ShardGrid) -> Vec<Matrix> {
-    grid.iter().map(|(_, s)| s.clone()).collect()
-}
 
 impl DistributedGemm for Collective {
     fn name(&self) -> &str {

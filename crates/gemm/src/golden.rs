@@ -1,97 +1,230 @@
-//! Golden equivalence tests for the unified plan IR.
+//! Golden pins for the unified plan IR.
 //!
-//! Every algorithm must satisfy two invariants against its pre-refactor
-//! implementation (kept verbatim in [`crate::reference`]):
+//! Every golden cell (algorithm, mesh, problem) is held to two things:
 //!
-//! 1. **Bit-for-bit schedule**: the plan's lowered
-//!    [`Program`](meshslice_sim::Program) equals the old schedule builder's
-//!    output — same ops, same order, same tags, same deps — and therefore
-//!    produces an identical [`SimReport`](meshslice_sim::SimReport).
-//! 2. **Functional match**: interpreting the *same* plan moves real shards
-//!    to the same result (up to float summation order) as the old
-//!    executor, which in turn matches dense GeMM.
+//! 1. **Committed digests.** The cell's plan-lowered
+//!    [`Program`](meshslice_sim::Program) and the
+//!    [`SimReport`](meshslice_sim::SimReport) of simulating it on
+//!    `SimConfig::tpu_v4()` hash to the values in [`DIGESTS`]. The
+//!    program digest covers every op field and dependency in program
+//!    order; the report digest covers the f64 bits of the report's
+//!    public figures. The rows were recorded from the schedule builders
+//!    that predate the plan IR, so a digest match means the schedule is
+//!    still op for op what those builders emitted.
+//! 2. **Dense GeMM.** Interpreting the *same* plan moves real shards to
+//!    the dense product (up to float summation order, 1e-3), as do the
+//!    `differential` property tests over random meshes.
+//!
+//! On a digest mismatch the failure prints the cell's replacement row in
+//! source form; re-pinning is an edit to [`DIGESTS`].
 
-use meshslice_mesh::Torus2d;
-use meshslice_sim::{Engine, Program, ProgramBuilder, SimConfig};
+use meshslice_mesh::{CommAxis, LinkDir, Torus2d};
+use meshslice_sim::{
+    CollectiveKind, Engine, OpKind, Program, ProgramBuilder, SimConfig, SimReport,
+};
 use meshslice_tensor::shard::{partition_cols, partition_rows, ShardGrid};
 use meshslice_tensor::{GemmShape, Matrix};
 
 use crate::algorithm::DistributedGemm;
 use crate::problem::{Dataflow, GemmProblem};
-use crate::reference;
 use crate::summa::lcm;
 use crate::{Cannon, Collective, Fsdp, MeshSlice, OneDimTp, Summa, Wang, WangOverlap};
 
 /// Schedule elem width used throughout the golden comparisons (bf16).
 const EB: usize = 2;
 
-/// Asserts both invariants for one `(algorithm, mesh, problem)` cell, given
-/// the pre-refactor schedule and executor outputs.
-#[allow(clippy::too_many_arguments)]
-fn golden(
-    algo: &dyn DistributedGemm,
-    mesh: &Torus2d,
-    problem: GemmProblem,
-    seed: u64,
-    ref_prog: &Program,
-    ref_c: &ShardGrid,
-    a: &ShardGrid,
-    b: &ShardGrid,
-) {
-    golden_with_dense(algo, mesh, problem, seed, ref_prog, ref_c, a, b, None);
+/// FNV-1a 64 over a stream of little-endian words: a hash whose value
+/// depends on nothing but the words fed to it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
-/// Like [`golden`], with an explicit dense expectation for layouts whose
-/// shard grid does not `assemble()` into the global C (the 1D baselines).
-#[allow(clippy::too_many_arguments)]
-fn golden_with_dense(
+fn axis_tag(axis: CommAxis) -> u64 {
+    match axis {
+        CommAxis::InterRow => 0,
+        CommAxis::InterCol => 1,
+    }
+}
+
+/// Digest of a program: per op, in program order, its chip, a kind tag,
+/// every field of the kind, and its dependency ids.
+fn program_digest(program: &Program) -> u64 {
+    let mut h = Fnv::new();
+    for op in program.ops() {
+        h.word(op.chip.index() as u64);
+        match &op.kind {
+            OpKind::Gemm { shape } => {
+                for w in [0, shape.m, shape.n, shape.k] {
+                    h.word(w as u64);
+                }
+            }
+            OpKind::SliceCopy { bytes } => {
+                h.word(1);
+                h.word(*bytes);
+            }
+            OpKind::Collective {
+                kind,
+                axis,
+                tag,
+                shard_bytes,
+                lanes,
+            } => {
+                h.word(2);
+                h.word(match kind {
+                    CollectiveKind::AllGather => 0,
+                    CollectiveKind::ReduceScatter => 1,
+                });
+                h.word(axis_tag(*axis));
+                h.word(*tag);
+                h.word(*shard_bytes);
+                h.word(u64::from(*lanes));
+            }
+            OpKind::SendRecv { dir, bytes } => {
+                h.word(3);
+                h.word(match dir {
+                    LinkDir::RowPlus => 0,
+                    LinkDir::RowMinus => 1,
+                    LinkDir::ColPlus => 2,
+                    LinkDir::ColMinus => 3,
+                });
+                h.word(*bytes);
+            }
+            OpKind::PipelinedBcast { axis, bytes } => {
+                h.word(4);
+                h.word(axis_tag(*axis));
+                h.word(*bytes);
+            }
+        }
+        h.word(op.deps.len() as u64);
+        for dep in &op.deps {
+            h.word(dep.index() as u64);
+        }
+    }
+    h.0
+}
+
+/// Digest of a run: chip count, FLOPs, and the f64 bits of the makespan,
+/// the five busy-time buckets, the overlapped communication and the FLOP
+/// utilization.
+fn report_digest(report: &SimReport) -> u64 {
+    let t = report.totals();
+    let mut h = Fnv::new();
+    h.word(report.num_chips() as u64);
+    h.word(report.total_flops());
+    for d in [
+        report.makespan(),
+        t.compute,
+        t.slice,
+        t.comm_launch,
+        t.comm_sync,
+        t.comm_transfer,
+        report.overlapped_comm(),
+    ] {
+        h.word(d.as_secs().to_bits());
+    }
+    h.word(report.flop_utilization().to_bits());
+    h.0
+}
+
+/// One golden cell's pin: op count, program digest, report digest.
+type Pin = (usize, u64, u64);
+
+/// The pins of every golden cell, recorded from the schedule builders
+/// that predate the plan IR.
+#[rustfmt::skip]
+const DIGESTS: &[(&str, Pin)] = &[
+    ("Collective OS 32x32x32", (48, 0xd701016e10a69b75, 0x69a9703ca1212d38)),
+    ("Collective LS 32x32x32", (48, 0x4efa4bfa2db6ef35, 0x1e0ef63735a2bb6a)),
+    ("Collective RS 32x32x32", (48, 0x9780e9af69c587b5, 0x1e0ef63735a2bb6a)),
+    ("MeshSlice S=1 OS 32x32x32", (48, 0xd701016e10a69b75, 0x69a9703ca1212d38)),
+    ("MeshSlice S=2 OS 32x32x32", (160, 0x9866ea36be1da325, 0x66bb7b28906eb13e)),
+    ("MeshSlice S=4 OS 32x32x32", (320, 0x8219c49712eb4402, 0x3e4f40b10085b23b)),
+    ("MeshSlice S=1 LS 32x32x32", (48, 0x4efa4bfa2db6ef35, 0x1e0ef63735a2bb6a)),
+    ("MeshSlice S=2 LS 32x32x32", (160, 0x55480ee7e3caf445, 0x8f8ab91be3b1a541)),
+    ("MeshSlice S=4 LS 32x32x32", (320, 0x0a413e9cbd9f39e6, 0x090428bfd7f2096d)),
+    ("MeshSlice S=1 RS 32x32x32", (48, 0x9780e9af69c587b5, 0x1e0ef63735a2bb6a)),
+    ("MeshSlice S=2 RS 32x32x32", (160, 0x8de31970e956df05, 0x8f8ab91be3b1a541)),
+    ("MeshSlice S=4 RS 32x32x32", (320, 0x452b8928b553d9ca, 0x090428bfd7f2096d)),
+    ("Cannon OS 32x32x32", (208, 0xc3941eb8ca34f77d, 0xf8ea9226b57b0b12)),
+    ("SUMMA panels=4 OS 32x32x32", (192, 0x77f708891a68dae5, 0xf7486df8a9e37686)),
+    ("SUMMA panels=8 OS 32x32x32", (384, 0xe28f612946bd0f16, 0x27e256326465eeb8)),
+    ("SUMMA panels=4 LS 32x32x32", (192, 0xf016163eecffd9e5, 0xbc44948e35465fba)),
+    ("SUMMA panels=8 LS 32x32x32", (384, 0x255848815845b5f2, 0xe123e46aa94d60aa)),
+    ("SUMMA panels=4 RS 32x32x32", (192, 0xd4c06fb8bb3b67e5, 0xbc44948e35465fba)),
+    ("SUMMA panels=8 RS 32x32x32", (384, 0x4568aefdd471555a, 0xe123e46aa94d60aa)),
+    ("Wang InterRow OS 32x32x32", (128, 0x97e83bbf7571ea25, 0xebe2cc7f004d56d3)),
+    ("Wang InterCol OS 32x32x32", (128, 0x12f4e18b22b14c25, 0xebe2cc7f004d56d3)),
+    ("Wang InterRow LS 32x32x32", (128, 0x897d8af957bdfa25, 0x5bfcc5f5979305dd)),
+    ("Wang InterCol LS 32x32x32", (112, 0xd7e5a42d63432905, 0x66fe6fb49913cbd1)),
+    ("Wang InterRow RS 32x32x32", (112, 0x7f52132f89be6a05, 0x66fe6fb49913cbd1)),
+    ("Wang InterCol RS 32x32x32", (128, 0x1dac04bf01c82825, 0x5bfcc5f5979305dd)),
+    ("Wang InterRow unroll=2 OS 32x32x32", (96, 0x6a7e0deb75ff9f85, 0xab2d2a7189723642)),
+    ("1D TP OS 64x64x64", (120, 0xfb6bd8e3a9abdca5, 0x3a37b509ed737480)),
+    ("1D TP unroll=4 OS 64x64x64", (88, 0xeac3a8a5affe5fad, 0x5f45fb216425d95e)),
+    ("FSDP OS 64x64x64", (120, 0x9db7d12a6ab01225, 0x607128529dcdbf39)),
+    ("FSDP unroll=2 OS 64x64x64", (72, 0x08b9950707743955, 0x80a3e01d861bea9e)),
+];
+
+/// The row `cell` should have in [`DIGESTS`], in source form.
+fn pin_row(cell: &str, (ops, program, report): Pin) -> String {
+    format!("    (\"{cell}\", ({ops}, {program:#018x}, {report:#018x})),")
+}
+
+/// Asserts one golden cell: the plan's program and its simulated report
+/// match the cell's committed digests, and the plan interpreter computes
+/// dense GeMM to 1e-3. `dense` is the expectation for layouts whose shard
+/// grid does not `assemble()` into the global C (the 1D baselines, whose
+/// expectation is already arranged to match `assemble()`'s stacking).
+fn golden(
+    label: &str,
     algo: &dyn DistributedGemm,
     mesh: &Torus2d,
     problem: GemmProblem,
-    seed: u64,
-    ref_prog: &Program,
-    ref_c: &ShardGrid,
     a: &ShardGrid,
     b: &ShardGrid,
     dense: Option<&Matrix>,
 ) {
+    let cell = format!("{label} {problem}");
     let plan = algo.plan(mesh, problem, EB).unwrap();
-    assert_eq!(
-        plan.program(),
-        ref_prog,
-        "{} {problem}: plan-lowered Program differs from pre-refactor schedule",
-        algo.name()
+    let program = plan.program();
+    let report = Engine::new(mesh.clone(), SimConfig::tpu_v4()).run(program);
+    let got = (
+        program.len(),
+        program_digest(program),
+        report_digest(&report),
     );
-    let engine = Engine::new(mesh.clone(), SimConfig::tpu_v4());
-    assert_eq!(
-        engine.run(plan.program()),
-        engine.run(ref_prog),
-        "{} {problem}: SimReport differs",
-        algo.name()
+    let want = DIGESTS
+        .iter()
+        .find(|(name, _)| *name == cell)
+        .map(|&(_, pin)| pin);
+    assert!(
+        want == Some(got),
+        "{cell}: program or report digest differs from DIGESTS\ncommitted:\n{}\nthis build:\n{}",
+        want.map_or("    (none)".to_string(), |pin| pin_row(&cell, pin)),
+        pin_row(&cell, got)
     );
 
     let got = plan.interpret(a, b).assemble();
-    let want = ref_c.assemble();
-    assert!(
-        got.approx_eq(&want, 1e-3),
-        "{} {problem}: plan interpreter differs from pre-refactor executor, max diff {}",
-        algo.name(),
-        got.max_abs_diff(&want)
-    );
-    // The shard grids of the 2D dataflow layouts assemble straight into
-    // the global matrices; the 1D baselines pass their dense expectation in
-    // (already arranged to match `assemble()`'s stacking).
     let dense = match dense {
         Some(d) => d.clone(),
         None => problem.reference(&a.assemble(), &b.assemble()),
     };
     assert!(
         got.approx_eq(&dense, 1e-3),
-        "{} {problem}: plan interpreter differs from dense GeMM, max diff {}",
-        algo.name(),
+        "{cell}: plan interpreter differs from dense GeMM, max diff {}",
         got.max_abs_diff(&dense)
     );
-    let _ = seed;
 }
 
 #[test]
@@ -100,9 +233,7 @@ fn collective_golden_4x4() {
     for df in Dataflow::ALL {
         let problem = GemmProblem::new(GemmShape::new(32, 32, 32), df);
         let (a, b) = problem.random_inputs(&mesh, 101);
-        let ref_prog = reference::schedule_collective(&mesh, problem, EB).unwrap();
-        let ref_c = reference::execute_collective(&mesh, problem, &a, &b).unwrap();
-        golden(&Collective, &mesh, problem, 101, &ref_prog, &ref_c, &a, &b);
+        golden("Collective", &Collective, &mesh, problem, &a, &b, None);
     }
 }
 
@@ -114,9 +245,8 @@ fn meshslice_golden_4x4() {
             let algo = MeshSlice::new(slices, 1);
             let problem = GemmProblem::new(GemmShape::new(32, 32, 32), df);
             let (a, b) = problem.random_inputs(&mesh, 202 + slices as u64);
-            let ref_prog = reference::schedule_meshslice(&algo, &mesh, problem, EB).unwrap();
-            let ref_c = reference::execute_meshslice(&algo, &mesh, problem, &a, &b).unwrap();
-            golden(&algo, &mesh, problem, 202, &ref_prog, &ref_c, &a, &b);
+            let label = format!("MeshSlice S={slices}");
+            golden(&label, &algo, &mesh, problem, &a, &b, None);
         }
     }
 }
@@ -126,9 +256,7 @@ fn cannon_golden_4x4() {
     let mesh = Torus2d::new(4, 4);
     let problem = GemmProblem::new(GemmShape::new(32, 32, 32), Dataflow::Os);
     let (a, b) = problem.random_inputs(&mesh, 303);
-    let ref_prog = reference::schedule_cannon(&mesh, problem, EB).unwrap();
-    let ref_c = reference::execute_cannon(&mesh, problem, &a, &b).unwrap();
-    golden(&Cannon, &mesh, problem, 303, &ref_prog, &ref_c, &a, &b);
+    golden("Cannon", &Cannon, &mesh, problem, &a, &b, None);
 }
 
 #[test]
@@ -139,9 +267,8 @@ fn summa_golden_4x4() {
             let algo = Summa::new(panels);
             let problem = GemmProblem::new(GemmShape::new(32, 32, 32), df);
             let (a, b) = problem.random_inputs(&mesh, 404 + panels as u64);
-            let ref_prog = reference::schedule_summa(&algo, &mesh, problem, EB).unwrap();
-            let ref_c = reference::execute_summa(&algo, &mesh, problem, &a, &b).unwrap();
-            golden(&algo, &mesh, problem, 404, &ref_prog, &ref_c, &a, &b);
+            let label = format!("SUMMA panels={panels}");
+            golden(&label, &algo, &mesh, problem, &a, &b, None);
         }
     }
 }
@@ -154,9 +281,8 @@ fn wang_golden_4x4() {
             let algo = Wang::with_overlap(overlap);
             let problem = GemmProblem::new(GemmShape::new(32, 32, 32), df);
             let (a, b) = problem.random_inputs(&mesh, 505);
-            let ref_prog = reference::schedule_wang(&algo, &mesh, problem, EB).unwrap();
-            let ref_c = reference::execute_wang(&algo, &mesh, problem, &a, &b).unwrap();
-            golden(&algo, &mesh, problem, 505, &ref_prog, &ref_c, &a, &b);
+            let label = format!("Wang {overlap:?}");
+            golden(&label, &algo, &mesh, problem, &a, &b, None);
         }
     }
 }
@@ -167,9 +293,15 @@ fn wang_unrolled_golden_4x4() {
     let algo = Wang::with_overlap(WangOverlap::InterRow).with_unroll(2);
     let problem = GemmProblem::new(GemmShape::new(32, 32, 32), Dataflow::Os);
     let (a, b) = problem.random_inputs(&mesh, 606);
-    let ref_prog = reference::schedule_wang(&algo, &mesh, problem, EB).unwrap();
-    let ref_c = reference::execute_wang(&algo, &mesh, problem, &a, &b).unwrap();
-    golden(&algo, &mesh, problem, 606, &ref_prog, &ref_c, &a, &b);
+    golden(
+        "Wang InterRow unroll=2",
+        &algo,
+        &mesh,
+        problem,
+        &a,
+        &b,
+        None,
+    );
 }
 
 /// Manually sharded inputs for the 1D ring baselines (their layouts are
@@ -211,20 +343,12 @@ fn one_dim_tp_golden_8x1() {
     let problem = GemmProblem::new(GemmShape::new(64, 64, 64), Dataflow::Os);
     let (a_global, b_global, a, b) = one_d_inputs(8, 64, 707, true);
     let dense = tp_stacked_dense(&a_global, &b_global, 8);
-    for algo in [OneDimTp::new(), OneDimTp::with_unroll(4)] {
-        let ref_prog = reference::schedule_one_dim_tp(&algo, &mesh, problem, EB).unwrap();
-        let ref_c = reference::execute_one_dim_tp(&mesh, problem, &a, &b).unwrap();
-        golden_with_dense(
-            &algo,
-            &mesh,
-            problem,
-            707,
-            &ref_prog,
-            &ref_c,
-            &a,
-            &b,
-            Some(&dense),
-        );
+    let algos = [
+        ("1D TP", OneDimTp::new()),
+        ("1D TP unroll=4", OneDimTp::with_unroll(4)),
+    ];
+    for (label, algo) in algos {
+        golden(label, &algo, &mesh, problem, &a, &b, Some(&dense));
     }
 }
 
@@ -234,20 +358,11 @@ fn fsdp_golden_8x1() {
     let problem = GemmProblem::new(GemmShape::new(64, 64, 64), Dataflow::Os);
     let (a_global, b_global, a, b) = one_d_inputs(8, 64, 808, false);
     let dense = meshslice_tensor::gemm::matmul(&a_global, &b_global);
-    for algo in [Fsdp::new(), Fsdp::with_unroll(2)] {
-        let ref_prog = reference::schedule_fsdp(&algo, &mesh, problem, EB).unwrap();
-        let ref_c = reference::execute_fsdp(&mesh, problem, &a, &b).unwrap();
-        golden_with_dense(
-            &algo,
-            &mesh,
-            problem,
-            808,
-            &ref_prog,
-            &ref_c,
-            &a,
-            &b,
-            Some(&dense),
-        );
+    for (label, algo) in [
+        ("FSDP", Fsdp::new()),
+        ("FSDP unroll=2", Fsdp::with_unroll(2)),
+    ] {
+        golden(label, &algo, &mesh, problem, &a, &b, Some(&dense));
     }
 }
 
@@ -340,28 +455,20 @@ mod differential {
         prop_oneof![Just(Dataflow::Os), Just(Dataflow::Ls), Just(Dataflow::Rs)]
     }
 
-    /// Interprets `algo`'s plan and compares against a pre-refactor
-    /// executor result and dense GeMM.
+    /// Executes `algo` through the plan interpreter and compares against
+    /// dense GeMM (`dense`, or the problem's own reference when `None`).
     fn diff(
         algo: &dyn DistributedGemm,
         mesh: &Torus2d,
         problem: GemmProblem,
         a: &ShardGrid,
         b: &ShardGrid,
-        ref_c: &ShardGrid,
         dense: Option<&Matrix>,
     ) -> Result<(), TestCaseError> {
         let got = algo
             .execute(mesh, problem, a, b)
             .unwrap_or_else(|e| panic!("{} failed on {problem}: {e}", algo.name()))
             .assemble();
-        let want = ref_c.assemble();
-        prop_assert!(
-            got.approx_eq(&want, 1e-3),
-            "{} {problem}: interpreter vs pre-refactor executor, max diff {}",
-            algo.name(),
-            got.max_abs_diff(&want)
-        );
         let dense = match dense {
             Some(d) => d.clone(),
             None => problem.reference(&a.assemble(), &b.assemble()),
@@ -379,9 +486,9 @@ mod differential {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The 2D algorithms, over random meshes, dataflows, and slice
-        /// counts: plan interpreter == pre-refactor executor == dense.
+        /// counts: plan interpreter == dense.
         #[test]
-        fn two_d_algorithms_match_reference_and_dense(
+        fn two_d_algorithms_match_dense(
             pr in 1usize..4, pc in 1usize..4,
             slices in 1usize..4,
             df in dataflow(), seed in any::<u64>(),
@@ -394,26 +501,18 @@ mod differential {
             let problem = GemmProblem::new(shape, df);
             let (a, b) = problem.random_inputs(&mesh, seed);
 
-            let ms = MeshSlice::new(slices, 1);
-            diff(&ms, &mesh, problem,
-                 &a, &b, &reference::execute_meshslice(&ms, &mesh, problem, &a, &b).unwrap(), None)?;
-            diff(&Collective, &mesh, problem,
-                 &a, &b, &reference::execute_collective(&mesh, problem, &a, &b).unwrap(), None)?;
-            let su = Summa::auto(&mesh);
-            diff(&su, &mesh, problem,
-                 &a, &b, &reference::execute_summa(&su, &mesh, problem, &a, &b).unwrap(), None)?;
-            let wa = Wang::new();
-            diff(&wa, &mesh, problem,
-                 &a, &b, &reference::execute_wang(&wa, &mesh, problem, &a, &b).unwrap(), None)?;
+            diff(&MeshSlice::new(slices, 1), &mesh, problem, &a, &b, None)?;
+            diff(&Collective, &mesh, problem, &a, &b, None)?;
+            diff(&Summa::auto(&mesh), &mesh, problem, &a, &b, None)?;
+            diff(&Wang::new(), &mesh, problem, &a, &b, None)?;
             if pr == pc && df == Dataflow::Os {
-                diff(&Cannon, &mesh, problem,
-                     &a, &b, &reference::execute_cannon(&mesh, problem, &a, &b).unwrap(), None)?;
+                diff(&Cannon, &mesh, problem, &a, &b, None)?;
             }
         }
 
         /// The 1D ring baselines on `n × 1` meshes.
         #[test]
-        fn one_d_baselines_match_reference_and_dense(
+        fn one_d_baselines_match_dense(
             n in 1usize..6, scale in 1usize..3, unroll in 1usize..4, seed in any::<u64>(),
         ) {
             let mesh = Torus2d::new(n, 1);
@@ -422,15 +521,11 @@ mod differential {
 
             let (a_global, b_global, a, b) = one_d_inputs(n, dim, seed, true);
             let tp_dense = tp_stacked_dense(&a_global, &b_global, n);
-            diff(&OneDimTp::with_unroll(unroll), &mesh, problem,
-                 &a, &b, &reference::execute_one_dim_tp(&mesh, problem, &a, &b).unwrap(),
-                 Some(&tp_dense))?;
+            diff(&OneDimTp::with_unroll(unroll), &mesh, problem, &a, &b, Some(&tp_dense))?;
 
             let (a_global, b_global, a, b) = one_d_inputs(n, dim, seed, false);
             let fsdp_dense = meshslice_tensor::gemm::matmul(&a_global, &b_global);
-            diff(&Fsdp::with_unroll(unroll), &mesh, problem,
-                 &a, &b, &reference::execute_fsdp(&mesh, problem, &a, &b).unwrap(),
-                 Some(&fsdp_dense))?;
+            diff(&Fsdp::with_unroll(unroll), &mesh, problem, &a, &b, Some(&fsdp_dense))?;
         }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! 1. **functional**: [`Plan::interpret`] walks the plan's data actions
 //!    in dependency order, really computing the distributed product over
-//!    per-chip matrix shards (via `meshslice-collectives`), verified
+//!    per-chip matrix shards (through the ring collectives of this crate,
+//!    [`all_gather`] and [`reduce_scatter`]), verified
 //!    numerically against dense GeMM, and
 //! 2. **timing**: [`Plan::program`] is the algorithm's per-chip task DAG
 //!    (a [`Program`](meshslice_sim::Program)) with the data annotations
@@ -58,6 +59,7 @@
 mod algorithm;
 mod cannon;
 mod collective;
+mod collectives;
 mod error;
 #[cfg(test)]
 mod golden;
@@ -65,8 +67,6 @@ mod meshslice_algo;
 mod one_d;
 mod plan;
 mod problem;
-#[cfg(test)]
-mod reference;
 mod summa;
 mod two_five_d;
 mod wang;
@@ -74,6 +74,7 @@ mod wang;
 pub use algorithm::DistributedGemm;
 pub use cannon::Cannon;
 pub use collective::Collective;
+pub use collectives::{all_gather, degraded_all_gather, degraded_reduce_scatter, reduce_scatter};
 pub use error::GemmError;
 pub use meshslice_algo::MeshSlice;
 pub use one_d::{Fsdp, OneDimTp};

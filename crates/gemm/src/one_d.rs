@@ -60,11 +60,6 @@ impl OneDimTp {
             unroll: Some(groups),
         }
     }
-
-    #[cfg(test)]
-    pub(crate) fn unroll(&self) -> Option<usize> {
-        self.unroll
-    }
 }
 
 impl Fsdp {
@@ -83,11 +78,6 @@ impl Fsdp {
         Fsdp {
             unroll: Some(groups),
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn unroll(&self) -> Option<usize> {
-        self.unroll
     }
 }
 

@@ -24,9 +24,9 @@
 //! # Data model
 //!
 //! Plans name data through cluster-wide *registers* ([`Reg`]): a register
-//! holds one logical matrix value per chip (the same convention as
-//! `meshslice-collectives` cluster state). Registers are write-once per
-//! chip entry, except zero-initialized accumulators, which only ever
+//! holds one logical matrix value per chip (the cluster-state convention
+//! of the ring collectives, e.g. [`all_gather`]). Registers are write-once
+//! per chip entry, except zero-initialized accumulators, which only ever
 //! receive commutative `+=` contributions — so any order respecting the
 //! read-after-write edges computes the same result.
 //!
@@ -34,7 +34,6 @@
 //! indices): a plan is built for one mesh and one problem, so nothing is
 //! symbolic.
 
-use meshslice_collectives::{all_gather, reduce_scatter};
 use meshslice_mesh::{ChipId, CommAxis, Torus2d};
 use meshslice_sim::{OpId, Program, ProgramBuilder};
 use meshslice_tensor::gemm as dense;
@@ -44,6 +43,7 @@ use meshslice_tensor::slice::{
 };
 use meshslice_tensor::Matrix;
 
+use crate::collectives::{all_gather, reduce_scatter};
 use crate::error::GemmError;
 
 /// Element size used when a plan is interpreted functionally.

@@ -205,9 +205,10 @@ impl Ring {
         self.members.len()
     }
 
-    /// Returns `true` if the ring is trivial (a single chip).
+    /// Returns `true` if the ring has no members. A built ring is never
+    /// empty: the constructor asserts at least one member.
     pub fn is_empty(&self) -> bool {
-        false
+        self.members.is_empty()
     }
 
     /// The ordered members.
@@ -300,6 +301,7 @@ mod tests {
     fn singleton_ring_is_detected() {
         let r = Ring::new(CommAxis::InterRow, vec![ChipId(0)]);
         assert_eq!(r.len(), 1);
+        assert!(!r.is_empty());
         assert_eq!(r.next(ChipId(0)), ChipId(0));
     }
 }

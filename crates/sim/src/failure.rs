@@ -99,7 +99,7 @@ pub(crate) const DETOUR_LINK_MULTIPLIER: f64 = 0.5;
 ///
 /// The profile prices *degraded-mesh* execution; the redistribution of
 /// the dead chip's shards is modeled functionally by
-/// `meshslice-collectives`' degraded collectives.
+/// `meshslice-gemm`'s degraded collectives.
 ///
 /// # Panics
 ///

@@ -15,8 +15,8 @@
 //! The match is by name, as a whole word anywhere in those files
 //! (comments included), so it can only err toward "used": it is a lower
 //! bound on dead surface, never a false alarm. The vendored
-//! `*-shim` crates, `#[cfg(test)]` items, and the `golden.rs` /
-//! `reference.rs` test oracles are not checked.
+//! `*-shim` crates, `#[cfg(test)]` items, and the `golden.rs` test pins
+//! are not checked.
 
 use std::collections::HashSet;
 use std::fs;
@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 /// Directories never searched: build output and VCS metadata.
 const SKIP_DIRS: [&str; 3] = ["target", ".git", ".bench_build"];
 
-/// Library sources whose items are not checked (test oracles).
-const SKIP_FILES: [&str; 2] = ["golden.rs", "reference.rs"];
+/// Library sources whose items are not checked (test pins).
+const SKIP_FILES: [&str; 1] = ["golden.rs"];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

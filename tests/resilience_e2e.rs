@@ -5,8 +5,8 @@
 //! zero-failure bit-for-bit guarantee.
 
 use meshslice::checkpoint::young_daly_interval;
-use meshslice_collectives::{degraded_all_gather, degraded_reduce_scatter};
 use meshslice_faults::FailureSpec;
+use meshslice_gemm::{degraded_all_gather, degraded_reduce_scatter};
 use meshslice_mesh::{ChipId, CommAxis, Torus2d};
 use meshslice_recovery::{simulate_recovery, RecoveryParams};
 use meshslice_sim::{
