@@ -26,13 +26,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::{type_name, Any};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 use meshslice::autotuner::Autotuner;
 use meshslice::experiments::{
-    mesh_shape_sweep, slice_count_sweep, straggler_sensitivity, traffic_25d_example,
+    inference_study, mesh_shape_sweep, slice_count_sweep, straggler_sensitivity,
+    traffic_25d_example, DEFAULT_PROMPT_LEN,
 };
 use meshslice::llm::{LlmConfig, TrainingSetup};
 use meshslice::parallelism::{plan_cluster, PlanOptions};
@@ -42,7 +44,7 @@ use meshslice::{
     Dataflow, DistributedGemm, Engine, GemmProblem, GemmShape, MeshShape, MeshSlice, SimConfig,
 };
 use meshslice_faults::FailureSpec;
-use meshslice_mesh::{MeshView, Torus2d};
+use meshslice_mesh::{MeshView, Torus2d, MAX_AXES};
 use meshslice_recovery::{
     simulate_recovery, tune_resilient, RecoveryParams, RepairModel, DEFAULT_DETECT_SECS,
 };
@@ -65,8 +67,7 @@ use meshslice_telemetry::{
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `autotune <model> <chips>`: run both autotuner phases and print
-    /// the plan.
+    /// `autotune`: run both autotuner phases and print the plan.
     Autotune {
         /// Target model.
         model: Model,
@@ -80,24 +81,23 @@ pub enum Command {
         /// Cluster size.
         chips: usize,
     },
-    /// `sweep-mesh <model> <chips>`: estimated vs simulated utilization
-    /// across mesh shapes (Figure 13).
+    /// `sweep-mesh`: estimated vs simulated utilization across mesh
+    /// shapes (Figure 13).
     SweepMesh {
         /// Target model.
         model: Model,
         /// Cluster size.
         chips: usize,
     },
-    /// `sweep-slice <model> <RxC>`: estimated vs simulated utilization
-    /// across slice counts (Figure 14).
+    /// `sweep-slice`: estimated vs simulated utilization across slice
+    /// counts (Figure 14).
     SweepSlice {
         /// Target model.
         model: Model,
         /// Mesh shape, e.g. `32x8`.
         mesh: MeshShape,
     },
-    /// `plan3d <model> <chips> <global_batch>`: best DP × PP × 2D-TP
-    /// compositions.
+    /// `plan3d`: best DP × PP × 2D-TP compositions.
     Plan3d {
         /// Target model.
         model: Model,
@@ -106,39 +106,27 @@ pub enum Command {
         /// Global batch size.
         batch: usize,
     },
-    /// `memory <model> <chips>`: per-chip training memory footprint.
+    /// `memory`: per-chip training memory footprint.
     Memory {
         /// Target model.
         model: Model,
         /// Cluster size.
         chips: usize,
     },
-    /// `inference <model> <chips>`: decode latency per block vs batch.
+    /// `inference`: decode latency per block vs batch.
     Inference {
         /// Target model.
         model: Model,
         /// Cluster size.
         chips: usize,
     },
-    /// `serve [--model M] [--chips N] [--replicas R] [--qps F]
-    /// [--trace FILE] [--slo-p99-ms F] [--seed K] [--requests N]
-    /// [--fail-at SECS] [--chaos-mtbf SECS] [--repair SECS] [--retries N]
-    /// [--shed DEPTH] [--mesh RxC] [--s N] [--max-batch N] [--screen]
-    /// [--format text|json|prometheus] [--out FILE] [--trace-out FILE]
-    /// [--trace-chrome FILE] [--explain] [--explain-out FILE]
-    /// [--threads N]`: simulate a continuous-batching serving fleet and
-    /// report TTFT/TPOT percentiles and goodput-per-chip against the
-    /// SLO. `--chaos-mtbf` draws seeded multi-death fault injection per
-    /// replica (the serving analog of the `resilience` MTBF ladder);
-    /// `--retries`/`--shed` enable cross-replica failover routing and
-    /// SLO-aware load shedding. The trace/explain flags record the
-    /// request-lifecycle event stream (observation-only — the report is
-    /// bit-identical with or without them) and decompose tail TTFT into
-    /// blame components.
+    /// `serve`: simulate a continuous-batching serving fleet and report
+    /// TTFT/TPOT percentiles and goodput-per-chip against the SLO.
     Serve {
         /// Target model.
         model: Model,
-        /// Total chips in the fleet (split across replicas).
+        /// Total chips in the fleet (split across replicas); with `--mesh`,
+        /// a given `--chips` must equal the mesh's chips × `replicas`.
         chips: usize,
         /// Replica count; must divide the chip pool.
         replicas: usize,
@@ -172,16 +160,18 @@ pub enum Command {
         shed: Option<usize>,
         /// Pin the per-replica mesh, skipping the serving tuner.
         mesh: Option<MeshShape>,
-        /// Slice count used with `--mesh` (tuned when `--mesh` absent).
+        /// Slice count of the pinned layout; `--s` requires `--mesh`
+        /// (the tuner picks it otherwise).
         s: usize,
-        /// Decode batch cap used with `--mesh` (tuned when absent).
+        /// Decode batch cap of the pinned layout; `--max-batch` requires
+        /// `--mesh` (the tuner picks it otherwise).
         max_batch: usize,
         /// Tune with successive-halving screening (prefix-trace
-        /// elimination) instead of the full fast path; ignored with
-        /// `--mesh`.
+        /// elimination) instead of the full fast path; `--screen`
+        /// conflicts with `--mesh`, which skips tuning.
         screen: bool,
         /// Output format for the artifact.
-        format: ServeFormat,
+        format: Format,
         /// Also write the JSON artifact here.
         out: Option<String>,
         /// Write the request-lifecycle event stream here as JSONL
@@ -200,9 +190,8 @@ pub enum Command {
         /// Results are identical at any count.
         threads: Option<usize>,
     },
-    /// `faults [--model M] [--chips N] [--straggler F] [--seeds K]
-    /// [--threads N]`: straggler-severity × slice-count sensitivity grid
-    /// under seeded fault injection.
+    /// `faults`: straggler-severity × slice-count sensitivity grid under
+    /// seeded fault injection.
     Faults {
         /// Target model.
         model: Model,
@@ -216,10 +205,9 @@ pub enum Command {
         /// parallelism when absent. Results are identical at any count.
         threads: Option<usize>,
     },
-    /// `resilience [--model M] [--chips N] [--mtbf HOURS] [--steps N]
-    /// [--seed K] [--threads N]`: sweep a chip-MTBF ladder, jointly
-    /// tuning the plan and the Young–Daly checkpoint interval per rung,
-    /// and replay one seeded failure draw through checkpoint/restart.
+    /// `resilience`: sweep a chip-MTBF ladder, jointly tuning the plan
+    /// and the Young–Daly checkpoint interval per rung, and replay one
+    /// seeded failure draw through checkpoint/restart.
     Resilience {
         /// Target model.
         model: Model,
@@ -235,8 +223,8 @@ pub enum Command {
         /// parallelism when absent. Results are identical at any count.
         threads: Option<usize>,
     },
-    /// `trace [--model M] [--mesh RxC] [--out FILE] [--sort]`: run one FC
-    /// GeMM with span collection and emit Chrome trace-event JSON.
+    /// `trace`: run one FC GeMM with span collection and emit Chrome
+    /// trace-event JSON.
     Trace {
         /// Target model.
         model: Model,
@@ -248,10 +236,8 @@ pub enum Command {
         /// runs of the same schedule produce byte-identical traces.
         sort: bool,
     },
-    /// `metrics [--model M] [--mesh RxC] [--s N] [--windows N]
-    /// [--format F] [--out FILE] [--tunelog FILE] [--threads N]`:
-    /// instrument one FC GeMM and report critical-path attribution,
-    /// overlap efficiency, and per-lane utilization.
+    /// `metrics`: instrument one FC GeMM and report critical-path
+    /// attribution, overlap efficiency, and per-lane utilization.
     Metrics {
         /// Target model.
         model: Model,
@@ -262,7 +248,7 @@ pub enum Command {
         /// Number of utilization time-series windows.
         windows: usize,
         /// Output format for the artifact.
-        format: MetricsFormat,
+        format: Format,
         /// Also write the JSON artifact here.
         out: Option<String>,
         /// Run the logged autotuner and write the candidate log here.
@@ -281,9 +267,8 @@ pub enum Command {
     },
     /// `traffic`: the §7 2.5D-vs-MeshSlice+DP traffic example.
     Traffic,
-    /// `mesh <chips> [--max-rank N] [--shape AxB[xC[xD]]]
-    /// [--format text|json]`: list the N-D mesh factorizations of a chip
-    /// count, or (with `--shape`) every 2D plane view of one N-D shape.
+    /// `mesh`: list the N-D mesh factorizations of a chip count, or
+    /// (with `--shape`) every 2D plane view of one N-D shape.
     Mesh {
         /// Cluster size to factor.
         chips: usize,
@@ -292,8 +277,8 @@ pub enum Command {
         /// List the 2D plane views of this shape instead of the
         /// factorization table; its chip product must equal `chips`.
         shape: Option<MeshShape>,
-        /// Output format.
-        format: MeshListFormat,
+        /// Output format: text or JSON.
+        format: Format,
     },
     /// `help`: usage text.
     Help,
@@ -330,36 +315,17 @@ impl Model {
     }
 }
 
-/// Output format of the `metrics` subcommand.
+/// Output format of `metrics`, `serve` and `mesh`; each subcommand's
+/// table lists the spellings it accepts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricsFormat {
+pub enum Format {
     /// Human-readable tables.
     Text,
-    /// The JSON artifact (`schemas/metrics.schema.json`).
+    /// The metrics or serving artifact (the `serve` default), or `mesh`'s
+    /// tables as JSON.
     Json,
     /// Prometheus text exposition format.
     Prometheus,
-}
-
-/// Output format of the `serve` subcommand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeFormat {
-    /// Human-readable tables.
-    Text,
-    /// The JSON artifact (`schemas/serving.schema.json`) — the default,
-    /// so piping `serve` output yields a schema-valid document.
-    Json,
-    /// Prometheus text exposition format.
-    Prometheus,
-}
-
-/// Output format of the `mesh` subcommand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeshListFormat {
-    /// Human-readable tables.
-    Text,
-    /// A JSON document with the same content.
-    Json,
 }
 
 /// Errors produced while parsing a command line.
@@ -368,45 +334,416 @@ pub struct UsageError(String);
 
 impl fmt::Display for UsageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\n\n{}", self.0, USAGE)
+        write!(f, "{}\n\n{}", self.0, usage())
     }
 }
 
 impl Error for UsageError {}
 
-/// The usage text printed by `help` and on parse errors.
-pub(crate) const USAGE: &str = "\
-meshslice — 2D tensor parallelism autotuner & cluster simulator
+/// How a positional's or flag's value is parsed and range-checked.
+///
+/// A switch takes no value. A count is a positive integer, a rank one in
+/// `2..=MAX_AXES`, and a seed any `u64`. Reals are finite, and positive or
+/// non-negative; a straggler slowdown is at least 1 and keeps the top of
+/// the `faults` severity ladder, `1 + 2(x - 1)`, finite. A mesh is `RxC`,
+/// a shape `AxB[xC[xD]]`, a path is taken verbatim, and a format is one of
+/// the listed spellings.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch,
+    Count,
+    Rank,
+    Seed,
+    Positive,
+    NonNegative,
+    Straggler,
+    Model,
+    Mesh,
+    Shape,
+    Path,
+    Format(&'static [(&'static str, Format)]),
+}
 
-USAGE:
-    meshslice autotune    <gpt3|megatron> <chips>
-    meshslice compare     <gpt3|megatron> <chips>
-    meshslice compare     <runA.json> <runB.json>
-    meshslice sweep-mesh  <gpt3|megatron> <chips>
-    meshslice sweep-slice <gpt3|megatron> <RxC>
-    meshslice plan3d      <gpt3|megatron> <chips> <global_batch>
-    meshslice memory      <gpt3|megatron> <chips>
-    meshslice inference   <gpt3|megatron> <chips>
-    meshslice serve       [--model gpt3|megatron|tiny] [--chips N] [--replicas R] [--qps F]
-                          [--trace FILE] [--slo-p99-ms F] [--seed K] [--requests N]
-                          [--fail-at SECS] [--chaos-mtbf SECS] [--repair SECS]
-                          [--retries N] [--shed DEPTH]
-                          [--mesh RxC] [--s N] [--max-batch N] [--screen]
-                          [--format text|json|prometheus] [--out FILE]
-                          [--trace-out FILE] [--trace-chrome FILE]
-                          [--explain] [--explain-out FILE] [--threads N]
-    meshslice faults      [--model gpt3|megatron] [--chips N] [--straggler F] [--seeds K]
-                          [--threads N]
-    meshslice resilience  [--model gpt3|megatron] [--chips N] [--mtbf HOURS] [--steps N]
-                          [--seed K] [--threads N]
-    meshslice trace       [--model gpt3|megatron] [--mesh RxC] [--out FILE] [--sort]
-    meshslice metrics     [--model gpt3|megatron] [--mesh RxC] [--s N] [--windows N]
-                          [--format text|json|prometheus] [--out FILE] [--tunelog FILE]
-                          [--threads N]
-    meshslice traffic
-    meshslice mesh        <chips> [--max-rank N] [--shape AxB[xC[xD]]] [--format text|json]
-    meshslice help
+/// A parsed value, of the type its [`Kind`] produces: `()`, `usize`,
+/// `u64`, `f64`, [`Model`], [`MeshShape`], `String` or [`Format`].
+type Value = Box<dyn Any>;
 
+impl Kind {
+    /// Parses and range-checks `s`; `label` names the value in errors.
+    fn parse(self, s: &str, label: &str) -> Result<Value, UsageError> {
+        let real = |ok: fn(f64) -> bool, rule: &str| match number(s, label)? {
+            x if ok(x) => Ok(x),
+            x => usage_err(format!("{label} must be {rule}, got {x}")),
+        };
+        let value: Value = match self {
+            Kind::Switch => Box::new(()),
+            Kind::Count => match number::<usize>(s, label)? {
+                0 => return usage_err(format!("{label} must be positive")),
+                n => Box::new(n),
+            },
+            Kind::Rank => match number::<usize>(s, label)? {
+                n if (2..=MAX_AXES).contains(&n) => Box::new(n),
+                _ => return usage_err(format!("{label} must be between 2 and {MAX_AXES}")),
+            },
+            Kind::Seed => Box::new(number::<u64>(s, label)?),
+            Kind::Positive => Box::new(real(|x| x.is_finite() && x > 0.0, "finite and positive")?),
+            Kind::NonNegative => Box::new(real(
+                |x| x.is_finite() && x >= 0.0,
+                "finite and non-negative",
+            )?),
+            Kind::Straggler => match real(|x| x >= 1.0, ">= 1")? {
+                x if (1.0 + 2.0 * (x - 1.0)).is_finite() => Box::new(x),
+                x => return usage_err(format!("{label} {x:e} overflows the severity ladder")),
+            },
+            Kind::Model => Box::new(parse_model(s)?),
+            Kind::Mesh => Box::new(parse_mesh(s)?),
+            Kind::Shape => Box::new(parse_shape_nd(s)?),
+            Kind::Path => Box::new(s.to_string()),
+            Kind::Format(choices) => match choices.iter().find(|(name, _)| *name == s) {
+                Some(&(_, format)) => Box::new(format),
+                None => return usage_err(format!("unknown format '{s}'")),
+            },
+        };
+        Ok(value)
+    }
+}
+
+/// One positional or flag of a subcommand.
+struct Arg {
+    /// `--flag`, or a positional's noun in "missing argument: …".
+    name: &'static str,
+    /// The placeholder `USAGE` shows for the value.
+    metavar: &'static str,
+    kind: Kind,
+    /// The noun error messages use for the value ("seed count").
+    label: &'static str,
+    /// A flag's value when absent, in command-line spelling.
+    default: Option<&'static str>,
+}
+
+impl Arg {
+    fn is_flag(&self) -> bool {
+        self.name.starts_with("--")
+    }
+}
+
+type Str = &'static str;
+
+const fn pos(name: Str, metavar: Str, kind: Kind, label: Str) -> Arg {
+    flag(name, metavar, kind, label, None)
+}
+
+const fn flag(name: Str, metavar: Str, kind: Kind, label: Str, default: Option<Str>) -> Arg {
+    Arg {
+        name,
+        metavar,
+        kind,
+        label,
+        default,
+    }
+}
+
+const fn switch(name: Str) -> Arg {
+    flag(name, "", Kind::Switch, "", None)
+}
+
+/// One row of the subcommand table: the arguments `parse` accepts, in
+/// `USAGE` order (positionals first), and the constructor that checks
+/// the cross-argument rules and builds the [`Command`].
+struct Subcommand {
+    name: &'static str,
+    args: &'static [Arg],
+    build: fn(&Args) -> Result<Command, UsageError>,
+}
+
+/// The values one command line gave a subcommand's arguments.
+struct Args {
+    spec: &'static [Arg],
+    values: Vec<Option<Value>>,
+}
+
+impl Args {
+    /// `name`'s table entry and command-line value.
+    fn slot(&self, name: &str) -> (&Arg, &Option<Value>) {
+        let slot = self.spec.iter().position(|a| a.name == name);
+        let slot = slot.unwrap_or_else(|| unreachable!("{name} is not in the table row"));
+        (&self.spec[slot], &self.values[slot])
+    }
+
+    /// Whether the command line set `name`.
+    fn given(&self, name: &str) -> bool {
+        self.slot(name).1.is_some()
+    }
+
+    /// `name`'s value from the command line, else its table default.
+    fn get<T: Clone + 'static>(&self, name: &str) -> Option<T> {
+        let default;
+        let value = match self.slot(name) {
+            (_, Some(v)) => v,
+            (arg, None) => {
+                default = arg.kind.parse(arg.default?, arg.label).ok()?;
+                &default
+            }
+        };
+        let value = value.downcast_ref::<T>().cloned();
+        Some(value.unwrap_or_else(|| unreachable!("{name} is not a {}", type_name::<T>())))
+    }
+
+    /// [`get`](Self::get) for a positional or a flag with a default.
+    fn val<T: Clone + 'static>(&self, name: &str) -> T {
+        self.get(name)
+            .unwrap_or_else(|| unreachable!("{name} has no value or default"))
+    }
+}
+
+const MODELS: &str = "gpt3|megatron|tiny";
+const MODEL: Arg = pos("model", MODELS, Kind::Model, "model");
+const CHIPS: Arg = pos("chips", "chips", Kind::Count, "chip count");
+const MODEL_FLAG: Arg = flag("--model", MODELS, Kind::Model, "model", Some("gpt3"));
+const THREADS: Arg = flag("--threads", "N", Kind::Count, "thread count", None);
+const OUT: Arg = flag("--out", "FILE", Kind::Path, "output path", None);
+const TEXT_JSON: Kind = Kind::Format(&[("text", Format::Text), ("json", Format::Json)]);
+const TEXT_JSON_PROM: Kind = Kind::Format(&[
+    ("text", Format::Text),
+    ("json", Format::Json),
+    ("prometheus", Format::Prometheus),
+    ("prom", Format::Prometheus),
+]);
+
+#[rustfmt::skip]
+static SERVE: &[Arg] = &[
+    MODEL_FLAG,
+    flag("--chips",        "N",     Kind::Count,       "chip count",        Some("32")),
+    flag("--replicas",     "R",     Kind::Count,       "replica count",     Some("2")),
+    flag("--qps",          "F",     Kind::Positive,    "offered load",      Some("40")),
+    flag("--trace",        "FILE",  Kind::Path,        "rate trace",        None),
+    flag("--slo-p99-ms",   "F",     Kind::Positive,    "SLO target",        Some("500")),
+    flag("--seed",         "K",     Kind::Seed,        "seed",              Some("0")),
+    flag("--requests",     "N",     Kind::Count,       "request count",     Some("200")),
+    flag("--fail-at",      "SECS",  Kind::NonNegative, "failure time",      None),
+    flag("--chaos-mtbf",   "SECS",  Kind::Positive,    "chaos MTBF",        None),
+    flag("--repair",       "SECS",  Kind::Positive,    "repair time",       None),
+    flag("--retries",      "N",     Kind::Count,       "retry budget",      None),
+    flag("--shed",         "DEPTH", Kind::Count,       "shed queue depth",  None),
+    flag("--mesh",         "RxC",   Kind::Mesh,        "mesh shape",        None),
+    flag("--s",            "N",     Kind::Count,       "slice count",       Some("4")),
+    flag("--max-batch",    "N",     Kind::Count,       "batch cap",         Some("32")),
+    switch("--screen"),
+    flag("--format", "text|json|prometheus", TEXT_JSON_PROM, "format",     Some("json")),
+    OUT,
+    flag("--trace-out",    "FILE",  Kind::Path,        "trace path",        None),
+    flag("--trace-chrome", "FILE",  Kind::Path,        "chrome trace path", None),
+    switch("--explain"),
+    flag("--explain-out",  "FILE",  Kind::Path,        "blame report path", None),
+    THREADS,
+];
+
+/// Every subcommand, in `USAGE` order. `compare` has two rows: `parse`
+/// takes the first row whose leading positional parses, else the last.
+#[rustfmt::skip]
+static SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand { name: "autotune", args: &[MODEL, CHIPS], build: |a| {
+        tuned(a, "model", "chips").map(|(model, chips)| Command::Autotune { model, chips })
+    } },
+    Subcommand { name: "compare", args: &[MODEL, CHIPS], build: |a| {
+        tuned(a, "model", "chips").map(|(model, chips)| Command::Compare { model, chips })
+    } },
+    Subcommand { name: "compare",
+        args: &[pos("runA.json", "runA.json", Kind::Path, "run file"),
+                pos("runB.json", "runB.json", Kind::Path, "run file")],
+        build: |a| Ok(Command::CompareRuns { a: a.val("runA.json"), b: a.val("runB.json") }) },
+    Subcommand { name: "sweep-mesh", args: &[MODEL, CHIPS],
+        build: |a| {
+            let chips = weak_scaling_chips(a.val("chips"))?;
+            Ok(Command::SweepMesh { model: a.val("model"), chips })
+        } },
+    Subcommand { name: "sweep-slice",
+        args: &[MODEL, pos("mesh shape", "RxC", Kind::Mesh, "mesh shape")],
+        build: |a| {
+            let (model, mesh) = (a.val("model"), a.val::<MeshShape>("mesh shape"));
+            plannable_chips(model, mesh.num_chips(), &[mesh])?;
+            Ok(Command::SweepSlice { model, mesh })
+        } },
+    Subcommand { name: "plan3d",
+        args: &[MODEL, CHIPS, pos("global batch", "global_batch", Kind::Count, "global batch")],
+        build: |a| {
+            let (model, chips, batch) = (a.val("model"), a.val("chips"), a.val("global batch"));
+            Ok(Command::Plan3d { model, chips, batch })
+        } },
+    Subcommand { name: "memory", args: &[MODEL, CHIPS], build: |a| {
+        tuned(a, "model", "chips").map(|(model, chips)| Command::Memory { model, chips })
+    } },
+    Subcommand { name: "inference", args: &[MODEL, CHIPS],
+        build: |a| Ok(Command::Inference { model: a.val("model"), chips: a.val("chips") }) },
+    Subcommand { name: "serve", args: SERVE, build: serve },
+    Subcommand { name: "faults",
+        args: &[
+            MODEL_FLAG,
+            flag("--chips",     "N", Kind::Count,     "chip count",         Some("16")),
+            flag("--straggler", "F", Kind::Straggler, "straggler slowdown", Some("2")),
+            flag("--seeds",     "K", Kind::Count,     "seed count",         Some("4")),
+            THREADS,
+        ],
+        build: |a| {
+            let (model, chips) = tuned(a, "--model", "--chips")?;
+            let (straggler, seeds) = (a.val("--straggler"), a.val("--seeds"));
+            Ok(Command::Faults { model, chips, straggler, seeds, threads: a.get("--threads") })
+        } },
+    Subcommand { name: "resilience",
+        args: &[
+            MODEL_FLAG,
+            flag("--chips", "N",     Kind::Count,    "chip count", Some("16")),
+            flag("--mtbf",  "HOURS", Kind::Positive, "MTBF",       Some("24")),
+            flag("--steps", "N",     Kind::Count,    "step count", Some("200")),
+            flag("--seed",  "K",     Kind::Seed,     "seed",       Some("42")),
+            THREADS,
+        ],
+        build: |a| {
+            let (model, chips) = tuned(a, "--model", "--chips")?;
+            let (mtbf_hours, steps, seed) = (a.val("--mtbf"), a.val("--steps"), a.val("--seed"));
+            let threads = a.get("--threads");
+            Ok(Command::Resilience { model, chips, mtbf_hours, steps, seed, threads })
+        } },
+    Subcommand { name: "trace",
+        args: &[MODEL_FLAG, flag("--mesh", "RxC", Kind::Mesh, "mesh shape", Some("4x4")), OUT,
+                switch("--sort")],
+        build: |a| {
+            let (model, mesh, out) = (a.val("--model"), two_chip_mesh(a)?, a.get("--out"));
+            Ok(Command::Trace { model, mesh, out, sort: a.given("--sort") })
+        } },
+    Subcommand { name: "metrics",
+        args: &[
+            MODEL_FLAG,
+            flag("--mesh",    "RxC",  Kind::Mesh,  "mesh shape",    Some("4x4")),
+            flag("--s",       "N",    Kind::Count, "slice count",   None),
+            flag("--windows", "N",    Kind::Count, "window count",  Some("16")),
+            flag("--format", "text|json|prometheus", TEXT_JSON_PROM, "format", Some("text")),
+            OUT,
+            flag("--tunelog", "FILE", Kind::Path,  "tune log path", None),
+            THREADS,
+        ],
+        build: |a| {
+            let (model, mesh, s) = (a.val("--model"), two_chip_mesh(a)?, a.get("--s"));
+            let (windows, format) = (a.val("--windows"), a.val("--format"));
+            let (out, tunelog, threads) = (a.get("--out"), a.get("--tunelog"), a.get("--threads"));
+            Ok(Command::Metrics { model, mesh, s, windows, format, out, tunelog, threads })
+        } },
+    Subcommand { name: "traffic", args: &[], build: |_| Ok(Command::Traffic) },
+    Subcommand { name: "mesh",
+        args: &[
+            CHIPS,
+            flag("--max-rank", "N",           Kind::Rank,  "max rank", Some("3")),
+            flag("--shape",    "AxB[xC[xD]]", Kind::Shape, "shape",    None),
+            flag("--format",   "text|json",   TEXT_JSON,   "format",   Some("text")),
+        ],
+        build: |a| {
+            let (chips, shape) = (a.val("chips"), a.get::<MeshShape>("--shape"));
+            if let Some(shape) = shape.filter(|s| s.num_chips() != chips) {
+                let n = shape.num_chips();
+                return usage_err(format!("shape {shape} has {n} chips, not {chips}"));
+            }
+            let (max_rank, format) = (a.val("--max-rank"), a.val("--format"));
+            Ok(Command::Mesh { chips, max_rank, shape, format })
+        } },
+    Subcommand { name: "help", args: &[], build: |_| Ok(Command::Help) },
+];
+
+/// The `model` argument and a `chips` count [`tunable_chips`] accepts.
+fn tuned(a: &Args, model: &str, chips: &str) -> Result<(Model, usize), UsageError> {
+    let model = a.val(model);
+    Ok((model, tunable_chips(model, a.val(chips))?))
+}
+
+/// The `--mesh` of `trace` and `metrics`, holding the two chips weak
+/// scaling needs.
+fn two_chip_mesh(a: &Args) -> Result<MeshShape, UsageError> {
+    let mesh: MeshShape = a.val("--mesh");
+    weak_scaling_chips(mesh.num_chips())?;
+    Ok(mesh)
+}
+
+/// `serve`'s constructor: the rules that tie one flag to another. A
+/// pinned `--mesh` fixes the fleet size and skips the tuner, so the flags
+/// it would silently drop are errors, as are the layout knobs without it.
+fn serve(a: &Args) -> Result<Command, UsageError> {
+    for (x, y) in [("--fail-at", "--chaos-mtbf"), ("--screen", "--mesh")] {
+        if a.given(x) && a.given(y) {
+            return usage_err(format!("{x} and {y} are mutually exclusive"));
+        }
+    }
+    let needs = [
+        ("--repair", "--chaos-mtbf"),
+        ("--s", "--mesh"),
+        ("--max-batch", "--mesh"),
+    ];
+    if let Some((x, y)) = needs.into_iter().find(|(x, y)| a.given(x) && !a.given(y)) {
+        return usage_err(format!("{x} requires {y}"));
+    }
+    let (chips, replicas): (usize, usize) = (a.val("--chips"), a.val("--replicas"));
+    let mesh: Option<MeshShape> = a.get("--mesh");
+    if let Some(m) = mesh.filter(|_| a.given("--chips")) {
+        if m.num_chips().checked_mul(replicas) != Some(chips) {
+            return usage_err(format!(
+                "--chips {chips} disagrees with --mesh {m} x --replicas {replicas}; \
+                 drop --chips or make it the product"
+            ));
+        }
+    }
+    Ok(Command::Serve {
+        model: a.val("--model"),
+        chips,
+        replicas,
+        qps: a.val("--qps"),
+        trace: a.get("--trace"),
+        slo_p99_ms: a.val("--slo-p99-ms"),
+        seed: a.val("--seed"),
+        requests: a.val("--requests"),
+        fail_at: a.get("--fail-at"),
+        chaos_mtbf: a.get("--chaos-mtbf"),
+        repair: a.get("--repair"),
+        retries: a.get("--retries"),
+        shed: a.get("--shed"),
+        mesh,
+        s: a.val("--s"),
+        max_batch: a.val("--max-batch"),
+        screen: a.given("--screen"),
+        format: a.val("--format"),
+        out: a.get("--out"),
+        trace_out: a.get("--trace-out"),
+        trace_chrome: a.get("--trace-chrome"),
+        explain: a.given("--explain"),
+        explain_out: a.get("--explain-out"),
+        threads: a.get("--threads"),
+    })
+}
+
+/// Width `USAGE` wraps a subcommand's synopsis at.
+const USAGE_WIDTH: usize = 92;
+
+/// The usage text printed by `help` and on parse errors: one synopsis
+/// per [`SUBCOMMANDS`] row, then the notes.
+fn usage() -> String {
+    let mut text =
+        String::from("meshslice — 2D tensor parallelism autotuner & cluster simulator\n\nUSAGE:\n");
+    for row in SUBCOMMANDS {
+        let mut line = format!("    meshslice {:<11}", row.name);
+        for arg in row.args {
+            let item = match arg.kind {
+                Kind::Switch => format!("[{}]", arg.name),
+                _ if arg.is_flag() => format!("[{} {}]", arg.name, arg.metavar),
+                _ => format!("<{}>", arg.metavar),
+            };
+            if line.len() + 1 + item.len() > USAGE_WIDTH {
+                text += &line;
+                text.push('\n');
+                line = " ".repeat(25);
+            }
+            line = format!("{line} {item}");
+        }
+        text += line.trim_end();
+        text.push('\n');
+    }
+    text + "
 Sweeping subcommands (faults, resilience, metrics --tunelog) evaluate candidates on
 --threads N worker threads; the MESHSLICE_THREADS environment variable is
 the fallback when the flag is absent, then the machine's parallelism.
@@ -414,7 +751,8 @@ Output is bit-identical at any thread count.
 
 compare on two .json files diffs either two training metrics artifacts or two
 serving artifacts (headline scalars + per-window fleet strips); mixing the two
-kinds is an error.";
+kinds is an error."
+}
 
 fn parse_model(s: &str) -> Result<Model, UsageError> {
     match s.to_ascii_lowercase().as_str() {
@@ -425,21 +763,25 @@ fn parse_model(s: &str) -> Result<Model, UsageError> {
     }
 }
 
-fn parse_usize(s: &str, what: &str) -> Result<usize, UsageError> {
+fn number<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, UsageError> {
     s.parse()
-        .map_err(|_| UsageError(format!("invalid {what} '{s}'")))
+        .or_else(|_| usage_err(format!("invalid {what} '{s}'")))
+}
+
+fn usage_err<T>(message: impl Into<String>) -> Result<T, UsageError> {
+    Err(UsageError(message.into()))
 }
 
 fn parse_mesh(s: &str) -> Result<MeshShape, UsageError> {
     let (r, c) = s
         .split_once(['x', 'X'])
         .ok_or_else(|| UsageError(format!("mesh shape '{s}' is not of the form RxC")))?;
-    let rows = parse_usize(r, "mesh rows")?;
-    let cols = parse_usize(c, "mesh cols")?;
+    let rows = number(r, "mesh rows")?;
+    let cols = number(c, "mesh cols")?;
     if rows == 0 || cols == 0 {
-        return Err(UsageError(format!(
+        return usage_err(format!(
             "mesh shape '{s}' has a zero dimension; both must be positive"
-        )));
+        ));
     }
     Ok(MeshShape::new(rows, cols))
 }
@@ -450,77 +792,16 @@ fn parse_mesh(s: &str) -> Result<MeshShape, UsageError> {
 fn parse_shape_nd(s: &str) -> Result<MeshShape, UsageError> {
     let sizes: Vec<usize> = s
         .split(['x', 'X'])
-        .map(|part| parse_usize(part, "axis size"))
+        .map(|part| number(part, "axis size"))
         .collect::<Result<_, _>>()?;
     MeshShape::from_sizes(&sizes).map_err(|e| UsageError(format!("invalid shape '{s}': {e}")))
-}
-
-fn parse_mesh_list(args: &[String]) -> Result<Command, UsageError> {
-    let mut it = args.iter().map(String::as_str);
-    let chips = parse_chips(
-        it.next()
-            .ok_or_else(|| UsageError("missing argument: chips".into()))?,
-    )?;
-    let mut max_rank = 3usize;
-    let mut shape = None;
-    let mut format = MeshListFormat::Text;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))
-        };
-        match flag {
-            "--max-rank" => {
-                max_rank = parse_usize(value(flag)?, "max rank")?;
-                if !(2..=meshslice_mesh::MAX_AXES).contains(&max_rank) {
-                    return Err(UsageError(format!(
-                        "max rank must be between 2 and {}",
-                        meshslice_mesh::MAX_AXES
-                    )));
-                }
-            }
-            "--shape" => shape = Some(parse_shape_nd(value(flag)?)?),
-            "--format" => {
-                format = match value(flag)? {
-                    "text" => MeshListFormat::Text,
-                    "json" => MeshListFormat::Json,
-                    other => return Err(UsageError(format!("unknown format '{other}'"))),
-                }
-            }
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    if let Some(shape) = shape {
-        if shape.num_chips() != chips {
-            return Err(UsageError(format!(
-                "shape {shape} has {} chips, not {chips}",
-                shape.num_chips()
-            )));
-        }
-    }
-    Ok(Command::Mesh {
-        chips,
-        max_rank,
-        shape,
-        format,
-    })
-}
-
-fn parse_chips(s: &str) -> Result<usize, UsageError> {
-    let n = parse_usize(s, "chip count")?;
-    if n == 0 {
-        return Err(UsageError("chip count must be positive".into()));
-    }
-    Ok(n)
 }
 
 /// Rejects chip counts below the two that weak scaling needs
 /// ([`TrainingSetup::weak_scaling`] panics on them).
 fn weak_scaling_chips(chips: usize) -> Result<usize, UsageError> {
     if chips < 2 {
-        return Err(UsageError(format!(
-            "weak scaling needs at least 2 chips, got {chips}"
-        )));
+        return usage_err(format!("weak scaling needs at least 2 chips, got {chips}"));
     }
     Ok(chips)
 }
@@ -536,330 +817,15 @@ fn plannable_chips(model: Model, chips: usize, meshes: &[MeshShape]) -> Result<u
     {
         return Ok(chips);
     }
-    Err(UsageError(format!(
-        "no {chips}-chip mesh shape divides the FC GeMMs of {}",
-        model.name()
-    )))
+    let name = model.name();
+    usage_err(format!(
+        "no {chips}-chip mesh shape divides the FC GeMMs of {name}"
+    ))
 }
 
 /// [`plannable_chips`] over every mesh shape the autotuner considers.
 fn tunable_chips(model: Model, chips: usize) -> Result<usize, UsageError> {
     plannable_chips(model, chips, &Autotuner::candidate_meshes(chips))
-}
-
-fn parse_f64(s: &str, what: &str) -> Result<f64, UsageError> {
-    s.parse()
-        .map_err(|_| UsageError(format!("invalid {what} '{s}'")))
-}
-
-fn parse_threads(s: &str) -> Result<usize, UsageError> {
-    let n = parse_usize(s, "thread count")?;
-    if n == 0 {
-        return Err(UsageError("thread count must be positive".into()));
-    }
-    Ok(n)
-}
-
-fn parse_faults(args: &[String]) -> Result<Command, UsageError> {
-    let (mut model, mut chips, mut straggler, mut seeds) = (Model::Gpt3, 16, 2.0, 4);
-    let mut threads = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))?;
-        match flag {
-            "--model" => model = parse_model(value)?,
-            "--chips" => chips = parse_chips(value)?,
-            "--straggler" => straggler = parse_f64(value, "straggler slowdown")?,
-            "--seeds" => seeds = parse_usize(value, "seed count")?,
-            "--threads" => threads = Some(parse_threads(value)?),
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    if straggler.is_nan() || straggler < 1.0 {
-        return Err(UsageError(format!(
-            "straggler slowdown must be >= 1, got {straggler}"
-        )));
-    }
-    if seeds == 0 {
-        return Err(UsageError("seed count must be positive".into()));
-    }
-    tunable_chips(model, chips)?;
-    Ok(Command::Faults {
-        model,
-        chips,
-        straggler,
-        seeds,
-        threads,
-    })
-}
-
-fn parse_resilience(args: &[String]) -> Result<Command, UsageError> {
-    let (mut model, mut chips, mut mtbf_hours) = (Model::Gpt3, 16, 24.0);
-    let (mut steps, mut seed, mut threads) = (200usize, 42u64, None);
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))?;
-        match flag {
-            "--model" => model = parse_model(value)?,
-            "--chips" => chips = parse_chips(value)?,
-            "--mtbf" => mtbf_hours = parse_f64(value, "MTBF")?,
-            "--steps" => steps = parse_usize(value, "step count")?,
-            "--seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| UsageError(format!("invalid seed '{value}'")))?
-            }
-            "--threads" => threads = Some(parse_threads(value)?),
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    if mtbf_hours.is_nan() || mtbf_hours <= 0.0 || mtbf_hours.is_infinite() {
-        return Err(UsageError(format!(
-            "MTBF must be a positive number of hours, got {mtbf_hours}"
-        )));
-    }
-    if steps == 0 {
-        return Err(UsageError("step count must be positive".into()));
-    }
-    tunable_chips(model, chips)?;
-    Ok(Command::Resilience {
-        model,
-        chips,
-        mtbf_hours,
-        steps,
-        seed,
-        threads,
-    })
-}
-
-fn parse_trace(args: &[String]) -> Result<Command, UsageError> {
-    let (mut model, mut mesh, mut out, mut sort) = (Model::Gpt3, MeshShape::new(4, 4), None, false);
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        if flag == "--sort" {
-            sort = true;
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))?;
-        match flag {
-            "--model" => model = parse_model(value)?,
-            "--mesh" => mesh = parse_mesh(value)?,
-            "--out" => out = Some(value.to_string()),
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    weak_scaling_chips(mesh.num_chips())?;
-    Ok(Command::Trace {
-        model,
-        mesh,
-        out,
-        sort,
-    })
-}
-
-fn parse_metrics(args: &[String]) -> Result<Command, UsageError> {
-    let mut model = Model::Gpt3;
-    let mut mesh = MeshShape::new(4, 4);
-    let mut s = None;
-    let mut windows = 16;
-    let mut format = MetricsFormat::Text;
-    let mut out = None;
-    let mut tunelog = None;
-    let mut threads = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))?;
-        match flag {
-            "--model" => model = parse_model(value)?,
-            "--mesh" => mesh = parse_mesh(value)?,
-            "--s" => s = Some(parse_usize(value, "slice count")?),
-            "--windows" => windows = parse_usize(value, "window count")?,
-            "--format" => {
-                format = match value {
-                    "text" => MetricsFormat::Text,
-                    "json" => MetricsFormat::Json,
-                    "prometheus" | "prom" => MetricsFormat::Prometheus,
-                    other => return Err(UsageError(format!("unknown format '{other}'"))),
-                }
-            }
-            "--out" => out = Some(value.to_string()),
-            "--tunelog" => tunelog = Some(value.to_string()),
-            "--threads" => threads = Some(parse_threads(value)?),
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    if windows == 0 {
-        return Err(UsageError("window count must be positive".into()));
-    }
-    if s == Some(0) {
-        return Err(UsageError("slice count must be positive".into()));
-    }
-    weak_scaling_chips(mesh.num_chips())?;
-    Ok(Command::Metrics {
-        model,
-        mesh,
-        s,
-        windows,
-        format,
-        out,
-        tunelog,
-        threads,
-    })
-}
-
-fn parse_serve(args: &[String]) -> Result<Command, UsageError> {
-    let (mut model, mut chips, mut replicas) = (Model::Gpt3, 32usize, 2usize);
-    let (mut qps, mut slo_p99_ms) = (40.0f64, 500.0f64);
-    let (mut trace, mut seed, mut requests) = (None, 0u64, 200usize);
-    let (mut fail_at, mut mesh, mut s, mut max_batch) = (None, None, 4usize, 32usize);
-    let (mut chaos_mtbf, mut repair, mut retries, mut shed) = (None, None, None, None);
-    let (mut format, mut out, mut threads) = (ServeFormat::Json, None, None);
-    let (mut trace_out, mut trace_chrome) = (None, None);
-    let (mut explain, mut explain_out) = (false, None);
-    let mut screen = false;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        // `--explain` and `--screen` are the boolean flags; everything
-        // else takes a value.
-        if flag == "--explain" {
-            explain = true;
-            continue;
-        }
-        if flag == "--screen" {
-            screen = true;
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| UsageError(format!("flag {flag} needs a value")))?;
-        match flag {
-            "--model" => model = parse_model(value)?,
-            "--chips" => chips = parse_chips(value)?,
-            "--replicas" => replicas = parse_usize(value, "replica count")?,
-            "--qps" => qps = parse_f64(value, "offered load")?,
-            "--trace" => trace = Some(value.to_string()),
-            "--slo-p99-ms" => slo_p99_ms = parse_f64(value, "SLO target")?,
-            "--seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| UsageError(format!("invalid seed '{value}'")))?
-            }
-            "--requests" => requests = parse_usize(value, "request count")?,
-            "--fail-at" => fail_at = Some(parse_f64(value, "failure time")?),
-            "--chaos-mtbf" => chaos_mtbf = Some(parse_f64(value, "chaos MTBF")?),
-            "--repair" => repair = Some(parse_f64(value, "repair time")?),
-            "--retries" => retries = Some(parse_usize(value, "retry budget")?),
-            "--shed" => shed = Some(parse_usize(value, "shed queue depth")?),
-            "--mesh" => mesh = Some(parse_mesh(value)?),
-            "--s" => s = parse_usize(value, "slice count")?,
-            "--max-batch" => max_batch = parse_usize(value, "batch cap")?,
-            "--format" => {
-                format = match value {
-                    "text" => ServeFormat::Text,
-                    "json" => ServeFormat::Json,
-                    "prometheus" | "prom" => ServeFormat::Prometheus,
-                    other => return Err(UsageError(format!("unknown format '{other}'"))),
-                }
-            }
-            "--out" => out = Some(value.to_string()),
-            "--trace-out" => trace_out = Some(value.to_string()),
-            "--trace-chrome" => trace_chrome = Some(value.to_string()),
-            "--explain-out" => explain_out = Some(value.to_string()),
-            "--threads" => threads = Some(parse_threads(value)?),
-            other => return Err(UsageError(format!("unknown flag '{other}'"))),
-        }
-    }
-    if !(qps.is_finite() && qps > 0.0) {
-        return Err(UsageError(format!(
-            "offered load must be a positive number of requests/s, got {qps}"
-        )));
-    }
-    if !(slo_p99_ms.is_finite() && slo_p99_ms > 0.0) {
-        return Err(UsageError(format!(
-            "SLO target must be a positive number of milliseconds, got {slo_p99_ms}"
-        )));
-    }
-    if replicas == 0 {
-        return Err(UsageError("replica count must be positive".into()));
-    }
-    if requests == 0 {
-        return Err(UsageError("request count must be positive".into()));
-    }
-    if s == 0 {
-        return Err(UsageError("slice count must be positive".into()));
-    }
-    if max_batch == 0 {
-        return Err(UsageError("batch cap must be positive".into()));
-    }
-    if let Some(at) = fail_at {
-        if !(at.is_finite() && at >= 0.0) {
-            return Err(UsageError(format!(
-                "failure time must be finite and non-negative, got {at}"
-            )));
-        }
-    }
-    if let Some(mtbf) = chaos_mtbf {
-        if !(mtbf.is_finite() && mtbf > 0.0) {
-            return Err(UsageError(format!(
-                "chaos MTBF must be finite and positive, got {mtbf}"
-            )));
-        }
-        if fail_at.is_some() {
-            return Err(UsageError(
-                "--fail-at and --chaos-mtbf are mutually exclusive".into(),
-            ));
-        }
-    }
-    if let Some(mean) = repair {
-        if chaos_mtbf.is_none() {
-            return Err(UsageError("--repair requires --chaos-mtbf".into()));
-        }
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(UsageError(format!(
-                "repair time must be finite and positive, got {mean}"
-            )));
-        }
-    }
-    if retries == Some(0) {
-        return Err(UsageError("retry budget must be positive".into()));
-    }
-    if shed == Some(0) {
-        return Err(UsageError("shed queue depth must be positive".into()));
-    }
-    Ok(Command::Serve {
-        model,
-        chips,
-        replicas,
-        qps,
-        trace,
-        slo_p99_ms,
-        seed,
-        requests,
-        fail_at,
-        chaos_mtbf,
-        repair,
-        retries,
-        shed,
-        mesh,
-        s,
-        max_batch,
-        screen,
-        format,
-        out,
-        trace_out,
-        trace_chrome,
-        explain,
-        explain_out,
-        threads,
-    })
 }
 
 /// Rejects a `--fail-at` time strictly past the end of the arrival
@@ -876,95 +842,67 @@ fn check_fail_at_horizon(fail_at: Option<f64>, trace: &[Request]) -> Result<(), 
         return Ok(());
     };
     if at > last.arrival_secs {
-        return Err(UsageError(format!(
+        return usage_err(format!(
             "--fail-at {at} is past the end of the arrival trace (last arrival at \
              {:.3} s); the death would never fire — lower --fail-at or raise --requests",
             last.arrival_secs
-        )));
+        ));
     }
     Ok(())
 }
 
-/// Parses the argument list (without the program name).
+/// Parses the argument list (without the program name) against the
+/// subcommand's table row: its positionals in order, then its flags in
+/// any order, a repeated flag keeping its last value.
 ///
 /// # Errors
 ///
 /// Returns a [`UsageError`] describing the problem plus the usage text.
 pub fn parse(args: &[String]) -> Result<Command, UsageError> {
-    match args.first().map(String::as_str) {
-        Some("serve") => return parse_serve(&args[1..]),
-        Some("faults") => return parse_faults(&args[1..]),
-        Some("resilience") => return parse_resilience(&args[1..]),
-        Some("trace") => return parse_trace(&args[1..]),
-        Some("metrics") => return parse_metrics(&args[1..]),
-        Some("mesh") => return parse_mesh_list(&args[1..]),
-        _ => {}
-    }
-    let mut it = args.iter().map(String::as_str);
-    let cmd = it.next().unwrap_or("help");
-    let mut need = |what: &str| -> Result<&str, UsageError> {
-        it.next()
-            .ok_or_else(|| UsageError(format!("missing argument: {what}")))
+    let (name, rest) = match args.split_first() {
+        Some((name, rest)) if !matches!(name.as_str(), "-h" | "--help") => (name.as_str(), rest),
+        _ => ("help", &[][..]),
     };
-    match cmd {
-        "autotune" => {
-            let model = parse_model(need("model")?)?;
-            let chips = tunable_chips(model, parse_chips(need("chips")?)?)?;
-            Ok(Command::Autotune { model, chips })
-        }
-        // `compare` is overloaded: two model/chips positionals simulate
-        // the algorithm comparison; two non-model arguments are treated
-        // as metric-artifact paths and diffed.
-        "compare" => {
-            let first = need("model or run file")?;
-            let second = need("chips or run file")?;
-            match parse_model(first) {
-                Ok(model) => Ok(Command::Compare {
-                    model,
-                    chips: tunable_chips(model, parse_chips(second)?)?,
-                }),
-                Err(_) => Ok(Command::CompareRuns {
-                    a: first.to_string(),
-                    b: second.to_string(),
-                }),
-            }
-        }
-        "sweep-mesh" => Ok(Command::SweepMesh {
-            model: parse_model(need("model")?)?,
-            chips: weak_scaling_chips(parse_chips(need("chips")?)?)?,
-        }),
-        "sweep-slice" => {
-            let model = parse_model(need("model")?)?;
-            let mesh = parse_mesh(need("mesh shape")?)?;
-            plannable_chips(model, mesh.num_chips(), &[mesh])?;
-            Ok(Command::SweepSlice { model, mesh })
-        }
-        "plan3d" => {
-            let model = parse_model(need("model")?)?;
-            let chips = parse_chips(need("chips")?)?;
-            let batch = parse_usize(need("global batch")?, "batch size")?;
-            if batch == 0 {
-                return Err(UsageError("global batch must be positive".into()));
-            }
-            Ok(Command::Plan3d {
-                model,
-                chips,
-                batch,
-            })
-        }
-        "memory" => {
-            let model = parse_model(need("model")?)?;
-            let chips = tunable_chips(model, parse_chips(need("chips")?)?)?;
-            Ok(Command::Memory { model, chips })
-        }
-        "inference" => Ok(Command::Inference {
-            model: parse_model(need("model")?)?,
-            chips: parse_chips(need("chips")?)?,
-        }),
-        "traffic" => Ok(Command::Traffic),
-        "help" | "-h" | "--help" => Ok(Command::Help),
-        other => Err(UsageError(format!("unknown command '{other}'"))),
+    let leads = |row: &&Subcommand| match (row.args.first(), rest.first()) {
+        (Some(arg), Some(s)) => !arg.is_flag() && arg.kind.parse(s, arg.label).is_ok(),
+        _ => false,
+    };
+    let rows = || SUBCOMMANDS.iter().filter(|row| row.name == name);
+    let row = rows()
+        .find(leads)
+        .or_else(|| rows().next_back())
+        .ok_or_else(|| UsageError(format!("unknown command '{name}'")))?;
+    let mut values: Vec<Option<Value>> = row.args.iter().map(|_| None).collect();
+    let mut tokens = rest.iter().map(String::as_str);
+    for (slot, arg) in row.args.iter().enumerate().filter(|(_, a)| !a.is_flag()) {
+        let s = tokens
+            .next()
+            .ok_or_else(|| UsageError(format!("missing argument: {}", arg.name)))?;
+        values[slot] = Some(arg.kind.parse(s, arg.label)?);
     }
+    // Rows without flags ignore trailing arguments, so invocations that
+    // pass extras (`autotune gpt3 16 extra`) keep parsing.
+    if row.args.iter().any(Arg::is_flag) {
+        while let Some(token) = tokens.next() {
+            let slot = row
+                .args
+                .iter()
+                .position(|a| a.is_flag() && a.name == token)
+                .ok_or_else(|| UsageError(format!("unknown flag '{token}'")))?;
+            let arg = &row.args[slot];
+            let s = match arg.kind {
+                Kind::Switch => "",
+                _ => tokens
+                    .next()
+                    .ok_or_else(|| UsageError(format!("flag {token} needs a value")))?,
+            };
+            values[slot] = Some(arg.kind.parse(s, arg.label)?);
+        }
+    }
+    (row.build)(&Args {
+        spec: row.args,
+        values,
+    })
 }
 
 /// Executes a parsed command, writing human-readable output to stdout.
@@ -977,20 +915,24 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
 /// maps the error to a nonzero exit code.
 pub fn execute(cmd: Command) -> Result<(), String> {
     let cfg = SimConfig::tpu_v4();
+    if let Command::Serve { threads, .. }
+    | Command::Faults { threads, .. }
+    | Command::Resilience { threads, .. }
+    | Command::Metrics { threads, .. } = &cmd
+    {
+        if let Some(n) = *threads {
+            meshslice::par::set_threads(n);
+        }
+    }
     match cmd {
-        Command::Help => println!("{USAGE}"),
+        Command::Help => println!("{}", usage()),
         Command::Autotune { model, chips } => {
             let model = model.config();
             let setup = TrainingSetup::weak_scaling(chips);
             let tuner = Autotuner::new(cfg.clone());
             let plan = tuner.tune(&model, setup, chips);
             println!("{model} on {chips} chips -> mesh {}", plan.mesh_shape);
-            let mut t = Table::new(vec![
-                "layer".into(),
-                "pass".into(),
-                "dataflow".into(),
-                "S".into(),
-            ]);
+            let mut t = table(&["layer", "pass", "dataflow", "S"]);
             for layer in &plan.layers {
                 for pass in &layer.passes {
                     t.row(vec![
@@ -1010,12 +952,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         Command::Compare { model, chips } => {
             let model = model.config();
             let setup = TrainingSetup::weak_scaling(chips);
-            let mut t = Table::new(vec![
-                "algorithm".into(),
-                "mesh".into(),
-                "FC util".into(),
-                "step".into(),
-            ]);
+            let mut t = table(&["algorithm", "mesh", "FC util", "step"]);
             for algo in Algorithm::ALL {
                 match simulate_fc_step(&model, setup, chips, algo, &cfg) {
                     Some(r) => {
@@ -1034,7 +971,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::SweepMesh { model, chips } => {
             let model = model.config();
-            let mut t = Table::new(vec!["mesh".into(), "estimated".into(), "simulated".into()]);
+            let mut t = table(&["mesh", "estimated", "simulated"]);
             for p in mesh_shape_sweep(&model, chips, &cfg) {
                 t.row(vec![
                     p.mesh.to_string(),
@@ -1046,7 +983,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::SweepSlice { model, mesh } => {
             let model = model.config();
-            let mut t = Table::new(vec!["S".into(), "estimated".into(), "simulated".into()]);
+            let mut t = table(&["S", "estimated", "simulated"]);
             for p in slice_count_sweep(&model, mesh, &[1, 2, 4, 8, 16, 32, 64], &cfg) {
                 t.row(vec![
                     p.requested_s.to_string(),
@@ -1062,15 +999,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             batch,
         } => {
             let model = model.config();
-            let plans = plan_cluster(
-                &model,
-                chips,
-                batch,
-                2048,
-                256,
-                &cfg,
-                &PlanOptions::default(),
-            );
+            let options = PlanOptions::default();
+            let plans = plan_cluster(&model, chips, batch, 2048, 256, &cfg, &options);
             if plans.is_empty() {
                 println!("no feasible DP x PP x TP composition for {chips} chips");
             }
@@ -1085,7 +1015,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             let plan = tuner.tune(&model, setup, chips);
             let f = meshslice::memory::training_footprint(&model, setup, plan.mesh_shape, 8);
             let gib = |b: u64| format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64);
-            let mut t = Table::new(vec!["state".into(), "per chip".into()]);
+            let mut t = table(&["state", "per chip"]);
             t.row(vec!["weights (bf16)".into(), gib(f.weights)]);
             t.row(vec!["weight grads (bf16)".into(), gib(f.weight_grads)]);
             t.row(vec!["optimizer (fp32 x3)".into(), gib(f.optimizer)]);
@@ -1101,25 +1031,13 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Inference { model, chips } => {
             let model = model.config();
-            let prompt_len = meshslice::experiments::DEFAULT_PROMPT_LEN;
-            let rows = meshslice::experiments::inference_study(
-                &model,
-                chips,
-                &[32, 128, 512],
-                prompt_len,
-                &cfg,
-            );
+            let prompt_len = DEFAULT_PROMPT_LEN;
+            let rows = inference_study(&model, chips, &[32, 128, 512], prompt_len, &cfg);
             let fmt = |lat: &Option<f64>| {
                 lat.map(|x| format!("{:.1} us", x * 1e6))
                     .unwrap_or_else(|| "-".into())
             };
-            let mut t = Table::new(vec![
-                "batch".into(),
-                "phase".into(),
-                "MeshSlice".into(),
-                "Collective".into(),
-                "Wang".into(),
-            ]);
+            let mut t = table(&["batch", "phase", "MeshSlice", "Collective", "Wang"]);
             for r in &rows {
                 let mut prefill = vec![r.batch.to_string(), "prefill".into()];
                 prefill.extend(r.prefill_latency.iter().map(|(_, lat)| fmt(lat)));
@@ -1158,11 +1076,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             trace_chrome,
             explain,
             explain_out,
-            threads,
+            ..
         } => {
-            if let Some(n) = threads {
-                meshslice::par::set_threads(n);
-            }
             let workers = meshslice::par::threads();
             let config = model.config();
             let arrivals = match &trace {
@@ -1279,9 +1194,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             };
             let json = report.to_json();
             match format {
-                ServeFormat::Json => println!("{}", json.to_string_pretty()),
-                ServeFormat::Prometheus => print!("{}", report.to_prometheus()),
-                ServeFormat::Text => {
+                Format::Json => println!("{}", json.to_string_pretty()),
+                Format::Prometheus => print!("{}", report.to_prometheus()),
+                Format::Text => {
                     println!(
                         "{config} fleet: {replicas} x {mesh} mesh, S = {s}, batch <= {max_batch}{}",
                         if tuned { " (tuned)" } else { "" }
@@ -1306,13 +1221,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                             report.degraded_secs
                         );
                     }
-                    let mut t = Table::new(vec![
-                        "metric".into(),
-                        "p50".into(),
-                        "p95".into(),
-                        "p99".into(),
-                        "mean".into(),
-                    ]);
+                    let mut t = table(&["metric", "p50", "p95", "p99", "mean"]);
                     for (name, l) in [("TTFT", &report.ttft), ("TPOT", &report.tpot)] {
                         t.row(vec![
                             name.into(),
@@ -1343,19 +1252,16 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
             }
             if let Some(path) = out {
-                std::fs::write(&path, json.to_string_pretty())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                write(&path, json.to_string_pretty())?;
                 println!("serving artifact -> {path}");
             }
             if let Some(trace) = recorded {
                 if let Some(path) = trace_out {
-                    std::fs::write(&path, trace.to_jsonl())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    write(&path, trace.to_jsonl())?;
                     eprintln!("serving trace -> {path} ({} events)", trace.len());
                 }
                 if let Some(path) = trace_chrome {
-                    std::fs::write(&path, trace.to_chrome_trace())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    write(&path, trace.to_chrome_trace())?;
                     eprintln!("chrome trace -> {path}");
                 }
                 if explain || explain_out.is_some() {
@@ -1364,8 +1270,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                         print!("{}", blame.render_text());
                     }
                     if let Some(path) = explain_out {
-                        std::fs::write(&path, blame.to_json().to_string_pretty())
-                            .map_err(|e| format!("cannot write {path}: {e}"))?;
+                        write(&path, blame.to_json().to_string_pretty())?;
                         eprintln!("blame report -> {path}");
                     }
                 }
@@ -1376,11 +1281,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             chips,
             straggler,
             seeds,
-            threads,
+            ..
         } => {
-            if let Some(n) = threads {
-                meshslice::par::set_threads(n);
-            }
             let model = model.config();
             let setup = TrainingSetup::weak_scaling(chips);
             let tuner = Autotuner::new(cfg.clone());
@@ -1423,11 +1325,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             mtbf_hours,
             steps,
             seed,
-            threads,
+            ..
         } => {
-            if let Some(n) = threads {
-                meshslice::par::set_threads(n);
-            }
             let model = model.config();
             let setup = TrainingSetup::weak_scaling(chips);
             let tuner = Autotuner::new(cfg.clone());
@@ -1448,14 +1347,14 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 "{model} on {chips} chips, {steps}-step run ({:.1} s nominal), seed {seed}:",
                 steps as f64 * step0
             );
-            let mut t = Table::new(vec![
-                "chip MTBF".into(),
-                "mesh".into(),
-                "S".into(),
-                "checkpoint".into(),
-                "expected".into(),
-                "simulated".into(),
-                "failures".into(),
+            let mut t = table(&[
+                "chip MTBF",
+                "mesh",
+                "S",
+                "checkpoint",
+                "expected",
+                "simulated",
+                "failures",
             ]);
             // An MTBF ladder around the requested value, so the table
             // shows goodput falling as failures get more frequent.
@@ -1511,13 +1410,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             let model = model.config();
             let torus = Torus2d::from_shape(mesh);
             let problem = fc1_problem(&model, mesh);
-            let mut scheduled = None;
-            for s in [8usize, 4, 2, 1] {
-                if let Some(p) = schedule_fc1_at(&torus, problem, s, cfg.elem_bytes) {
-                    scheduled = Some((p, s));
-                    break;
-                }
-            }
+            let scheduled = [8usize, 4, 2, 1]
+                .into_iter()
+                .find_map(|s| schedule_fc1_at(&torus, problem, s, cfg.elem_bytes).map(|p| (p, s)));
             let Some((program, s_used)) = scheduled else {
                 return Err(format!(
                     "no legal MeshSlice schedule for {model} FC1 on mesh {mesh}"
@@ -1531,8 +1426,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             };
             match out {
                 Some(path) => {
-                    std::fs::write(&path, &json)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
+                    write(&path, &json)?;
                     println!(
                         "{model} FC1 on mesh {mesh}, S = {s_used}: {} spans, makespan {:.3} ms -> {path}",
                         spans.len(),
@@ -1550,11 +1444,8 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             format,
             out,
             tunelog,
-            threads,
+            ..
         } => {
-            if let Some(n) = threads {
-                meshslice::par::set_threads(n);
-            }
             let config = model.config();
             let problem = fc1_problem(&config, mesh);
             let tuner = Autotuner::new(cfg.clone());
@@ -1566,9 +1457,9 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 ));
             };
             match format {
-                MetricsFormat::Json => println!("{}", m.to_json().to_string_pretty()),
-                MetricsFormat::Prometheus => print!("{}", m.to_prometheus()),
-                MetricsFormat::Text => {
+                Format::Json => println!("{}", m.to_json().to_string_pretty()),
+                Format::Prometheus => print!("{}", m.to_prometheus()),
+                Format::Text => {
                     println!(
                         "{config} FC1 on mesh {mesh}, S = {s_used} (analytical best {best_s})"
                     );
@@ -1582,12 +1473,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     if !svals.contains(&1) {
                         svals.insert(0, 1);
                     }
-                    let mut t = Table::new(vec![
-                        "S".into(),
-                        "makespan".into(),
-                        "overlap".into(),
-                        "FC util".into(),
-                    ]);
+                    let mut t = table(&["S", "makespan", "overlap", "FC util"]);
                     for cand in svals {
                         if let Some(cm) = fc1_metrics(model, mesh, cand, 1, &cfg) {
                             let mark = if cand == best_s { "*" } else { "" };
@@ -1601,11 +1487,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                     }
                     println!("\noverlap vs slice count ('*' = analytical best):");
                     println!("{t}");
-                    let mut t = Table::new(vec![
-                        "kind".into(),
-                        "cluster busy".into(),
-                        "critical path".into(),
-                    ]);
+                    let mut t = table(&["kind", "cluster busy", "critical path"]);
                     for (i, label) in BUCKET_LABELS.iter().enumerate() {
                         t.row(vec![
                             label.to_string(),
@@ -1638,8 +1520,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                 }
             }
             if let Some(path) = out {
-                std::fs::write(&path, m.to_json().to_string_pretty())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                write(&path, m.to_json().to_string_pretty())?;
                 println!("metrics artifact -> {path}");
             }
             if let Some(path) = tunelog {
@@ -1651,8 +1532,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
                         format!("cannot tune: a pass does not divide over mesh {mesh}")
                     })?;
                 println!("\n{log}");
-                std::fs::write(&path, log.to_json().to_string_pretty())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                write(&path, log.to_json().to_string_pretty())?;
                 println!("tune log -> {path}");
             }
         }
@@ -1676,7 +1556,7 @@ pub fn execute(cmd: Command) -> Result<(), String> {
             }
         }
         Command::Traffic => {
-            let mut t = Table::new(vec!["method".into(), "torus".into(), "traffic/chip".into()]);
+            let mut t = table(&["method", "torus", "traffic/chip"]);
             for r in traffic_25d_example(cfg.elem_bytes) {
                 t.row(vec![
                     r.method,
@@ -1689,147 +1569,119 @@ pub fn execute(cmd: Command) -> Result<(), String> {
         Command::Mesh {
             chips,
             max_rank,
-            shape,
+            shape: None,
             format,
-        } => match shape {
-            None => {
-                let shapes = Autotuner::candidate_meshes_nd(chips, max_rank);
-                match format {
-                    MeshListFormat::Text => {
-                        println!("{chips} chips, factorizations up to rank {max_rank}:");
-                        let mut t = Table::new(vec![
-                            "shape".into(),
-                            "rank".into(),
-                            "axes".into(),
-                            "2D planes".into(),
-                        ]);
-                        for s in &shapes {
-                            t.row(vec![
-                                s.to_string(),
-                                s.rank().to_string(),
-                                s.axes()
-                                    .iter()
-                                    .map(|a| format!("{}={}", a.name(), a.size()))
-                                    .collect::<Vec<_>>()
-                                    .join(","),
-                                MeshView::full(*s).planes().len().to_string(),
-                            ]);
-                        }
-                        println!("{t}");
-                    }
-                    MeshListFormat::Json => {
-                        let arr = shapes
-                            .iter()
-                            .map(|s| {
-                                Json::obj(vec![
-                                    ("shape", Json::Str(s.to_string())),
-                                    ("rank", Json::Num(s.rank() as f64)),
-                                    (
-                                        "axes",
-                                        Json::Arr(
-                                            s.axes()
-                                                .iter()
-                                                .map(|a| {
-                                                    Json::obj(vec![
-                                                        ("name", Json::Str(a.name().to_string())),
-                                                        ("size", Json::Num(a.size() as f64)),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "planes",
-                                        Json::Num(MeshView::full(*s).planes().len() as f64),
-                                    ),
-                                ])
-                            })
-                            .collect();
-                        let doc = Json::obj(vec![
-                            ("chips", Json::Num(chips as f64)),
-                            ("max_rank", Json::Num(max_rank as f64)),
-                            ("factorizations", Json::Arr(arr)),
-                        ]);
-                        println!("{}", doc.to_string_pretty());
-                    }
+        } => {
+            let shapes = Autotuner::candidate_meshes_nd(chips, max_rank);
+            let planes = |s: &MeshShape| MeshView::full(*s).planes().len();
+            if format == Format::Json {
+                let rows = shapes.iter().map(|s| {
+                    let axes = s.axes().iter().map(|a| {
+                        Json::obj(vec![
+                            ("name", Json::Str(a.name().to_string())),
+                            ("size", num(a.size())),
+                        ])
+                    });
+                    Json::obj(vec![
+                        ("shape", Json::Str(s.to_string())),
+                        ("rank", num(s.rank())),
+                        ("axes", Json::Arr(axes.collect())),
+                        ("planes", num(planes(s))),
+                    ])
+                });
+                let doc = Json::obj(vec![
+                    ("chips", num(chips)),
+                    ("max_rank", num(max_rank)),
+                    ("factorizations", Json::Arr(rows.collect())),
+                ]);
+                println!("{}", doc.to_string_pretty());
+            } else {
+                println!("{chips} chips, factorizations up to rank {max_rank}:");
+                let mut t = table(&["shape", "rank", "axes", "2D planes"]);
+                for s in &shapes {
+                    let axes: Vec<String> = s
+                        .axes()
+                        .iter()
+                        .map(|a| format!("{}={}", a.name(), a.size()))
+                        .collect();
+                    t.row(vec![
+                        s.to_string(),
+                        s.rank().to_string(),
+                        axes.join(","),
+                        planes(s).to_string(),
+                    ]);
                 }
+                println!("{t}");
             }
-            Some(shape) => {
-                let planes = MeshView::full(shape).planes();
-                match format {
-                    MeshListFormat::Text => {
-                        println!("shape {shape}: {} 2D plane views", planes.len());
-                        let mut t =
-                            Table::new(vec!["plane".into(), "logical".into(), "chips".into()]);
-                        for p in &planes {
-                            let chips = p.view.chips();
-                            let preview = if chips.len() <= 8 {
-                                chips
-                                    .iter()
-                                    .map(|c| c.0.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(",")
-                            } else {
-                                format!("{} chips from {}", chips.len(), chips[0].0)
-                            };
-                            t.row(vec![
-                                p.to_string(),
-                                format!(
-                                    "{}x{}",
-                                    p.view.axis_len(p.row_axis).unwrap_or(0),
-                                    p.view.axis_len(p.col_axis).unwrap_or(0)
-                                ),
-                                preview,
-                            ]);
-                        }
-                        println!("{t}");
-                    }
-                    MeshListFormat::Json => {
-                        let arr = planes
-                            .iter()
-                            .map(|p| {
-                                Json::obj(vec![
-                                    ("plane", Json::Str(p.to_string())),
-                                    ("row_axis", Json::Str(p.row_axis.to_string())),
-                                    ("col_axis", Json::Str(p.col_axis.to_string())),
-                                    (
-                                        "fixed",
-                                        Json::Arr(
-                                            p.fixed
-                                                .iter()
-                                                .map(|(name, i)| {
-                                                    Json::obj(vec![
-                                                        ("axis", Json::Str(name.to_string())),
-                                                        ("index", Json::Num(*i as f64)),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "chips",
-                                        Json::Arr(
-                                            p.view
-                                                .chips()
-                                                .iter()
-                                                .map(|c| Json::Num(c.0 as f64))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect();
-                        let doc = Json::obj(vec![
-                            ("shape", Json::Str(shape.to_string())),
-                            ("planes", Json::Arr(arr)),
-                        ]);
-                        println!("{}", doc.to_string_pretty());
-                    }
+        }
+        Command::Mesh {
+            shape: Some(shape),
+            format,
+            ..
+        } => {
+            let planes = MeshView::full(shape).planes();
+            if format == Format::Json {
+                let rows = planes.iter().map(|p| {
+                    let fixed = p.fixed.iter().map(|(name, i)| {
+                        Json::obj(vec![
+                            ("axis", Json::Str(name.to_string())),
+                            ("index", num(*i)),
+                        ])
+                    });
+                    Json::obj(vec![
+                        ("plane", Json::Str(p.to_string())),
+                        ("row_axis", Json::Str(p.row_axis.to_string())),
+                        ("col_axis", Json::Str(p.col_axis.to_string())),
+                        ("fixed", Json::Arr(fixed.collect())),
+                        (
+                            "chips",
+                            Json::Arr(p.view.chips().iter().map(|c| num(c.0)).collect()),
+                        ),
+                    ])
+                });
+                let doc = Json::obj(vec![
+                    ("shape", Json::Str(shape.to_string())),
+                    ("planes", Json::Arr(rows.collect())),
+                ]);
+                println!("{}", doc.to_string_pretty());
+            } else {
+                println!("shape {shape}: {} 2D plane views", planes.len());
+                let mut t = table(&["plane", "logical", "chips"]);
+                for p in &planes {
+                    let chips = p.view.chips();
+                    let preview = if chips.len() <= 8 {
+                        let ids: Vec<String> = chips.iter().map(|c| c.0.to_string()).collect();
+                        ids.join(",")
+                    } else {
+                        format!("{} chips from {}", chips.len(), chips[0].0)
+                    };
+                    let (rows, cols) = (p.view.axis_len(p.row_axis), p.view.axis_len(p.col_axis));
+                    t.row(vec![
+                        p.to_string(),
+                        format!("{}x{}", rows.unwrap_or(0), cols.unwrap_or(0)),
+                        preview,
+                    ]);
                 }
+                println!("{t}");
             }
-        },
+        }
     }
     Ok(())
+}
+
+/// A JSON number from a count.
+fn num(x: usize) -> Json {
+    Json::Num(x as f64)
+}
+
+/// A table with these column headers.
+fn table(headers: &[&str]) -> Table {
+    Table::new(headers.iter().map(|h| h.to_string()).collect())
+}
+
+/// Writes an output file, naming the path on failure.
+fn write(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// The FC1 forward GeMM of `model` under weak scaling on `mesh` — the
@@ -1900,11 +1752,6 @@ fn run_recorded(engine: &Engine, program: &Program) -> (SimReport, Vec<NodeSpan>
 fn load_json(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     Json::parse(&text)
-}
-
-#[cfg(test)]
-fn load_metrics(path: &str) -> Result<RunMetrics, String> {
-    RunMetrics::from_json(&load_json(path)?)
 }
 
 /// Renders engine spans as Chrome trace-event JSON (the `chrome://tracing`
@@ -1984,27 +1831,11 @@ pub fn chrome_trace_json_sorted(program: &Program, spans: &[NodeSpan]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
-    /// Every subcommand the CLI dispatches on, in the order `USAGE` lists
-    /// them. The help-coverage test asserts each one is both parseable and
-    /// documented, so this list cannot drift from `parse`.
-    const SUBCOMMANDS: [&str; 15] = [
-        "autotune",
-        "compare",
-        "sweep-mesh",
-        "sweep-slice",
-        "plan3d",
-        "memory",
-        "inference",
-        "serve",
-        "faults",
-        "resilience",
-        "trace",
-        "metrics",
-        "traffic",
-        "mesh",
-        "help",
-    ];
+    fn load_metrics(path: &str) -> Result<RunMetrics, String> {
+        RunMetrics::from_json(&load_json(path)?)
+    }
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -2085,6 +1916,10 @@ mod tests {
             "sweep-slice gpt3 1x1",
             "trace --model gpt3 --mesh 1x1",
             "metrics --model gpt3 --mesh 1x1",
+            // The top of the severity ladder, 1 + 2(x - 1), overflowed
+            // to inf and `FaultSpec::sample` panicked on it.
+            "faults --model gpt3 --chips 16 --straggler inf --seeds 1",
+            "faults --model gpt3 --chips 16 --straggler 1e308 --seeds 1",
         ] {
             let err = parse(&args(line)).map(execute).expect_err(line);
             assert!(err.to_string().contains("USAGE"), "{line}: {err}");
@@ -2201,7 +2036,7 @@ mod tests {
                 mesh: MeshShape::new(4, 4),
                 s: None,
                 windows: 16,
-                format: MetricsFormat::Text,
+                format: Format::Text,
                 out: None,
                 tunelog: None,
                 threads: None
@@ -2218,7 +2053,7 @@ mod tests {
                 mesh: MeshShape::new(2, 4),
                 s: Some(4),
                 windows: 8,
-                format: MetricsFormat::Json,
+                format: Format::Json,
                 out: Some("/tmp/m.json".into()),
                 tunelog: Some("/tmp/t.json".into()),
                 threads: Some(4)
@@ -2261,7 +2096,7 @@ mod tests {
                 chips: 64,
                 max_rank: 3,
                 shape: None,
-                format: MeshListFormat::Text,
+                format: Format::Text,
             }
         );
         assert_eq!(
@@ -2270,7 +2105,7 @@ mod tests {
                 chips: 16,
                 max_rank: 4,
                 shape: Some(MeshShape::from_sizes(&[4, 2, 2]).unwrap()),
-                format: MeshListFormat::Json,
+                format: Format::Json,
             }
         );
         // UsageError hardening: every malformed input is a typed usage
@@ -2288,7 +2123,7 @@ mod tests {
 
     #[test]
     fn mesh_subcommand_executes() {
-        for fmt in [MeshListFormat::Text, MeshListFormat::Json] {
+        for fmt in [Format::Text, Format::Json] {
             execute(Command::Mesh {
                 chips: 64,
                 max_rank: 3,
@@ -2308,18 +2143,20 @@ mod tests {
 
     #[test]
     fn help_covers_every_subcommand() {
-        for cmd in SUBCOMMANDS {
+        let usage = usage();
+        for row in SUBCOMMANDS {
             assert!(
-                USAGE.contains(&format!("meshslice {cmd}")),
-                "usage text is missing '{cmd}'"
+                usage.contains(&format!("meshslice {}", row.name)),
+                "usage text is missing '{}'",
+                row.name
             );
-            // Each subcommand must be recognized by the parser: invoking
-            // it bare may complain about missing arguments, never about
-            // an unknown command.
-            if let Err(e) = parse(&[cmd.to_string()]) {
+            // Invoking a subcommand bare may complain about missing
+            // arguments, never about an unknown command.
+            if let Err(e) = parse(&[row.name.to_string()]) {
                 assert!(
                     !e.to_string().contains("unknown command"),
-                    "parse does not recognize '{cmd}'"
+                    "parse does not recognize '{}'",
+                    row.name
                 );
             }
         }
@@ -2521,7 +2358,7 @@ mod tests {
                 assert_eq!(qps, 40.0);
                 assert_eq!(slo_p99_ms, 500.0);
                 assert_eq!(seed, 7);
-                assert_eq!(format, ServeFormat::Json);
+                assert_eq!(format, Format::Json);
                 assert_eq!(mesh, None);
                 assert_eq!(fail_at, None);
             }
@@ -2538,7 +2375,7 @@ mod tests {
                 assert_eq!(mesh, Some(MeshShape::new(4, 4)));
                 assert_eq!(s, 8);
                 assert_eq!(fail_at, Some(2.5));
-                assert_eq!(format, ServeFormat::Text);
+                assert_eq!(format, Format::Text);
             }
             other => panic!("parsed {other:?}"),
         }
@@ -2562,7 +2399,7 @@ mod tests {
                 assert_eq!(trace_out.as_deref(), Some("t.jsonl"));
                 assert_eq!(trace_chrome.as_deref(), Some("t.json"));
                 assert_eq!(explain_out.as_deref(), Some("blame.json"));
-                assert_eq!(format, ServeFormat::Prometheus);
+                assert_eq!(format, Format::Prometheus);
             }
             other => panic!("parsed {other:?}"),
         }
@@ -2806,5 +2643,274 @@ mod tests {
             threads: Some(1),
         })
         .unwrap();
+    }
+
+    #[test]
+    fn straggler_severity_ladder_must_stay_finite() {
+        for ok in ["1", "1.5", "8e307"] {
+            assert!(
+                Kind::Straggler.parse(ok, "straggler slowdown").is_ok(),
+                "{ok}"
+            );
+        }
+        for bad in ["0.5", "nan", "inf", "1e308", "-inf", "x"] {
+            let err = Kind::Straggler
+                .parse(bad, "straggler slowdown")
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("straggler slowdown"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_rejects_flags_it_would_ignore() {
+        for line in [
+            // An explicit fleet size the pinned layout contradicts.
+            "serve --model tiny --chips 64 --replicas 1 --mesh 1x2",
+            "serve --chips 16 --replicas 2 --mesh 4x4",
+            // Layout knobs without a layout to pin, and a tuner knob
+            // with one.
+            "serve --s 4",
+            "serve --max-batch 8",
+            "serve --mesh 4x4 --screen",
+        ] {
+            let err = parse(&args(line)).unwrap_err().to_string();
+            assert!(err.contains("--"), "{line}: {err}");
+        }
+        for line in [
+            "serve --chips 32 --replicas 2 --mesh 4x4 --s 4 --max-batch 8",
+            "serve --chips 12 --replicas 3 --mesh 2x2",
+            "serve --mesh 4x4 --s 8",
+            "serve --screen",
+        ] {
+            assert!(parse(&args(line)).is_ok(), "{line}");
+        }
+        // With --mesh and no --chips the default stays in the command;
+        // execute sizes the fleet from the mesh.
+        match parse(&args("serve --mesh 1x2 --replicas 1")).unwrap() {
+            Command::Serve { chips, mesh, .. } => {
+                assert_eq!(chips, 32);
+                assert_eq!(mesh, Some(MeshShape::new(1, 2)));
+            }
+            other => panic!("parsed {other:?}"),
+        }
+    }
+
+    /// Placeholder classes of [`FUZZ_CLASSES`]: the kind's small valid
+    /// value, and the value left out.
+    const SMALL: &str = "<small>";
+    const MISSING: &str = "<missing>";
+
+    /// The value classes the fuzz tests give every argument.
+    const FUZZ_CLASSES: [&str; 8] = [SMALL, "0", "-1", "nan", "inf", "1e308", "abc", MISSING];
+
+    /// Flags every fuzz case of a row that has them starts from, so the
+    /// cases the parser accepts stay cheap enough to execute.
+    const FUZZ_BASE: [(&str, &str); 7] = [
+        ("--model", "tiny"),
+        ("--chips", "4"),
+        ("--replicas", "1"),
+        ("--seeds", "1"),
+        ("--steps", "4"),
+        ("--requests", "4"),
+        ("--threads", "1"),
+    ];
+
+    /// A small valid value of `arg`; paths point into `dir`.
+    fn small(arg: &Arg, dir: &Path) -> String {
+        match arg.kind {
+            Kind::Switch => String::new(),
+            Kind::Count | Kind::Rank => "2".into(),
+            Kind::Seed => "7".into(),
+            Kind::Positive | Kind::NonNegative | Kind::Straggler => "1.5".into(),
+            Kind::Model => "tiny".into(),
+            Kind::Mesh | Kind::Shape => "2x2".into(),
+            Kind::Path => dir
+                .join(arg.name.trim_start_matches('-'))
+                .display()
+                .to_string(),
+            Kind::Format(choices) => choices[choices.len() - 1].0.into(),
+        }
+    }
+
+    /// The argv of `row` with small positionals and [`FUZZ_BASE`], then
+    /// each `(argument index, value class)` override in order.
+    fn fuzz_case(row: &Subcommand, overrides: &[(usize, &str)], dir: &Path) -> Vec<String> {
+        let mut argv = vec![row.name.to_string()];
+        for (i, arg) in row.args.iter().enumerate().filter(|(_, a)| !a.is_flag()) {
+            match overrides.iter().rev().find(|(j, _)| *j == i) {
+                Some(&(_, MISSING)) => return argv,
+                Some(&(_, SMALL)) | None => argv.push(small(arg, dir)),
+                Some(&(_, value)) => argv.push(value.into()),
+            }
+        }
+        for (flag, value) in FUZZ_BASE {
+            if row.args.iter().any(|a| a.name == flag) {
+                argv.extend([flag.into(), value.into()]);
+            }
+        }
+        for &(i, class) in overrides {
+            let arg = &row.args[i];
+            if arg.is_flag() {
+                argv.push(arg.name.into());
+                match class {
+                    MISSING => {}
+                    SMALL if matches!(arg.kind, Kind::Switch) => {}
+                    SMALL => argv.push(small(arg, dir)),
+                    value => argv.push(value.into()),
+                }
+            }
+        }
+        argv
+    }
+
+    /// Whether `cmd` is small enough to execute in a unit test: the tiny
+    /// model on at most 16 chips, at most 8 requests/steps/seeds, 1 or 2
+    /// threads, and every output path in the temp dir.
+    fn cheap(cmd: &Command) -> bool {
+        let temp = |paths: &[&Option<String>]| {
+            paths.iter().all(|p| {
+                p.as_deref()
+                    .is_none_or(|p| std::path::Path::new(p).starts_with(std::env::temp_dir()))
+            })
+        };
+        let threads = |t: &Option<usize>| matches!(t, Some(1 | 2));
+        let tiny = |model: &Model, chips: usize| *model == Model::Tiny && chips <= 16;
+        match cmd {
+            Command::Autotune { model, chips }
+            | Command::Compare { model, chips }
+            | Command::SweepMesh { model, chips }
+            | Command::Memory { model, chips }
+            | Command::Inference { model, chips } => tiny(model, *chips),
+            Command::SweepSlice { model, mesh } => tiny(model, mesh.num_chips()),
+            Command::Plan3d {
+                model,
+                chips,
+                batch,
+            } => tiny(model, *chips) && *batch <= 8,
+            Command::Serve {
+                model,
+                chips,
+                replicas,
+                requests,
+                mesh,
+                threads: t,
+                out,
+                trace_out,
+                trace_chrome,
+                explain_out,
+                ..
+            } => {
+                let fleet = mesh.map_or(*chips, |m| m.num_chips() * replicas);
+                tiny(model, fleet)
+                    && *requests <= 8
+                    && threads(t)
+                    && temp(&[out, trace_out, trace_chrome, explain_out])
+            }
+            Command::Faults {
+                model,
+                chips,
+                seeds,
+                threads: t,
+                ..
+            } => tiny(model, *chips) && *seeds <= 8 && threads(t),
+            Command::Resilience {
+                model,
+                chips,
+                steps,
+                threads: t,
+                ..
+            } => tiny(model, *chips) && *steps <= 8 && threads(t),
+            Command::Trace {
+                model, mesh, out, ..
+            } => tiny(model, mesh.num_chips()) && temp(&[out]),
+            Command::Metrics {
+                model,
+                mesh,
+                windows,
+                out,
+                tunelog,
+                threads: t,
+                ..
+            } => {
+                tiny(model, mesh.num_chips())
+                    && *windows <= 16
+                    && threads(t)
+                    && temp(&[out, tunelog])
+            }
+            Command::Mesh { chips, .. } => *chips <= 16,
+            Command::CompareRuns { .. } | Command::Traffic | Command::Help => true,
+        }
+    }
+
+    /// Parses `argv`: it must give a command or a usage error, and a
+    /// [`cheap`] command must execute to `Ok` or `Err`, never panic.
+    fn fuzz_one(argv: &[String]) {
+        match parse(argv) {
+            Err(e) => assert!(e.to_string().contains("USAGE"), "{argv:?}: {e}"),
+            Ok(cmd) if cheap(&cmd) => {
+                println!("executing {argv:?}");
+                let _ = execute(cmd);
+            }
+            Ok(_) => {}
+        }
+    }
+
+    /// A fresh, empty directory under the temp dir for one fuzz test's
+    /// output paths, so parallel tests share no files.
+    fn fuzz_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("meshslice_cli_{test}"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn fuzz_every_argument_with_every_value_class() {
+        let dir = fuzz_dir("fuzz_sweep");
+        let mut cases = std::collections::BTreeSet::new();
+        for row in SUBCOMMANDS {
+            cases.insert(fuzz_case(row, &[], &dir));
+            let mut unknown = fuzz_case(row, &[], &dir);
+            unknown.push("--bogus".into());
+            cases.insert(unknown);
+            for i in 0..row.args.len() {
+                for class in FUZZ_CLASSES {
+                    cases.insert(fuzz_case(row, &[(i, class)], &dir));
+                }
+            }
+        }
+        for argv in &cases {
+            fuzz_one(argv);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Seeded draws of up to three (argument, value class)
+        /// overrides on one subcommand, repeated flags included.
+        #[test]
+        fn fuzz_argument_combinations(
+            row in 0..SUBCOMMANDS.len(),
+            args in (0usize..64, 0usize..64, 0usize..64),
+            classes in (0..FUZZ_CLASSES.len(), 0..FUZZ_CLASSES.len(), 0..FUZZ_CLASSES.len()),
+            picks in 1usize..4,
+        ) {
+            let row = &SUBCOMMANDS[row];
+            let picked = [(args.0, classes.0), (args.1, classes.1), (args.2, classes.2)];
+            let overrides: Vec<(usize, &str)> = picked
+                .into_iter()
+                .take(picks)
+                .filter(|_| !row.args.is_empty())
+                .map(|(i, c)| (i % row.args.len(), FUZZ_CLASSES[c]))
+                .collect();
+            let dir = fuzz_dir("fuzz_combinations");
+            fuzz_one(&fuzz_case(row, &overrides, &dir));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
